@@ -10,7 +10,6 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,25 +30,18 @@ _BINARY_MODULI: dict[int, tuple[int, ...]] = {
     8: (1, 1, 0, 1, 1, 0, 0, 0, 1),  # x^8 + x^4 + x^3 + x + 1
 }
 
-_MAX_PRIME = 1 << 16
+_MAX_FIELD_SIZE = 1 << 16
 _MAX_DEGREE = 8
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, m) with q = p^m, p prime, or raise ValueError."""
     if q < 2:
         raise ValueError(f"field size must be at least 2, got {q}")
+    # Every supported q lies below 2^16. Checking that first keeps the trial
+    # division below from running for minutes on a huge prime.
+    if q >= _MAX_FIELD_SIZE:
+        raise ValueError(f"field sizes of 2^16 and above are unsupported (q={q})")
     p = 2
     while p * p <= q and q % p != 0:
         p += 1
@@ -99,8 +91,6 @@ class FieldSpec:
         self.p = p
         self.m = m
         if m == 1:
-            if q >= _MAX_PRIME:
-                raise ValueError(f"prime fields above 2^16 are unsupported (q={q})")
             if modulus is not None:
                 raise ValueError("prime fields take no modulus")
             self.modulus = ()
@@ -216,20 +206,17 @@ def ff_op(field: FieldSpec, a: int, b: int, kind: str) -> int:
 
 # -- vectors (plain tuples of canonical ints) ---------------------------------
 
-def vec_add(field: FieldSpec, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(field: FieldSpec, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(field: FieldSpec, c: int, u: Sequence[int]) -> tuple[int, ...]:
-    return tuple(field.mul(c, a) for a in u)
+def combine(
+    field: FieldSpec, coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int
+) -> tuple[int, ...]:
+    """The length-n vector sum of c_i * v_i; zero coefficients and entries are skipped."""
+    acc = [0] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for idx, x in enumerate(v):
+                if x:
+                    acc[idx] = field.add(acc[idx], field.mul(c, x))
+    return tuple(acc)
 
 
 def dot(field: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
@@ -286,6 +273,11 @@ def _echelon(field: FieldSpec, rows: list[list[int]], reduced: bool = False) -> 
 def rank_of_rows(field: FieldSpec, rows: Iterable[Sequence[int]]) -> int:
     work = [list(r) for r in rows]
     return len(_echelon(field, work))
+
+
+def in_span(field: FieldSpec, span: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> bool:
+    """True iff every vector lies in the row span of `span`: rank(span + vectors) == rank(span)."""
+    return rank_of_rows(field, [*span, *vectors]) == rank_of_rows(field, span)
 
 
 class Matrix:
@@ -481,11 +473,6 @@ def null_space(a: Matrix) -> list[tuple[int, ...]]:
     return basis
 
 
-def left_null_space(a: Matrix) -> list[tuple[int, ...]]:
-    """Basis of {x : x @ a = 0}."""
-    return null_space(a.transpose())
-
-
 def vector_from_index(field: FieldSpec, index: int, n: int) -> tuple[int, ...]:
     """Decode a base-q integer into a length-n vector, first coordinate least significant."""
     digits = []
@@ -496,8 +483,3 @@ def vector_from_index(field: FieldSpec, index: int, n: int) -> tuple[int, ...]:
         raise ValueError("index out of range for the requested vector length")
     return tuple(digits)
 
-
-def all_vectors(field: FieldSpec, n: int) -> Iterable[tuple[int, ...]]:
-    """Every vector of GF(q)^n in the base-q integer order, zero first."""
-    for combo in itertools.product(field.elements(), repeat=n):
-        yield tuple(reversed(combo))

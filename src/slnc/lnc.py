@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
     SecurityLevelTooLarge,
 )
-from .field import FieldSpec, Matrix, rank_of_rows, vec_add, vec_scale
+from .field import FieldSpec, Matrix, combine, rank_of_rows
 from .network import Network, WiretapCollection, c_min, edge_disjoint_paths, enumerate_topology_wiretap_sets
 
 IMAGINARY_PREFIX = "__s_"
@@ -126,11 +126,9 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
             kernels[edge.id] = zero
             continue
         chosen = None
+        tail_kernels = [kernels[d] for d in tail_in]
         for assignment in itertools.product(field.elements(), repeat=len(tail_in)):
-            f = zero
-            for coeff, d in zip(assignment, tail_in):
-                if coeff:
-                    f = vec_add(field, f, vec_scale(field, coeff, kernels[d]))
+            f = combine(field, assignment, tail_kernels, n)
             if all(
                 _keeps_frontier_rank(field, n, kernels, frontier[t], j, f)
                 for t, j in uses
@@ -177,11 +175,13 @@ def check_code_validity(code: GlobalCode) -> CodeValidityReport:
     field = code.field
     report = CodeValidityReport()
     for edge in net.edges:
-        expected = (0,) * code.n
-        for d in code.in_channel_ids(edge.tail):
-            coeff = code.local_coeffs.get((d, edge.id), 0)
-            if coeff:
-                expected = vec_add(field, expected, vec_scale(field, coeff, code.kernel(d)))
+        ins = code.in_channel_ids(edge.tail)
+        expected = combine(
+            field,
+            [code.local_coeffs.get((d, edge.id), 0) for d in ins],
+            [code.kernel(d) for d in ins],
+            code.n,
+        )
         actual = code.kernels[edge.id]
         if actual != expected:
             residual = tuple(field.sub(a, b) for a, b in zip(actual, expected))
@@ -274,6 +274,8 @@ def _parse_header(line: str) -> tuple[int, int]:
             raise ParseError(f"bad code header token {tok!r}") from None
     if set(values) != {"n", "q"}:
         raise ParseError(f"code header needs n= and q=: {line!r}")
+    if values["n"] < 1:
+        raise ParseError(f"bad code dimension {values['n']}")
     return values["n"], values["q"]
 
 
@@ -281,8 +283,6 @@ def parse_code_lines(net: Network, n: int, q: int, lines: list[str]) -> GlobalCo
     """Assemble a code from already-split kernel/local lines."""
     if q != net.field.q:
         raise ParseError(f"code field q={q} does not match network field q={net.field.q}")
-    if n < 1:
-        raise ParseError(f"bad code dimension {n}")
     field = net.field
     kernels: dict[str, tuple[int, ...]] = {}
     local_coeffs: dict[tuple[str, str], int] = {}

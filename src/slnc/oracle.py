@@ -17,13 +17,14 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
     BudgetExceeded,
+    EmptySet,
     InconsistentObservation,
     InvalidKeyDim,
     MonotonicityViolated,
     NotADistribution,
     Singular,
 )
-from .field import FieldSpec, Matrix, left_null_space, rank_of_rows
+from .field import combine, in_span
 from .lnc import GlobalCode, imaginary_ids, standard_basis
 from .network import Network
 from .secure import SecureCodeBundle, decode_at_sink, encode_source
@@ -233,7 +234,8 @@ def verify_security(
             if mi > max_mi:
                 max_mi = mi
                 worst = combo
-    assert worst is not None
+    if worst is None:
+        raise EmptySet("the bundle has no channel set of size up to r to scan")
     return SecurityReport(
         r=bundle.r,
         i=bundle.i,
@@ -252,12 +254,11 @@ def rank_security_criterion(bundle: SecureCodeBundle, edge_ids: Sequence[str]) -
     ids = sorted(edge_ids)
     for eid in ids:
         bundle.network.edge(eid)
-    gain = bundle.mixing_inv @ bundle.base.kernel_matrix(ids)
+    cols = [bundle.gain[eid] for eid in ids]
     omega, const_len = bundle.omega, len(bundle.constant)
-    message_rows = [gain.row(idx) for idx in range(omega)]
-    key_rows = [gain.row(idx) for idx in range(omega + const_len, bundle.n)]
-    key_rank = rank_of_rows(bundle.field, key_rows)
-    return rank_of_rows(bundle.field, key_rows + message_rows) == key_rank
+    message_rows = [tuple(col[idx] for col in cols) for idx in range(omega)]
+    key_rows = [tuple(col[idx] for col in cols) for idx in range(omega + const_len, bundle.n)]
+    return in_span(bundle.field, key_rows, message_rows)
 
 
 # -- key-rate refutation -------------------------------------------------------------
@@ -280,16 +281,6 @@ class RefutationResult:
 
             out += write_code(self.witness)
         return out
-
-
-def _message_recoverable(field: FieldSpec, kernel_cols: list[tuple[int, ...]], omega: int) -> bool:
-    # Every left-null vector of the sink matrix must vanish on the message
-    # coordinates; otherwise two inputs differing in M share all observations.
-    mat = Matrix.from_cols(field, kernel_cols, rows=len(kernel_cols[0]) if kernel_cols else 0)
-    for vec in left_null_space(mat):
-        if any(vec[:omega]):
-            return False
-    return True
 
 
 def refute_key_rate(
@@ -335,6 +326,9 @@ def refute_key_rate(
     ]
 
     basis = {d: standard_basis(dim, j) for j, d in enumerate(imag)}
+    # A sink recovers the message iff e_1..e_omega lie in the span of its kernels;
+    # otherwise two inputs differing in M share all its observations.
+    message_units = [standard_basis(dim, j) for j in range(omega)]
     searched = 0
     for assignment in itertools.product(field.elements(), repeat=len(slots)):
         searched += 1
@@ -344,34 +338,22 @@ def refute_key_rate(
             ins = in_channels[edge.id]
             coeffs = assignment[cursor:cursor + len(ins)]
             cursor += len(ins)
-            vec = [0] * dim
-            for coeff, d in zip(coeffs, ins):
-                if coeff:
-                    kd = kernels[d]
-                    for idx in range(dim):
-                        if kd[idx]:
-                            vec[idx] = field.add(vec[idx], field.mul(coeff, kd[idx]))
-            kernels[edge.id] = tuple(vec)
+            kernels[edge.id] = combine(field, coeffs, [kernels[d] for d in ins], dim)
 
         if not all(
-            _message_recoverable(field, [kernels[eid] for eid in sink_in_ids[t]], omega)
+            in_span(field, [kernels[eid] for eid in sink_in_ids[t]], message_units)
             for t in net.sinks
         ):
             continue
 
-        leak_free = True
-        for combo in wiretap_combos:
-            key_rows = [
-                tuple(kernels[eid][row] for eid in combo) for row in range(omega, dim)
-            ]
-            message_rows = [
-                tuple(kernels[eid][row] for eid in combo) for row in range(omega)
-            ]
-            key_rank = rank_of_rows(field, key_rows)
-            if rank_of_rows(field, key_rows + message_rows) != key_rank:
-                leak_free = False
-                break
-        if not leak_free:
+        if not all(
+            in_span(
+                field,
+                [tuple(kernels[eid][row] for eid in combo) for row in range(omega, dim)],
+                [tuple(kernels[eid][row] for eid in combo) for row in range(omega)],
+            )
+            for combo in wiretap_combos
+        ):
             continue
 
         real_kernels = {e.id: kernels[e.id] for e in net.edges}

@@ -34,13 +34,20 @@ from .field import (
 from .lnc import (
     GlobalCode,
     _parse_header,
+    check_code_validity,
     code_body_lines,
     construct_lnc,
     enumerate_code_wiretap_sets,
-    imaginary_ids,
     parse_code_lines,
 )
 from .network import Network, c_min, parse_network, serialize_network
+
+
+def _basis_level(omega: int, r: int, key_dim: int, n: int) -> int:
+    # The span-avoidance condition is built at level r whenever omega + r fits
+    # the dimension, and at r - i otherwise, in which case the security claim
+    # rests on verification rather than on the construction.
+    return r if omega + r <= n else key_dim
 
 
 @dataclass(eq=False)
@@ -48,10 +55,7 @@ class SecureCodeBundle:
     """A base code plus mixing matrix and rate bookkeeping.
 
     key_dim = r - i uniform key symbols; the key rate equals key_dim exactly.
-    basis_level records the level at which the span-avoidance condition was
-    built: it equals r whenever omega + r fits the dimension, and drops to
-    r - i otherwise, in which case the security claim rests on verification
-    rather than on the construction.
+    basis_level is the level at which the span-avoidance condition was built.
     """
 
     base: GlobalCode
@@ -61,7 +65,6 @@ class SecureCodeBundle:
     i: int
     key_dim: int
     constant: tuple[int, ...]
-    basis_level: int
 
     @property
     def n(self) -> int:
@@ -80,12 +83,19 @@ class SecureCodeBundle:
         return self.key_dim
 
     @property
+    def basis_level(self) -> int:
+        return _basis_level(self.omega, self.r, self.key_dim, self.n)
+
+    @property
     def constructively_certified(self) -> bool:
         return self.basis_level == self.r
 
     @cached_property
-    def mixing_inv(self) -> Matrix:
-        return self.mixing.inverse()
+    def gain(self) -> dict[str, tuple[int, ...]]:
+        """The column Q^{-1} f_e per channel; raises Singular if Q has no inverse."""
+        ids = [e.id for e in self.network.edges]
+        g = self.mixing.inverse() @ self.base.kernel_matrix(ids)
+        return {eid: g.col(j) for j, eid in enumerate(ids)}
 
 
 def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
@@ -150,7 +160,7 @@ def build_secure_bundle(net: Network, omega: int, r: int, i: int = 0) -> SecureC
             f"omega + key_dim = {omega + key_dim} exceeds C_min = {n}"
         )
     base = construct_lnc(net, n)
-    basis_level = r if omega + r <= n else key_dim
+    basis_level = _basis_level(omega, r, key_dim, n)
     if basis_level >= 1:
         mixing = choose_secure_basis(base, basis_level)
     else:
@@ -166,7 +176,6 @@ def build_secure_bundle(net: Network, omega: int, r: int, i: int = 0) -> SecureC
         i=i,
         key_dim=key_dim,
         constant=constant,
-        basis_level=basis_level,
     )
 
 
@@ -181,29 +190,14 @@ def encode_source(
 ) -> dict[str, int]:
     """Per-channel symbols X Q^{-1} f_e for the input X = [message, constant, key].
 
-    Also re-derives every symbol by local propagation (imaginary channels
-    carry the coordinates of X Q^{-1}, each edge combines its inputs with
-    the local coefficients) and asserts both routes agree.
+    Each symbol is x . gain[e], one dot product with the bundle's cached
+    column Q^{-1} f_e, in network declaration order.
     """
     field = bundle.field
     m = _check_block(field, "message", message, bundle.omega)
     k = _check_block(field, "key", key, bundle.key_dim)
     x = m + bundle.constant + k
-    inv = bundle.mixing_inv
-    w = tuple(dot(field, x, inv.col(j)) for j in range(bundle.n))
-    code = bundle.base
-    symbols = {e.id: dot(field, w, code.kernels[e.id]) for e in bundle.network.edges}
-
-    carried: dict[str, int] = {d: w[j] for j, d in enumerate(imaginary_ids(bundle.n))}
-    for edge in bundle.network.topo_edges():
-        acc = 0
-        for d in code.in_channel_ids(edge.tail):
-            coeff = code.local_coeffs.get((d, edge.id), 0)
-            if coeff:
-                acc = field.add(acc, field.mul(coeff, carried[d]))
-        carried[edge.id] = acc
-        assert acc == symbols[edge.id], f"local propagation diverged on {edge.id}"
-    return symbols
+    return {eid: dot(field, x, col) for eid, col in bundle.gain.items()}
 
 
 def decode_at_sink(
@@ -223,9 +217,9 @@ def decode_at_sink(
         raise DimensionMismatch(f"missing symbols for: {', '.join(missing)}")
     field = bundle.field
     y = [field.check(observed[eid]) for eid in in_ids]
-    gain = bundle.mixing_inv @ bundle.base.kernel_matrix(in_ids)
+    sink_rows = Matrix.from_rows(field, [bundle.gain[eid] for eid in in_ids], cols=bundle.n)
     try:
-        x = solve_unique(gain.transpose(), y)
+        x = solve_unique(sink_rows, y)
     except Singular as exc:
         raise InconsistentObservation(f"sink {t} cannot isolate the input: {exc}") from exc
     if x is None:
@@ -325,14 +319,15 @@ def parse_bundle(text: str) -> SecureCodeBundle:
         raise ParseError("missing const line")
     net = parse_network("\n".join(net_lines) + "\n")
     base = parse_code_lines(net, n, q, body_lines)
+    violations = check_code_validity(base).recursion_violations
+    if violations:
+        raise ParseError(
+            f"kernels disagree with the local coefficients on: {', '.join(violations)}"
+        )
     field = net.field
     if any(len(row) != n for row in q_rows):
         raise ParseError("Q rows must all have n entries")
     mixing = Matrix.from_rows(field, q_rows, cols=n)
-    try:
-        mixing.inverse()
-    except Singular:
-        raise ParseError("Q is not invertible") from None
     omega = secure_header["omega"]
     r = secure_header["r"]
     i = secure_header["i"]
@@ -346,8 +341,7 @@ def parse_bundle(text: str) -> SecureCodeBundle:
             f"constant block must have {n - omega - key_dim} symbols, got {len(constant)}"
         )
     constant = tuple(field.check(c) for c in constant)
-    basis_level = r if omega + r <= n else key_dim
-    return SecureCodeBundle(
+    bundle = SecureCodeBundle(
         base=base,
         mixing=mixing,
         omega=omega,
@@ -355,5 +349,9 @@ def parse_bundle(text: str) -> SecureCodeBundle:
         i=i,
         key_dim=key_dim,
         constant=constant,
-        basis_level=basis_level,
     )
+    try:
+        bundle.gain
+    except Singular:
+        raise ParseError("Q is not invertible") from None
+    return bundle

@@ -1,14 +1,36 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from slnc.network import Network, parse_network
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def load_network(name: str) -> Network:
     return parse_network((FIXTURES / name).read_text(encoding="utf-8"))
+
+
+def run_cli_process(*argv: str, optimize: bool = False, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """Run `python [-O] -m slnc.cli argv` in a fresh interpreter.
+
+    A command still running after `timeout` seconds raises TimeoutExpired,
+    which fails the calling test instead of hanging the suite.
+    """
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "slnc.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 @pytest.fixture(scope="session")

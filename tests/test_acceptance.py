@@ -187,7 +187,6 @@ def test_criterion_6_oracle_cross_validation(
                     i=i,
                     key_dim=key_dim,
                     constant=(0,) * (n - omega - key_dim),
-                    basis_level=r,
                 )
                 bundles += 1
                 for combo in sets:

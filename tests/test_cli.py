@@ -1,7 +1,7 @@
 import pytest
 
 from slnc.cli import main, sample_key_symbols
-from conftest import FIXTURES
+from conftest import FIXTURES, run_cli_process
 
 BUTTERFLY = str(FIXTURES / "butterfly.net")
 PARALLEL3_GF2 = str(FIXTURES / "parallel3_gf2.net")
@@ -110,6 +110,41 @@ def test_verify_insecure_bundle_exits_1(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(bundle_file))
     assert code == 1
     assert "verdict fail" in out
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_inconsistent_bundle_is_input_error(tmp_path, capsys, optimize):
+    """A stored kernel that disagrees with its local coefficients is rejected at
+    parse time, also under `python -O`, which strips assert statements."""
+    bundle_file = tmp_path / "b.slnc"
+    run(capsys, "secure", BUTTERFLY, "--omega", "1", "--r", "1", "-o", str(bundle_file))
+    text = bundle_file.read_text()
+    assert "local e1 e3 1\n" in text
+    bundle_file.write_text(text.replace("local e1 e3 1\n", "local e1 e3 2\n"))
+    for argv in (
+        ["verify", str(bundle_file)],
+        ["simulate", str(bundle_file), "--message", "1", "--key", "1"],
+    ):
+        proc = run_cli_process(*argv, optimize=optimize)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert "e3" in proc.stderr
+
+
+def test_negative_code_dimension_ends_with_input_error(tmp_path):
+    bundle_file = tmp_path / "neg.slnc"
+    bundle_file.write_text("code n=-1 q=3\nQ\n1\n")
+    proc = run_cli_process("verify", str(bundle_file), timeout=30.0)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:")
+
+
+def test_huge_field_size_ends_with_input_error(tmp_path):
+    net_file = tmp_path / "big.net"
+    net_file.write_text("field 1000000000000000003\nsource s\nsink t\nedge a s t\n")
+    proc = run_cli_process("mincut", str(net_file), timeout=30.0)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:")
 
 
 def test_secure_rate_error_is_input_error(tmp_path, capsys):

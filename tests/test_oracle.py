@@ -38,7 +38,6 @@ def _identity_mixing_bundle(net, omega, r):
         i=0,
         key_dim=r,
         constant=(0,) * (n - omega - r),
-        basis_level=r,
     )
 
 
@@ -193,7 +192,6 @@ def _manual_bundle(net, kernels, mixing_rows, omega, r, key_dim, const_len):
         i=0,
         key_dim=key_dim,
         constant=(0,) * const_len,
-        basis_level=r,
     )
 
 
@@ -267,7 +265,6 @@ def test_rank_criterion_agrees_with_enumeration(butterfly, parallel3_gf5, parall
                 i=i,
                 key_dim=key_dim,
                 constant=(0,) * (n - omega - key_dim),
-                basis_level=r,
             )
             ids = sorted(e.id for e in net.edges)
             for size in range(1, r + 1):
