@@ -129,11 +129,6 @@ class FieldSpec:
             return (a - b) % self.p
         return a ^ b
 
-    def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        return a
-
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
@@ -364,14 +359,6 @@ class Matrix:
         rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
         return Matrix.from_rows(self.field, rows, cols=self.cols + other.cols)
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        self._require_same_field(other)
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack needs equal column counts")
-        rows = [list(self.row(i)) for i in range(self.rows)]
-        rows += [list(other.row(i)) for i in range(other.rows)]
-        return Matrix.from_rows(self.field, rows, cols=self.cols)
-
     def rank(self) -> int:
         return rank_of_rows(self.field, (self.row(i) for i in range(self.rows)))
 
@@ -428,49 +415,6 @@ def spans_intersect_trivially(b1: Matrix, b2: Matrix) -> bool:
     if b1.rows != b2.rows:
         raise DimensionMismatch("span test needs equal ambient dimensions")
     return b1.hstack(b2).rank() == b1.rank() + b2.rank()
-
-
-def solve_unique(a: Matrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """Solve a @ x = b for the unique column x, or return None if inconsistent.
-
-    Requires full column rank; raises Singular when the system is
-    underdetermined instead of picking an arbitrary solution.
-    """
-    if len(b) != a.rows:
-        raise DimensionMismatch(f"right-hand side length {len(b)} != {a.rows}")
-    f = a.field
-    work = [list(a.row(i)) + [f.check(b[i])] for i in range(a.rows)]
-    if not work:
-        if a.cols == 0:
-            return ()
-        raise Singular("no equations for a nonzero number of unknowns")
-    pivots = _echelon(f, work, reduced=True)
-    if any(p == a.cols for p in pivots):
-        return None  # a pivot in the augmented column: 0 = nonzero
-    if len(pivots) < a.cols:
-        raise Singular(f"system of rank {len(pivots)} < {a.cols} is underdetermined")
-    x = [0] * a.cols
-    for r, col in enumerate(pivots):
-        x[col] = work[r][a.cols]
-    return tuple(x)
-
-
-def null_space(a: Matrix) -> list[tuple[int, ...]]:
-    """Basis of {x : a @ x = 0}, deterministic (one vector per free column)."""
-    f = a.field
-    work = [list(a.row(i)) for i in range(a.rows)]
-    pivots = _echelon(f, work, reduced=True) if work else []
-    pivot_set = set(pivots)
-    basis: list[tuple[int, ...]] = []
-    for free in range(a.cols):
-        if free in pivot_set:
-            continue
-        vec = [0] * a.cols
-        vec[free] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = f.neg(work[r][free])
-        basis.append(tuple(vec))
-    return basis
 
 
 def vector_from_index(field: FieldSpec, index: int, n: int) -> tuple[int, ...]:

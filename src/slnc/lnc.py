@@ -164,17 +164,11 @@ class CodeValidityReport:
         return not self.recursion_violations and not self.sink_rank_deficits
 
 
-def check_code_validity(code: GlobalCode) -> CodeValidityReport:
-    """Recompute every kernel from the local coefficients and rank every sink.
-
-    Violations are reported as data, not raised: the recursion residual
-    (stored kernel minus the local-coefficient combination) per offending
-    edge, and the rank deficit per undecodable sink.
-    """
-    net = code.network
+def _recursion_violations(code: GlobalCode) -> dict[str, tuple[int, ...]]:
+    """Stored kernel minus the local-coefficient combination, per offending edge."""
     field = code.field
-    report = CodeValidityReport()
-    for edge in net.edges:
+    violations: dict[str, tuple[int, ...]] = {}
+    for edge in code.network.edges:
         ins = code.in_channel_ids(edge.tail)
         expected = combine(
             field,
@@ -184,8 +178,19 @@ def check_code_validity(code: GlobalCode) -> CodeValidityReport:
         )
         actual = code.kernels[edge.id]
         if actual != expected:
-            residual = tuple(field.sub(a, b) for a, b in zip(actual, expected))
-            report.recursion_violations[edge.id] = residual
+            violations[edge.id] = tuple(field.sub(a, b) for a, b in zip(actual, expected))
+    return violations
+
+
+def check_code_validity(code: GlobalCode) -> CodeValidityReport:
+    """Recompute every kernel from the local coefficients and rank every sink.
+
+    Violations are reported as data, not raised: the recursion residual
+    (stored kernel minus the local-coefficient combination) per offending
+    edge, and the rank deficit per undecodable sink.
+    """
+    net = code.network
+    report = CodeValidityReport(recursion_violations=_recursion_violations(code))
     for t in net.sinks:
         rank = code.kernel_matrix(e.id for e in net.in_edges(t)).rank()
         if rank < code.n:
@@ -280,7 +285,7 @@ def _parse_header(line: str) -> tuple[int, int]:
 
 
 def parse_code_lines(net: Network, n: int, q: int, lines: list[str]) -> GlobalCode:
-    """Assemble a code from already-split kernel/local lines."""
+    """Assemble a code from kernel/local lines; every kernel must match its local coefficients."""
     if q != net.field.q:
         raise ParseError(f"code field q={q} does not match network field q={net.field.q}")
     field = net.field
@@ -321,7 +326,13 @@ def parse_code_lines(net: Network, n: int, q: int, lines: list[str]) -> GlobalCo
         if e.tail == net.source:
             for j, d in enumerate(imaginary_ids(n)):
                 local_coeffs[(d, e.id)] = kernels[e.id][j]
-    return GlobalCode(n=n, kernels=kernels, local_coeffs=local_coeffs, network=net)
+    code = GlobalCode(n=n, kernels=kernels, local_coeffs=local_coeffs, network=net)
+    violations = _recursion_violations(code)
+    if violations:
+        raise ParseError(
+            f"kernels disagree with the local coefficients on: {', '.join(violations)}"
+        )
+    return code
 
 
 def parse_code(text: str, net: Network) -> GlobalCode:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -46,8 +47,12 @@ class WiretapCollection:
     kind: str
     sets: tuple[tuple[str, ...], ...]
 
+    @cached_property
+    def _members(self) -> frozenset[tuple[str, ...]]:
+        return frozenset(self.sets)
+
     def __contains__(self, item: Sequence[str]) -> bool:
-        return tuple(sorted(item)) in set(self.sets)
+        return tuple(sorted(item)) in self._members
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -63,23 +68,18 @@ class Network:
         self.sinks: tuple[str, ...] = tuple(sinks)
         self._validate_names()
 
-        names: list[str] = [source]
-        for e in self.edges:
-            for name in (e.tail, e.head):
-                if name not in names:
-                    names.append(name)
-        for t in self.sinks:
-            if t not in names:
-                names.append(t)
-        self.nodes: tuple[str, ...] = tuple(names)
+        # Nodes in order of first mention: the source, edge endpoints, then sinks.
+        ends = (v for e in self.edges for v in (e.tail, e.head))
+        self.nodes: tuple[str, ...] = tuple(dict.fromkeys([source, *ends, *self.sinks]))
 
         self._edge_by_id = {e.id: e for e in self.edges}
-        self._out: dict[str, tuple[Edge, ...]] = {
-            v: tuple(e for e in self.edges if e.tail == v) for v in self.nodes
-        }
-        self._in: dict[str, tuple[Edge, ...]] = {
-            v: tuple(e for e in self.edges if e.head == v) for v in self.nodes
-        }
+        out_lists: dict[str, list[Edge]] = {v: [] for v in self.nodes}
+        in_lists: dict[str, list[Edge]] = {v: [] for v in self.nodes}
+        for e in self.edges:
+            out_lists[e.tail].append(e)
+            in_lists[e.head].append(e)
+        self._out = {v: tuple(es) for v, es in out_lists.items()}
+        self._in = {v: tuple(es) for v, es in in_lists.items()}
         self._topo_index = self._topological_index()
         self._check_reachability()
 

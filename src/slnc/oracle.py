@@ -1,19 +1,22 @@
 """Independent brute-force verification of secure bundles.
 
 Nothing here trusts the construction: wiretap observation distributions are
-enumerated exactly over all message/key inputs, perfect security is decided
-by exact count-table equality (never floating point), and the algebraic
-rank criterion provides a second, independent route to the same verdict.
-The refutation search exhausts every linear code of a given dimension to
-corroborate that smaller key rates cannot work.
+enumerated exactly over all message/key inputs, and every leakage verdict is
+an integer comparison (never floating point).  With uniform message and key,
+a linear code gives every wiretap set a uniform count table, so its leakage
+is a whole number of q-ary symbols, read off exact support sizes.  Count-table
+equality and the algebraic rank criterion are two further, independent routes
+to the zero-leakage verdict.  The refutation search exhausts every linear code
+of a given dimension to corroborate that smaller key rates cannot work.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -22,16 +25,17 @@ from .errors import (
     InvalidKeyDim,
     MonotonicityViolated,
     NotADistribution,
-    Singular,
 )
-from .field import combine, in_span
+from .field import FieldSpec, combine, in_span
 from .lnc import GlobalCode, imaginary_ids, standard_basis
 from .network import Network
 from .secure import SecureCodeBundle, decode_at_sink, encode_source
 
-_MI_TOLERANCE = 1e-9
 DEFAULT_ENUM_BUDGET = 10**7
 DEFAULT_SEARCH_BUDGET = 10**8
+
+# One row per (message, key) input: the message, the key, and every channel's symbol.
+SymbolRow = tuple[tuple[int, ...], tuple[int, ...], dict[str, int]]
 
 
 # -- exact observation distributions ---------------------------------------------
@@ -46,29 +50,35 @@ class JointDistribution:
     edge_ids: tuple[str, ...]
     counts: Mapping[tuple[tuple[int, ...], tuple[int, ...]], int]
 
-    @property
-    def message_alphabet(self) -> int:
-        return self.q**self.omega
-
-    @property
-    def arity(self) -> int:
-        return len(self.edge_ids)
-
     def total(self) -> int:
         return sum(self.counts.values())
-
-
-def _input_space(bundle: SecureCodeBundle) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
-    elems = bundle.field.elements()
-    for m in itertools.product(elems, repeat=bundle.omega):
-        for k in itertools.product(elems, repeat=bundle.key_dim):
-            yield m, k
 
 
 def _check_enum_budget(bundle: SecureCodeBundle, budget: int) -> None:
     space = bundle.field.q ** (bundle.omega + bundle.key_dim)
     if space > budget:
         raise BudgetExceeded(f"input space {space} exceeds the budget {budget}")
+
+
+def _symbol_rows(bundle: SecureCodeBundle) -> Iterator[SymbolRow]:
+    elems = bundle.field.elements()
+    for m in itertools.product(elems, repeat=bundle.omega):
+        for k in itertools.product(elems, repeat=bundle.key_dim):
+            yield m, k, encode_source(bundle, m, k)
+
+
+def _count(
+    bundle: SecureCodeBundle, rows: Iterable[SymbolRow], ids: tuple[str, ...]
+) -> JointDistribution:
+    """The (message, observation) count table of the channel set `ids`."""
+    counts = Counter((m, tuple([symbols[eid] for eid in ids])) for m, _k, symbols in rows)
+    return JointDistribution(
+        q=bundle.field.q,
+        omega=bundle.omega,
+        key_dim=bundle.key_dim,
+        edge_ids=ids,
+        counts=counts,
+    )
 
 
 def observation_distribution(
@@ -79,64 +89,44 @@ def observation_distribution(
     ids = tuple(sorted(edge_ids))
     for eid in ids:
         bundle.network.edge(eid)
-    counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for m, k in _input_space(bundle):
-        symbols = encode_source(bundle, m, k)
-        y = tuple(symbols[eid] for eid in ids)
-        counts[(m, y)] = counts.get((m, y), 0) + 1
-    return JointDistribution(
-        q=bundle.field.q,
-        omega=bundle.omega,
-        key_dim=bundle.key_dim,
-        edge_ids=ids,
-        counts=counts,
-    )
+    return _count(bundle, _symbol_rows(bundle), ids)
 
 
-def _entropy_from_counts(counts: Iterable[int], total: int) -> float:
-    # H = log(total) - (1/total) * sum c log c, in nats.
-    acc = 0.0
-    for c in counts:
-        if c:
-            acc += c * math.log(c)
-    return math.log(total) - acc / total
+def mutual_information(dist: JointDistribution) -> int:
+    """I(M; Y) in log-q units, exactly: log_q(|supp Y| / |supp Y given M|).
 
-
-def mutual_information(dist: JointDistribution) -> float:
-    """I(M; Y) in log-q units, computed from exact counts."""
-    total = dist.total()
-    if total == 0:
+    A linear code with uniform message and key gives every (m, y) in the
+    support the same count, every m the same number of y and every y the
+    same number of m.  Then the joint law and both marginals are uniform,
+    so I(M; Y) = log_q(|supp M| |supp Y| / |supp (M, Y)|), a whole number.
+    A table of any other shape raises NotADistribution.
+    """
+    if dist.total() <= 0:
         raise NotADistribution("empty count table")
-    m_counts: dict[tuple[int, ...], int] = {}
-    y_counts: dict[tuple[int, ...], int] = {}
-    for (m, y), c in dist.counts.items():
-        m_counts[m] = m_counts.get(m, 0) + c
-        y_counts[y] = y_counts.get(y, 0) + c
-    h_m = _entropy_from_counts(m_counts.values(), total)
-    h_y = _entropy_from_counts(y_counts.values(), total)
-    h_my = _entropy_from_counts(dist.counts.values(), total)
-    return (h_m + h_y - h_my) / math.log(dist.q)
-
-
-def _conditional_tables(
-    dist: JointDistribution,
-) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    tables: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for (m, y), c in dist.counts.items():
-        tables.setdefault(m, {})[y] = c
-    return tables
+    per_m = Counter(m for m, _y in dist.counts)
+    per_y = Counter(y for _m, y in dist.counts)
+    if any(len(set(table.values())) != 1 for table in (dist.counts, per_m, per_y)):
+        raise NotADistribution("counts are not uniform on their support, as a linear code's are")
+    ratio, rest = divmod(len(per_m) * len(per_y), len(dist.counts))
+    leak, power = 0, 1
+    while power < ratio:
+        power *= dist.q
+        leak += 1
+    if rest or power != ratio:
+        raise NotADistribution(f"the support ratio is not a power of q = {dist.q}")
+    return leak
 
 
 def perfectly_secure(dist: JointDistribution) -> bool:
-    """Exact test: the observation count table is identical for every message."""
-    tables = _conditional_tables(dist)
-    reference: dict[tuple[int, ...], int] | None = None
-    for table in tables.values():
-        if reference is None:
-            reference = table
-        elif table != reference:
-            return False
-    return True
+    """Exact reference test: the observation count table is identical for every message.
+
+    It shares no code with mutual_information, which the tests check it against.
+    """
+    by_message: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for (m, y), c in dist.counts.items():
+        by_message.setdefault(m, {})[y] = c
+    tables = list(by_message.values())
+    return all(table == tables[0] for table in tables[1:])
 
 
 # -- security reports --------------------------------------------------------------
@@ -147,9 +137,9 @@ class SecurityReport:
 
     r: int
     i: int
-    results: list[tuple[tuple[str, ...], float, bool]]
+    results: list[tuple[tuple[str, ...], int, bool]]
     worst_set: tuple[str, ...]
-    max_mi: float
+    max_mi: int
     secure: bool
     decode_ok: bool
     decode_detail: str = ""
@@ -166,23 +156,14 @@ class SecurityReport:
         return "\n".join(lines) + "\n"
 
 
-def _all_symbol_tables(
-    bundle: SecureCodeBundle,
-) -> list[tuple[tuple[int, ...], tuple[int, ...], dict[str, int]]]:
-    return [(m, k, encode_source(bundle, m, k)) for m, k in _input_space(bundle)]
-
-
-def _decode_roundtrip(
-    bundle: SecureCodeBundle,
-    tables: list[tuple[tuple[int, ...], tuple[int, ...], dict[str, int]]],
-) -> tuple[bool, str]:
+def _decode_roundtrip(bundle: SecureCodeBundle, table: list[SymbolRow]) -> tuple[bool, str]:
     for t in bundle.network.sinks:
         in_ids = [e.id for e in bundle.network.in_edges(t)]
-        for m, k, symbols in tables:
+        for m, k, symbols in table:
             observed = {eid: symbols[eid] for eid in in_ids}
             try:
                 got = decode_at_sink(bundle, t, observed)
-            except (InconsistentObservation, Singular) as exc:
+            except InconsistentObservation as exc:
                 return False, f"sink {t} failed on input {m}, {k}: {exc}"
             if got != (m, k):
                 return False, f"sink {t} decoded {got} instead of {(m, k)}"
@@ -194,58 +175,48 @@ def verify_security(
 ) -> SecurityReport:
     """Scan every wiretap set of size up to r and decide the leakage verdict.
 
-    Perfect security (i = 0) is decided by exact conditional count-table
-    equality; the imperfect case compares mutual information in log-q units
-    against i with a 1e-9 tolerance.  The decode round-trip over all inputs
-    is checked as well.  With fast=True only the size-r sets are scanned,
-    justified by monotonicity of leakage under set inclusion.
+    A set passes when its exact integer leakage I(M; Y_A) in log-q units is
+    at most i.  The decode round-trip over all inputs is checked as well.
+    With fast=True only the size-r sets are scanned, justified by
+    monotonicity of leakage under set inclusion.
     """
     _check_enum_budget(bundle, budget)
-    tables = _all_symbol_tables(bundle)
-    decode_ok, decode_detail = _decode_roundtrip(bundle, tables)
+    table = list(_symbol_rows(bundle))
+    decode_ok, decode_detail = _decode_roundtrip(bundle, table)
 
     ids = sorted(e.id for e in bundle.network.edges)
     top = min(bundle.r, len(ids))
     sizes = [top] if fast else list(range(1, top + 1))
-    results: list[tuple[tuple[str, ...], float, bool]] = []
-    worst: tuple[str, ...] | None = None
-    max_mi = -1.0
-    all_pass = True
+    results: list[tuple[tuple[str, ...], int, bool]] = []
     for size in sizes:
         for combo in itertools.combinations(ids, size):
-            counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-            for m, _k, symbols in tables:
-                y = tuple(symbols[eid] for eid in combo)
-                counts[(m, y)] = counts.get((m, y), 0) + 1
-            dist = JointDistribution(
-                q=bundle.field.q,
-                omega=bundle.omega,
-                key_dim=bundle.key_dim,
-                edge_ids=combo,
-                counts=counts,
-            )
-            mi = mutual_information(dist)
-            if bundle.i == 0:
-                ok = perfectly_secure(dist)
-            else:
-                ok = mi <= bundle.i + _MI_TOLERANCE
-            results.append((combo, mi, ok))
-            all_pass = all_pass and ok
-            if mi > max_mi:
-                max_mi = mi
-                worst = combo
-    if worst is None:
+            mi = mutual_information(_count(bundle, table, combo))
+            results.append((combo, mi, mi <= bundle.i))
+    if not results:
         raise EmptySet("the bundle has no channel set of size up to r to scan")
+    worst, max_mi, _ok = max(results, key=lambda res: res[1])
     return SecurityReport(
         r=bundle.r,
         i=bundle.i,
         results=results,
         worst_set=worst,
         max_mi=max_mi,
-        secure=all_pass,
+        secure=all(ok for _A, _mi, ok in results),
         decode_ok=decode_ok,
         decode_detail=decode_detail,
     )
+
+
+def _message_in_key_span(
+    field: FieldSpec, cols: Sequence[Sequence[int]], message_rows: range, key_rows: range
+) -> bool:
+    """The rank security criterion on one channel set, given its columns:
+    the set's message rows lie in the row space of its key rows."""
+
+    def rows(idx: range) -> list[tuple[int, ...]]:
+        return [tuple(col[i] for col in cols) for i in idx]
+
+    return in_span(field, rows(key_rows), rows(message_rows))
 
 
 def rank_security_criterion(bundle: SecureCodeBundle, edge_ids: Sequence[str]) -> bool:
@@ -254,11 +225,12 @@ def rank_security_criterion(bundle: SecureCodeBundle, edge_ids: Sequence[str]) -
     ids = sorted(edge_ids)
     for eid in ids:
         bundle.network.edge(eid)
-    cols = [bundle.gain[eid] for eid in ids]
-    omega, const_len = bundle.omega, len(bundle.constant)
-    message_rows = [tuple(col[idx] for col in cols) for idx in range(omega)]
-    key_rows = [tuple(col[idx] for col in cols) for idx in range(omega + const_len, bundle.n)]
-    return in_span(bundle.field, key_rows, message_rows)
+    return _message_in_key_span(
+        bundle.field,
+        [bundle.gain[eid] for eid in ids],
+        range(bundle.omega),
+        range(bundle.n - bundle.key_dim, bundle.n),
+    )
 
 
 # -- key-rate refutation -------------------------------------------------------------
@@ -347,23 +319,15 @@ def refute_key_rate(
             continue
 
         if not all(
-            in_span(
-                field,
-                [tuple(kernels[eid][row] for eid in combo) for row in range(omega, dim)],
-                [tuple(kernels[eid][row] for eid in combo) for row in range(omega)],
+            _message_in_key_span(
+                field, [kernels[eid] for eid in combo], range(omega), range(omega, dim)
             )
             for combo in wiretap_combos
         ):
             continue
 
         real_kernels = {e.id: kernels[e.id] for e in net.edges}
-        local_coeffs: dict[tuple[str, str], int] = {}
-        cursor = 0
-        for edge in topo:
-            ins = in_channels[edge.id]
-            for coeff, d in zip(assignment[cursor:cursor + len(ins)], ins):
-                local_coeffs[(d, edge.id)] = coeff
-            cursor += len(ins)
+        local_coeffs = {(d, eid): coeff for (eid, d), coeff in zip(slots, assignment)}
         witness = GlobalCode(
             n=dim, kernels=real_kernels, local_coeffs=local_coeffs, network=net
         )

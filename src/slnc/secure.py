@@ -27,14 +27,13 @@ from .field import (
     FieldSpec,
     Matrix,
     dot,
-    solve_unique,
+    rank_of_rows,
     spans_intersect_trivially,
     vector_from_index,
 )
 from .lnc import (
     GlobalCode,
     _parse_header,
-    check_code_validity,
     code_body_lines,
     construct_lnc,
     enumerate_code_wiretap_sets,
@@ -48,6 +47,36 @@ def _basis_level(omega: int, r: int, key_dim: int, n: int) -> int:
     # the dimension, and at r - i otherwise, in which case the security claim
     # rests on verification rather than on the construction.
     return r if omega + r <= n else key_dim
+
+
+@dataclass(frozen=True)
+class SinkDecoder:
+    """How one sink recovers the input X from the symbols on its in-channels.
+
+    `channels` are the first in-channels whose gain columns are independent.
+    When there are n of them, `inverse` holds the columns of the inverse of
+    their n x n gain matrix, so X_j = y_channels . inverse[j]; otherwise it
+    is None and the sink cannot decode.  The symbol on every other in-channel
+    in `checks` must equal X . gain[e].
+    """
+
+    channels: tuple[str, ...]
+    inverse: tuple[tuple[int, ...], ...] | None
+    checks: tuple[str, ...]
+
+
+def _sink_decoder(field: FieldSpec, n: int, gain: Mapping[str, tuple[int, ...]]) -> SinkDecoder:
+    channels: list[str] = []
+    for eid, col in gain.items():
+        basis = [gain[c] for c in channels]
+        if len(basis) < n and rank_of_rows(field, [*basis, col]) > len(basis):
+            channels.append(eid)
+    inverse = None
+    if len(channels) == n:
+        inv = Matrix.from_cols(field, [gain[c] for c in channels], rows=n).inverse()
+        inverse = tuple(inv.col(j) for j in range(n))
+    checks = tuple(eid for eid in gain if eid not in channels)
+    return SinkDecoder(channels=tuple(channels), inverse=inverse, checks=checks)
 
 
 @dataclass(eq=False)
@@ -96,6 +125,16 @@ class SecureCodeBundle:
         ids = [e.id for e in self.network.edges]
         g = self.mixing.inverse() @ self.base.kernel_matrix(ids)
         return {eid: g.col(j) for j, eid in enumerate(ids)}
+
+    @cached_property
+    def decoders(self) -> dict[str, SinkDecoder]:
+        """Each sink's decoder, built once from gain."""
+        return {
+            t: _sink_decoder(
+                self.field, self.n, {e.id: self.gain[e.id] for e in self.network.in_edges(t)}
+            )
+            for t in self.network.sinks
+        }
 
 
 def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
@@ -205,7 +244,9 @@ def decode_at_sink(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Recover (message, key) from the symbols on a sink's incoming channels.
 
-    Raises InconsistentObservation when the symbols fit no input or the
+    Uses the sink's cached decoder: n dot products, then a consistency check
+    on the remaining channels.  Raises InconsistentObservation when the sink's
+    channels have rank below n, when the symbols fit no input, or when the
     recovered constant block differs from the bundle constant (corruption).
     """
     net = bundle.network
@@ -216,13 +257,14 @@ def decode_at_sink(
     if missing:
         raise DimensionMismatch(f"missing symbols for: {', '.join(missing)}")
     field = bundle.field
-    y = [field.check(observed[eid]) for eid in in_ids]
-    sink_rows = Matrix.from_rows(field, [bundle.gain[eid] for eid in in_ids], cols=bundle.n)
-    try:
-        x = solve_unique(sink_rows, y)
-    except Singular as exc:
-        raise InconsistentObservation(f"sink {t} cannot isolate the input: {exc}") from exc
-    if x is None:
+    y = {eid: field.check(observed[eid]) for eid in in_ids}
+    decoder = bundle.decoders[t]
+    if decoder.inverse is None:
+        rank, n = len(decoder.channels), bundle.n
+        raise InconsistentObservation(f"sink {t} cannot isolate the input: rank {rank} < {n}")
+    y_basis = [y[eid] for eid in decoder.channels]
+    x = tuple(dot(field, y_basis, col) for col in decoder.inverse)
+    if any(dot(field, x, bundle.gain[eid]) != y[eid] for eid in decoder.checks):
         raise InconsistentObservation(f"symbols at sink {t} match no input")
     omega, const_len = bundle.omega, len(bundle.constant)
     m = x[:omega]
@@ -319,11 +361,6 @@ def parse_bundle(text: str) -> SecureCodeBundle:
         raise ParseError("missing const line")
     net = parse_network("\n".join(net_lines) + "\n")
     base = parse_code_lines(net, n, q, body_lines)
-    violations = check_code_validity(base).recursion_violations
-    if violations:
-        raise ParseError(
-            f"kernels disagree with the local coefficients on: {', '.join(violations)}"
-        )
     field = net.field
     if any(len(row) != n for row in q_rows):
         raise ParseError("Q rows must all have n entries")

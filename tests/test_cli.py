@@ -73,6 +73,21 @@ def test_construct_enumerate_pipeline(tmp_path, capsys):
     assert out.strip() == "subset=true code=9 cut=9 binom=9"
 
 
+def test_inconsistent_code_is_input_error(tmp_path, capsys):
+    """A plain code file whose kernel disagrees with its local coefficients
+    is rejected by the code parser, as a bundle is."""
+    code_file = tmp_path / "butterfly.lnc"
+    run(capsys, "construct", BUTTERFLY, "--dim", "2", "-o", str(code_file))
+    text = code_file.read_text()
+    assert "local e1 e3 1\n" in text
+    code_file.write_text(text.replace("local e1 e3 1\n", "local e1 e3 2\n"))
+    code, out, err = run(
+        capsys, "enumerate", BUTTERFLY, "--r", "1", "--code", str(code_file), "--prop1"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "e3" in err
+
+
 def test_enumerate_topology_only(capsys):
     code, out, _ = run(capsys, "enumerate", PARALLEL3_GF2, "--r", "2")
     assert code == 0
@@ -98,6 +113,16 @@ def test_secure_verify_pipeline(tmp_path, capsys):
 
     code, out, _ = run(capsys, "verify", str(bundle_file), "--fast")
     assert code == 0
+
+
+def test_verify_prints_no_negative_zero(tmp_path, capsys):
+    """Leakage is an exact integer, so zero leakage never prints as -0."""
+    bundle_file = tmp_path / "b.slnc"
+    run(capsys, "secure", PARALLEL3_GF2, "--omega", "1", "--r", "2", "-o", str(bundle_file))
+    code, out, _ = run(capsys, "verify", str(bundle_file))
+    assert code == 0
+    assert "-0.000000000" not in out
+    assert out.splitlines()[-1] == "verdict pass worst=e1 maxmi=0.000000000"
 
 
 def test_verify_insecure_bundle_exits_1(tmp_path, capsys):

@@ -12,8 +12,6 @@ from slnc.field import (
     ff_op,
     mat_inverse,
     mat_rank,
-    null_space,
-    solve_unique,
     spans_intersect_trivially,
     vector_from_index,
 )
@@ -250,21 +248,6 @@ def test_inverse_roundtrip_when_full_rank(q, n, data):
     else:
         assert m @ m.inverse() == Matrix.identity(field, n)
         assert m.inverse() @ m == Matrix.identity(field, n)
-
-
-def test_solve_unique_and_null_space():
-    a = Matrix.from_rows(GF3, [[1, 2], [0, 1], [2, 2]])
-    x = (2, 1)
-    b = [GF3.add(GF3.mul(a.at(i, 0), x[0]), GF3.mul(a.at(i, 1), x[1])) for i in range(3)]
-    assert solve_unique(a, b) == x
-    bad = list(b)
-    bad[2] = GF3.add(bad[2], 1)
-    assert solve_unique(a, bad) is None
-
-    singular = Matrix.from_rows(GF2, [[1, 1], [1, 1]])
-    with pytest.raises(Singular):
-        solve_unique(singular, [0, 0])
-    assert null_space(singular) == [(1, 1)]
 
 
 def test_vector_enumeration_order():

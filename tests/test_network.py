@@ -14,6 +14,7 @@ from slnc.errors import (
     UnreachableSink,
 )
 from slnc.network import (
+    WiretapCollection,
     c_min,
     edge_disjoint_paths,
     enumerate_topology_wiretap_sets,
@@ -249,6 +250,15 @@ def test_enumeration_independent_of_declaration_order():
         net = parse_network("\n".join(header + edges) + "\n")
         coll = enumerate_topology_wiretap_sets(net, 1)
         assert coll.sets == tuple((f"e{i}",) for i in range(1, 10))
+
+
+def test_wiretap_collection_membership_ignores_id_order():
+    coll = WiretapCollection(r=2, kind="cut", sets=(("e1", "e2"), ("e1", "e3")))
+    assert ("e1", "e2") in coll
+    assert ("e2", "e1") in coll
+    assert ["e3", "e1"] in coll
+    assert ("e2", "e3") not in coll
+    assert ("e3", "e2") not in coll
 
 
 def test_cardinality_bound(butterfly):

@@ -9,7 +9,7 @@ from slnc.errors import (
     InvalidKeyDim,
     NotADistribution,
 )
-from slnc.field import Matrix
+from slnc.field import Matrix, rank_of_rows
 from slnc.lnc import construct_lnc
 from slnc.oracle import (
     JointDistribution,
@@ -91,12 +91,12 @@ def test_mutual_information_independent_is_zero():
     dist = _dist_from_table(
         2, 1, 1, [((0,), (0,), 1), ((0,), (1,), 1), ((1,), (0,), 1), ((1,), (1,), 1)]
     )
-    assert mutual_information(dist) == pytest.approx(0.0, abs=1e-12)
+    assert mutual_information(dist) == 0
 
 
 def test_mutual_information_identity_leak_is_omega():
     dist = _dist_from_table(2, 1, 1, [((0,), (0,), 2), ((1,), (1,), 2)])
-    assert mutual_information(dist) == pytest.approx(1.0, abs=1e-12)
+    assert mutual_information(dist) == 1
 
 
 def test_mutual_information_pair_determines_message():
@@ -110,7 +110,17 @@ def test_mutual_information_pair_determines_message():
     dist = JointDistribution(q=2, omega=1, key_dim=1, edge_ids=("a", "b"), counts=dict(
         ((m, y), c) for m, y, c in rows
     ))
-    assert mutual_information(dist) == pytest.approx(1.0, abs=1e-12)
+    assert mutual_information(dist) == 1
+
+
+def test_mutual_information_rejects_tables_no_linear_code_gives():
+    skewed = _dist_from_table(2, 1, 1, [((0,), (0,), 2), ((1,), (0,), 1), ((1,), (1,), 1)])
+    # uniform joint and marginals, but |supp M| |supp Y| / |supp (M, Y)| = 2 over GF(3)
+    no_power = _dist_from_table(3, 1, 0, [((0,), (0,), 1), ((1,), (1,), 1)])
+    empty = _dist_from_table(2, 1, 1, [])
+    for dist in (skewed, no_power, empty):
+        with pytest.raises(NotADistribution):
+            mutual_information(dist)
 
 
 def test_mutual_information_bounds_on_random_bundles(parallel3_gf5):
@@ -176,6 +186,41 @@ def test_verify_report_serialization(butterfly):
     lines = text.strip().splitlines()
     assert lines[0] == "set e1 mi=0.000000000 pass"
     assert lines[-1] == "verdict pass worst=e1 maxmi=0.000000000"
+
+
+def _leakage_by_rank(bundle, combo):
+    """rank(message and key rows of G_A) - rank(key rows of G_A), from gain."""
+    cols = [bundle.gain[eid] for eid in combo]
+    rows = [tuple(col[idx] for col in cols) for idx in range(bundle.n)]
+    message, key = rows[:bundle.omega], rows[bundle.n - bundle.key_dim:]
+    return rank_of_rows(bundle.field, message + key) - rank_of_rows(bundle.field, key)
+
+
+def test_exact_leakage_equals_rank_gap(butterfly, parallel3_gf2, parallel3_gf5):
+    """On every scanned set, the integer leakage is the rank gap of G_A; the
+    worst set is the first one, in scan order, with the largest leakage."""
+    bundles = [
+        build_secure_bundle(butterfly, omega=1, r=1),
+        build_secure_bundle(parallel3_gf2, omega=1, r=2),
+        build_secure_bundle(parallel3_gf5, omega=1, r=1),
+        build_secure_bundle(parallel3_gf5, omega=2, r=2, i=1),
+        build_secure_bundle(parallel3_gf5, omega=1, r=2, i=2),
+        build_secure_bundle(parallel3_gf5, omega=2, r=2, i=2),
+        _identity_mixing_bundle(butterfly, omega=1, r=1),
+        _identity_mixing_bundle(parallel3_gf2, omega=1, r=2),
+        _identity_mixing_bundle(parallel3_gf5, omega=1, r=2),
+    ]
+    seen = set()
+    for bundle in bundles:
+        report = verify_security(bundle)
+        for combo, mi, ok in report.results:
+            assert type(mi) is int
+            assert mi == _leakage_by_rank(bundle, combo)
+            assert ok == (mi <= bundle.i)
+            seen.add(mi)
+        assert report.max_mi == max(mi for _A, mi, _ok in report.results)
+        assert report.worst_set == next(A for A, mi, _ok in report.results if mi == report.max_mi)
+    assert seen == {0, 1, 2}
 
 
 # -- rank criterion ---------------------------------------------------------------------

@@ -14,6 +14,7 @@ from slnc.errors import (
 from slnc.field import Matrix, spans_intersect_trivially, vector_from_index
 from slnc.lnc import construct_lnc, enumerate_code_wiretap_sets
 from slnc.secure import (
+    SecureCodeBundle,
     build_secure_bundle,
     choose_secure_basis,
     decode_at_sink,
@@ -259,6 +260,26 @@ def test_decode_validation(butterfly):
         decode_at_sink(bundle, "n4", {})
     with pytest.raises(DimensionMismatch):
         decode_at_sink(bundle, "t1", {"e6": 0})
+
+
+def test_decode_rank_deficient_sink_is_inconsistent(parallel3_gf2):
+    """A sink whose gain columns have rank below n cannot isolate the input,
+    whatever symbols it sees."""
+    base = construct_lnc(parallel3_gf2, 3)
+    base.kernels.update({"e1": (1, 0, 0), "e2": (0, 1, 0), "e3": (1, 1, 0)})
+    bundle = SecureCodeBundle(
+        base=base,
+        mixing=Matrix.identity(parallel3_gf2.field, 3),
+        omega=1,
+        r=1,
+        i=0,
+        key_dim=1,
+        constant=(0,),
+    )
+    assert bundle.decoders["t"].channels == ("e1", "e2")
+    for symbols in itertools.product((0, 1), repeat=3):
+        with pytest.raises(InconsistentObservation):
+            decode_at_sink(bundle, "t", dict(zip(("e1", "e2", "e3"), symbols)))
 
 
 def test_decode_overdetermined_sink_detects_inconsistency():
