@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .errors import BudgetExceeded, SlncError
+from .errors import BudgetExceeded, ParseError, SlncError
 from .lnc import (
     construct_lnc,
     enumerate_code_wiretap_sets,
@@ -169,11 +169,11 @@ def _parse_table_file(path: str) -> dict[tuple[str, ...], float]:
             continue
         tokens = line.split()
         if len(tokens) < 2:
-            raise _UsageError(f"table line {lineno} needs outcomes and a probability")
+            raise ParseError(f"table line {lineno} needs outcomes and a probability")
         try:
             prob = float(tokens[-1])
         except ValueError:
-            raise _UsageError(f"table line {lineno}: bad probability {tokens[-1]!r}") from None
+            raise ParseError(f"table line {lineno}: bad probability {tokens[-1]!r}") from None
         table[tuple(tokens[:-1])] = table.get(tuple(tokens[:-1]), 0.0) + prob
     return table
 

@@ -33,6 +33,13 @@ def standard_basis(n: int, j: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(n))
 
 
+def in_channel_ids(net: Network, n: int, node: str) -> list[str]:
+    """Incoming channel ids at a node; the source sees the n imaginary inputs."""
+    if node == net.source:
+        return imaginary_ids(n)
+    return [e.id for e in net.in_edges(node)]
+
+
 @dataclass(eq=False)
 class GlobalCode:
     """An n-dimensional linear code: kernel f_e per channel plus local coefficients.
@@ -60,9 +67,7 @@ class GlobalCode:
 
     def in_channel_ids(self, node: str) -> list[str]:
         """Incoming channel ids at a node; the source sees the imaginary inputs."""
-        if node == self.network.source:
-            return imaginary_ids(self.n)
-        return [e.id for e in self.network.in_edges(node)]
+        return in_channel_ids(self.network, self.n, node)
 
     def kernel_matrix(self, edge_ids) -> Matrix:
         """Columns f_e for the given channel ids, in the given order."""
@@ -118,7 +123,7 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
 
     local_coeffs: dict[tuple[str, str], int] = {}
     for edge in net.topo_edges():
-        tail_in = imag if edge.tail == net.source else [d.id for d in net.in_edges(edge.tail)]
+        tail_in = in_channel_ids(net, n, edge.tail)
         uses = on_path.get(edge.id, ())
         if not uses:
             for d in tail_in:

@@ -1,9 +1,11 @@
 """Acyclic single-source multicast multigraphs with named channels.
 
-Covers the line-oriented text format, unit-capacity max-flow (sink cuts,
-edge-set cuts), and enumeration of the topology-based wiretap collection.
-Flows explore channels in declaration order so that every derived quantity
-is deterministic.
+Covers the line-oriented text format, unit-capacity max-flow, and
+enumeration of the topology-based wiretap collection.  Every cut is one
+flow from the source into a set of channels: a sink's cut is the flow into
+its in-channels, an edge-set cut the flow into the set itself.  Flows
+explore channels in declaration order so that every derived quantity is
+deterministic.
 """
 
 from __future__ import annotations
@@ -222,81 +224,60 @@ def serialize_network(net: Network) -> str:
 
 # -- unit-capacity max-flow ------------------------------------------------------
 
-class _FlowGraph:
-    """Augmenting-path max-flow; arcs explored in insertion order."""
+_TARGET = ("target",)
 
-    def __init__(self) -> None:
-        self._to: list[object] = []
-        self._cap: list[int] = []
-        self._adj: dict[object, list[int]] = {}
 
-    def add_node(self, u: object) -> None:
-        self._adj.setdefault(u, [])
+def _unit_flow(net: Network, into: set[str], limit: int | None = None) -> tuple[int, list[int]]:
+    """Max-flow from the source when every channel in `into` ends at one target.
 
-    def add_arc(self, u: object, v: object) -> int:
-        self.add_node(u)
-        self.add_node(v)
-        idx = len(self._to)
-        self._to.append(v)
-        self._cap.append(1)
-        self._adj[u].append(idx)
-        self._to.append(u)
-        self._cap.append(0)
-        self._adj[v].append(idx + 1)
-        return idx
-
-    def flow_on(self, arc: int) -> int:
-        return self._cap[arc ^ 1]
-
-    def max_flow(self, s: object, t: object, limit: int | None = None) -> int:
-        if s not in self._adj or t not in self._adj:
-            return 0
-        total = 0
-        while limit is None or total < limit:
-            parent = self._bfs(s, t)
-            if parent is None:
-                break
-            node = t
-            while node != s:
-                arc = parent[node]
-                self._cap[arc] -= 1
-                self._cap[arc ^ 1] += 1
-                node = self._to[arc ^ 1]
-            total += 1
-        return total
-
-    def _bfs(self, s: object, t: object) -> dict[object, int] | None:
+    Channel i is arc 2i (capacity 1, in its tail's list) and reverse arc
+    2i + 1 (in its head's list), appended in declaration order, so BFS finds
+    the same augmenting paths on every run.  Returns the flow value and the
+    residual capacities: channel i carries flow exactly when arc 2i reads 0.
+    """
+    adj: dict[object, list[int]] = {v: [] for v in net.nodes}
+    adj[_TARGET] = []
+    to: list[object] = []
+    for i, e in enumerate(net.edges):
+        head = _TARGET if e.id in into else e.head
+        adj[e.tail].append(2 * i)
+        adj[head].append(2 * i + 1)
+        to += (head, e.tail)
+    cap = [1, 0] * len(net.edges)
+    value = 0
+    while limit is None or value < limit:
         parent: dict[object, int] = {}
-        seen = {s}
-        queue: deque[object] = deque([s])
-        while queue:
+        queue: deque[object] = deque([net.source])
+        while queue and _TARGET not in parent:
             u = queue.popleft()
-            for arc in self._adj[u]:
-                v = self._to[arc]
-                if self._cap[arc] <= 0 or v in seen:
-                    continue
-                seen.add(v)
-                parent[v] = arc
-                if v == t:
-                    return parent
-                queue.append(v)
-        return None
+            for arc in adj[u]:
+                v = to[arc]
+                if cap[arc] and v != net.source and v not in parent:
+                    parent[v] = arc
+                    if v is _TARGET:
+                        break
+                    queue.append(v)
+        if _TARGET not in parent:
+            break
+        node: object = _TARGET
+        while node != net.source:
+            arc = parent[node]
+            cap[arc] -= 1
+            cap[arc ^ 1] += 1
+            node = to[arc ^ 1]
+        value += 1
+    return value, cap
 
 
-def _sink_flow_graph(net: Network) -> tuple[_FlowGraph, list[int]]:
-    g = _FlowGraph()
-    for v in net.nodes:
-        g.add_node(v)
-    arcs = [g.add_arc(e.tail, e.head) for e in net.edges]
-    return g, arcs
+def _sink_in_ids(net: Network, t: str) -> set[str]:
+    if t not in net.sinks:
+        raise UnknownSink(f"{t} is not a declared sink")
+    return {e.id for e in net.in_edges(t)}
 
 
 def min_cut_to_sink(net: Network, t: str) -> int:
     """Maximum number of edge-disjoint source-to-sink paths (= min cut size)."""
-    if t not in net.sinks:
-        raise UnknownSink(f"{t} is not a declared sink")
-    g, _ = _sink_flow_graph(net)
-    return g.max_flow(net.source, t)
+    return _unit_flow(net, _sink_in_ids(net, t))[0]
 
 
 def c_min(net: Network) -> int:
@@ -310,15 +291,12 @@ def edge_disjoint_paths(net: Network, t: str, count: int) -> list[list[str]]:
     Paths are extracted by walking flow-carrying channels in declaration
     order, so repeated runs yield identical path lists.
     """
-    if t not in net.sinks:
-        raise UnknownSink(f"{t} is not a declared sink")
-    g, arcs = _sink_flow_graph(net)
-    reached = g.max_flow(net.source, t, limit=count)
+    reached, cap = _unit_flow(net, _sink_in_ids(net, t), limit=count)
     if reached < count:
         raise ValueError(f"only {reached} edge-disjoint paths to {t}, need {count}")
     flowing: dict[str, list[Edge]] = {}
-    for e, arc in zip(net.edges, arcs):
-        if g.flow_on(arc):
+    for i, e in enumerate(net.edges):
+        if not cap[2 * i]:
             flowing.setdefault(e.tail, []).append(e)
     paths: list[list[str]] = []
     used: set[str] = set()
@@ -334,30 +312,20 @@ def edge_disjoint_paths(net: Network, t: str, count: int) -> list[list[str]]:
     return paths
 
 
-_VIRTUAL_SINK = ("virtual-sink",)
-
-
 def min_cut_to_edges(net: Network, edge_ids: Iterable[str]) -> int:
     """Min cut between the source and a channel set.
 
-    Every channel e = (u, v) is split into u -> x_e -> v with unit arcs;
-    each wiretapped channel's split node gains an arc to a virtual sink.
-    The value is the max-flow from the source to that sink.
+    The value is the max-flow from the source when every channel in the set
+    ends at one target instead of at its head.  That is exact: cutting each
+    flow path at its first channel in the set keeps the paths disjoint, so
+    letting a flow pass through a wiretapped channel would add nothing.
     """
     ids = list(edge_ids)
     if not ids:
         raise EmptySet("the wiretapped channel set must be nonempty")
     for eid in ids:
         net.edge(eid)  # raises UnknownEdge
-    g = _FlowGraph()
-    g.add_node(net.source)
-    for e in net.edges:
-        mid = ("split", e.id)
-        g.add_arc(e.tail, mid)
-        g.add_arc(mid, e.head)
-    for eid in sorted(set(ids)):
-        g.add_arc(("split", eid), _VIRTUAL_SINK)
-    return g.max_flow(net.source, _VIRTUAL_SINK)
+    return _unit_flow(net, set(ids))[0]
 
 
 def enumerate_topology_wiretap_sets(net: Network, r: int) -> WiretapCollection:

@@ -27,7 +27,7 @@ from .errors import (
     NotADistribution,
 )
 from .field import FieldSpec, combine, in_span
-from .lnc import GlobalCode, imaginary_ids, standard_basis
+from .lnc import GlobalCode, imaginary_ids, in_channel_ids, standard_basis
 from .network import Network
 from .secure import SecureCodeBundle, decode_at_sink, encode_source
 
@@ -276,13 +276,12 @@ def refute_key_rate(
         raise InvalidKeyDim(f"need 0 <= key_dim < r = {r}, got {key_dim}")
     field = net.field
     dim = omega + key_dim
-    imag = imaginary_ids(dim)
 
     topo = net.topo_edges()
     in_channels: dict[str, list[str]] = {}
     slots: list[tuple[str, str]] = []
     for edge in topo:
-        ins = imag if edge.tail == net.source else [d.id for d in net.in_edges(edge.tail)]
+        ins = in_channel_ids(net, dim, edge.tail)
         in_channels[edge.id] = ins
         slots.extend((edge.id, d) for d in ins)
     space = field.q ** len(slots)
@@ -297,7 +296,7 @@ def refute_key_rate(
         for combo in itertools.combinations(edge_ids_sorted, size)
     ]
 
-    basis = {d: standard_basis(dim, j) for j, d in enumerate(imag)}
+    basis = {d: standard_basis(dim, j) for j, d in enumerate(imaginary_ids(dim))}
     # A sink recovers the message iff e_1..e_omega lie in the span of its kernels;
     # otherwise two inputs differing in M share all its observations.
     message_units = [standard_basis(dim, j) for j in range(omega)]
@@ -348,6 +347,8 @@ def han_profile(
     a decrease beyond 1e-9 raises MonotonicityViolated because it can only
     come from an arithmetic bug.
     """
+    if not (math.isfinite(base) and base > 1):
+        raise ValueError(f"logarithm base must be a finite number above 1, got {base}")
     if not table:
         raise NotADistribution("empty probability table")
     items = list(table.items())
@@ -360,8 +361,8 @@ def han_profile(
         raise NotADistribution("inconsistent outcome arity in the table")
     total = 0.0
     for _, p in items:
-        if p < 0:
-            raise NotADistribution(f"negative probability {p}")
+        if not math.isfinite(p) or p < 0:
+            raise NotADistribution(f"probability {p} is not a finite nonnegative number")
         total += p
     if abs(total - 1.0) > 1e-12:
         raise NotADistribution(f"probabilities sum to {total!r}, not 1")

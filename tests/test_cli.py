@@ -251,9 +251,22 @@ def test_hancheck(tmp_path, capsys):
 
 def test_hancheck_rejects_bad_table(tmp_path, capsys):
     table = tmp_path / "table.txt"
-    table.write_text("0 0 0.9\n")
-    code, _, _ = run(capsys, "hancheck", "--table", str(table))
-    assert code == 3
+    # A short total, a nan that every sum comparison lets through, a line
+    # with no outcome, and a probability that is not a number.
+    for text in ("0 0 0.9\n", "a b nan\nc d 1\n", "a\n", "a b x\n"):
+        table.write_text(text)
+        code, out, err = run(capsys, "hancheck", "--table", str(table))
+        assert (code, out) == (3, "")
+        assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("base", ["1", "nan", "inf", "0", "-2"])
+def test_hancheck_rejects_bad_base(tmp_path, capsys, base):
+    table = tmp_path / "table.txt"
+    table.write_text("0 0 0.25\n0 1 0.25\n1 0 0.25\n1 1 0.25\n")
+    code, out, err = run(capsys, "hancheck", "--table", str(table), "--base", base)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: logarithm base")
 
 
 def test_emitted_files_round_trip_through_consumers(tmp_path, capsys):

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slnc.errors import (
     CycleDetected,
@@ -218,6 +219,110 @@ def test_edge_disjoint_paths_are_disjoint_and_deterministic(butterfly):
     for path in first:
         assert butterfly.edge(path[0]).tail == "s"
         assert butterfly.edge(path[-1]).head == "t1"
+
+
+def _combination_network(n, k, q):
+    """C(n, k): source s, relays v1..vn, one sink per k-subset of relays."""
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    lines = [f"field {q}", "source s"] + [f"sink t{i}" for i in range(1, len(subsets) + 1)]
+    lines += [f"edge e{v} s v{v}" for v in range(1, n + 1)]
+    eid = n
+    for i, subset in enumerate(subsets, 1):
+        for v in subset:
+            eid += 1
+            lines.append(f"edge e{eid} v{v} t{i}")
+    return parse_network("\n".join(lines) + "\n")
+
+
+# construct_lnc and every bundle are built on these exact paths, so a change in
+# the order the flow explores arcs must show up here.
+PINNED_PATHS = {
+    "butterfly": {
+        ("t1", 1): [["e1", "e8"]],
+        ("t1", 2): [["e1", "e8"], ["e2", "e4", "e5", "e6"]],
+        ("t2", 1): [["e2", "e9"]],
+        ("t2", 2): [["e1", "e3", "e5", "e7"], ["e2", "e9"]],
+    },
+    "C(4,2)/GF(5)": {
+        ("t1", 1): [["e1", "e5"]],
+        ("t1", 2): [["e1", "e5"], ["e2", "e6"]],
+        ("t2", 1): [["e1", "e7"]],
+        ("t2", 2): [["e1", "e7"], ["e3", "e8"]],
+        ("t3", 1): [["e1", "e9"]],
+        ("t3", 2): [["e1", "e9"], ["e4", "e10"]],
+        ("t4", 1): [["e2", "e11"]],
+        ("t4", 2): [["e2", "e11"], ["e3", "e12"]],
+        ("t5", 1): [["e2", "e13"]],
+        ("t5", 2): [["e2", "e13"], ["e4", "e14"]],
+        ("t6", 1): [["e3", "e15"]],
+        ("t6", 2): [["e3", "e15"], ["e4", "e16"]],
+    },
+}
+
+
+def test_edge_disjoint_paths_pinned(butterfly):
+    nets = {"butterfly": butterfly, "C(4,2)/GF(5)": _combination_network(4, 2, 5)}
+    for name, net in nets.items():
+        got = {
+            (t, count): edge_disjoint_paths(net, t, count)
+            for t in net.sinks
+            for count in range(1, min_cut_to_sink(net, t) + 1)
+        }
+        assert got == PINNED_PATHS[name], name
+
+
+@st.composite
+def small_dags(draw):
+    """Acyclic networks of at most 8 channels on nodes n0 (the source) .. n5,
+    each with up to 4 nonempty channel sets.
+
+    Channels run from a lower to a higher node, so parallel channels and
+    sinks with out-channels both occur; sinks are drawn from the reachable nodes.
+    """
+    size = draw(st.integers(2, 6))
+    pair = st.integers(0, size - 2).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, size - 1)))
+    first = draw(st.integers(1, size - 1))
+    pairs = [(0, first)] + draw(st.lists(pair, max_size=7))
+    reached = {0}
+    for a, b in sorted(pairs):
+        if a in reached:
+            reached.add(b)
+    sinks = draw(st.lists(st.sampled_from(sorted(reached - {0})), min_size=1, max_size=3, unique=True))
+    lines = ["field 5", "source n0"] + [f"sink n{t}" for t in sinks]
+    lines += [f"edge c{i} n{a} n{b}" for i, (a, b) in enumerate(pairs, 1)]
+    ids = [f"c{i}" for i in range(1, len(pairs) + 1)]
+    edge_sets = st.lists(st.sampled_from(ids), min_size=1, unique=True)
+    return parse_network("\n".join(lines) + "\n"), draw(st.lists(edge_sets, min_size=1, max_size=4))
+
+
+# The first augmenting path s-a-b-t takes c1 and c3, and only undoing c3
+# lets the second path s-e-b-a-d-t through: a flow with no reverse arcs stops at 1.
+NEEDS_REVERSE_ARC = parse_network(
+    "field 5\nsource s\nsink t\nedge c1 s a\nedge c2 s e\nedge c3 a b\n"
+    "edge c4 a d\nedge c5 e b\nedge c6 b t\nedge c7 d t\n"
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(small_dags())
+@example((NEEDS_REVERSE_ARC, [["c6", "c7"]]))
+def test_flows_agree_with_brute_force_on_random_dags(case):
+    net, edge_sets = case
+    for t in net.sinks:
+        cut = min_cut_to_sink(net, t)
+        assert cut == brute_force_sink_cut(net, t)
+        paths = edge_disjoint_paths(net, t, cut)
+        used = [eid for path in paths for eid in path]
+        assert len(paths) == cut and len(used) == len(set(used))
+        for path in paths:
+            nodes = [net.source] + [net.edge(eid).head for eid in path]
+            assert [net.edge(eid).tail for eid in path] == nodes[:-1]
+            assert nodes[-1] == t
+        with pytest.raises(ValueError):
+            edge_disjoint_paths(net, t, cut + 1)
+    assert c_min(net) == min(brute_force_sink_cut(net, t) for t in net.sinks)
+    for wiretapped in edge_sets:
+        assert min_cut_to_edges(net, wiretapped) == brute_force_edge_set_cut(net, wiretapped)
 
 
 # -- wiretap enumeration ------------------------------------------------------------
