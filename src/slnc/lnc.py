@@ -75,21 +75,6 @@ class GlobalCode:
         return Matrix.from_cols(self.field, cols, rows=self.n)
 
 
-def _keeps_frontier_rank(
-    field: FieldSpec,
-    n: int,
-    kernels: dict[str, tuple[int, ...]],
-    frontier: list[str],
-    slot: int,
-    candidate: tuple[int, ...],
-) -> bool:
-    rows = [
-        candidate if idx == slot else kernels[frontier[idx]]
-        for idx in range(len(frontier))
-    ]
-    return rank_of_rows(field, rows) == n
-
-
 def construct_lnc(net: Network, n: int) -> GlobalCode:
     """Build an n-dimensional decodable code on the network, deterministically.
 
@@ -135,7 +120,9 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
         for assignment in itertools.product(field.elements(), repeat=len(tail_in)):
             f = combine(field, assignment, tail_kernels, n)
             if all(
-                _keeps_frontier_rank(field, n, kernels, frontier[t], j, f)
+                rank_of_rows(
+                    field, [f if idx == j else kernels[d] for idx, d in enumerate(frontier[t])]
+                ) == n
                 for t, j in uses
             ):
                 chosen = (assignment, f)
@@ -197,7 +184,7 @@ def check_code_validity(code: GlobalCode) -> CodeValidityReport:
     net = code.network
     report = CodeValidityReport(recursion_violations=_recursion_violations(code))
     for t in net.sinks:
-        rank = code.kernel_matrix(e.id for e in net.in_edges(t)).rank()
+        rank = rank_of_rows(code.field, [code.kernels[e.id] for e in net.in_edges(t)])
         if rank < code.n:
             report.sink_rank_deficits[t] = code.n - rank
     return report
@@ -213,7 +200,7 @@ def enumerate_code_wiretap_sets(code: GlobalCode, r: int) -> WiretapCollection:
     sets = tuple(
         combo
         for combo in itertools.combinations(ids, r)
-        if code.kernel_matrix(combo).rank() == r
+        if rank_of_rows(code.field, [code.kernels[eid] for eid in combo]) == r
     )
     return WiretapCollection(r=r, kind="rank", sets=sets)
 
@@ -271,26 +258,32 @@ def write_code(code: GlobalCode) -> str:
     return "\n".join([header] + code_body_lines(code)) + "\n"
 
 
-def _parse_header(line: str) -> tuple[int, int]:
+def _parse_header(line: str, keyword: str, keys: tuple[str, ...]) -> tuple[int, ...]:
+    """The values, in the order of `keys`, of a `keyword key=value ...` line
+    that gives each key exactly once, as a nonnegative integer."""
     tokens = line.split()
-    if len(tokens) != 3 or tokens[0] != "code":
-        raise ParseError(f"bad code header: {line!r}")
-    values = {}
+    values: dict[str, int] = {}
     for tok in tokens[1:]:
         key, _, val = tok.partition("=")
         try:
             values[key] = int(val)
         except ValueError:
-            raise ParseError(f"bad code header token {tok!r}") from None
-    if set(values) != {"n", "q"}:
-        raise ParseError(f"code header needs n= and q=: {line!r}")
-    if values["n"] < 1:
-        raise ParseError(f"bad code dimension {values['n']}")
-    return values["n"], values["q"]
+            raise ParseError(f"bad {keyword} header token {tok!r}") from None
+    if (
+        tokens[0] != keyword
+        or len(tokens) != 1 + len(keys)
+        or set(values) != set(keys)
+        or min(values.values()) < 0
+    ):
+        spec = ", ".join(f"{key}=" for key in keys)
+        raise ParseError(f"{keyword} header needs {spec} each once and none negative: {line!r}")
+    return tuple(values[key] for key in keys)
 
 
 def parse_code_lines(net: Network, n: int, q: int, lines: list[str]) -> GlobalCode:
     """Assemble a code from kernel/local lines; every kernel must match its local coefficients."""
+    if n < 1:
+        raise ParseError(f"bad code dimension {n}")
     if q != net.field.q:
         raise ParseError(f"code field q={q} does not match network field q={net.field.q}")
     field = net.field
@@ -356,5 +349,5 @@ def parse_code(text: str, net: Network) -> GlobalCode:
             body.append(line)
     if header is None:
         raise ParseError("missing code header")
-    n, q = _parse_header(header)
+    n, q = _parse_header(header, "code", ("n", "q"))
     return parse_code_lines(net, n, q, body)

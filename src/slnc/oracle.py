@@ -68,16 +68,17 @@ def _symbol_rows(bundle: SecureCodeBundle) -> Iterator[SymbolRow]:
 
 
 def _count(
-    bundle: SecureCodeBundle, rows: Iterable[SymbolRow], ids: tuple[str, ...]
+    bundle: SecureCodeBundle,
+    pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
+    ids: tuple[str, ...],
 ) -> JointDistribution:
-    """The (message, observation) count table of the channel set `ids`."""
-    counts = Counter((m, tuple([symbols[eid] for eid in ids])) for m, _k, symbols in rows)
+    """The count table of the (message, observation) pairs seen on the channel set `ids`."""
     return JointDistribution(
         q=bundle.field.q,
         omega=bundle.omega,
         key_dim=bundle.key_dim,
         edge_ids=ids,
-        counts=counts,
+        counts=Counter(pairs),
     )
 
 
@@ -89,7 +90,8 @@ def observation_distribution(
     ids = tuple(sorted(edge_ids))
     for eid in ids:
         bundle.network.edge(eid)
-    return _count(bundle, _symbol_rows(bundle), ids)
+    pairs = ((m, tuple([symbols[eid] for eid in ids])) for m, _k, symbols in _symbol_rows(bundle))
+    return _count(bundle, pairs, ids)
 
 
 def mutual_information(dist: JointDistribution) -> int:
@@ -156,11 +158,15 @@ class SecurityReport:
         return "\n".join(lines) + "\n"
 
 
-def _decode_roundtrip(bundle: SecureCodeBundle, table: list[SymbolRow]) -> tuple[bool, str]:
+def _decode_roundtrip(
+    bundle: SecureCodeBundle,
+    inputs: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    columns: Mapping[str, list[int]],
+) -> tuple[bool, str]:
     for t in bundle.network.sinks:
-        in_ids = [e.id for e in bundle.network.in_edges(t)]
-        for m, k, symbols in table:
-            observed = {eid: symbols[eid] for eid in in_ids}
+        in_columns = [(e.id, columns[e.id]) for e in bundle.network.in_edges(t)]
+        for idx, (m, k) in enumerate(inputs):
+            observed = {eid: col[idx] for eid, col in in_columns}
             try:
                 got = decode_at_sink(bundle, t, observed)
             except InconsistentObservation as exc:
@@ -181,16 +187,23 @@ def verify_security(
     monotonicity of leakage under set inclusion.
     """
     _check_enum_budget(bundle, budget)
-    table = list(_symbol_rows(bundle))
-    decode_ok, decode_detail = _decode_roundtrip(bundle, table)
+    inputs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    columns: dict[str, list[int]] = {e.id: [] for e in bundle.network.edges}
+    for m, k, symbols in _symbol_rows(bundle):
+        inputs.append((m, k))
+        for eid, symbol in symbols.items():
+            columns[eid].append(symbol)
+    decode_ok, decode_detail = _decode_roundtrip(bundle, inputs, columns)
+    messages = [m for m, _k in inputs]
 
-    ids = sorted(e.id for e in bundle.network.edges)
+    ids = sorted(columns)
     top = min(bundle.r, len(ids))
     sizes = [top] if fast else list(range(1, top + 1))
     results: list[tuple[tuple[str, ...], int, bool]] = []
     for size in sizes:
         for combo in itertools.combinations(ids, size):
-            mi = mutual_information(_count(bundle, table, combo))
+            observations = zip(*[columns[eid] for eid in combo])
+            mi = mutual_information(_count(bundle, zip(messages, observations), combo))
             results.append((combo, mi, mi <= bundle.i))
     if not results:
         raise EmptySet("the bundle has no channel set of size up to r to scan")

@@ -27,8 +27,8 @@ from .field import (
     FieldSpec,
     Matrix,
     dot,
+    in_span,
     rank_of_rows,
-    spans_intersect_trivially,
     vector_from_index,
 )
 from .lnc import (
@@ -150,20 +150,19 @@ def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
     field = code.field
     if not 1 <= r < n:
         raise SecurityLevelTooLarge(f"need 1 <= r < n = {n}, got {r}")
-    wiretap_mats = [
-        code.kernel_matrix(A) for A in enumerate_code_wiretap_sets(code, r).sets
+    wiretap_kernels = [
+        [code.kernels[eid] for eid in A] for A in enumerate_code_wiretap_sets(code, r).sets
     ]
     cols: list[tuple[int, ...]] = []
     for j in range(1, n + 1):
         found = None
         for index in range(1, field.q ** n):
             vec = vector_from_index(field, index, n)
-            prefix = Matrix.from_cols(field, cols + [vec], rows=n)
-            if prefix.rank() != j:
+            if in_span(field, cols, [vec]):
                 continue
-            if j <= n - r and not all(
-                spans_intersect_trivially(prefix, fa) for fa in wiretap_mats
-            ):
+            # Exact: cols are independent and meet no span(F_A), and F_A has rank r,
+            # so cols + [vec] stays so iff vec lies outside span(cols + F_A).
+            if j <= n - r and any(in_span(field, cols + fa, [vec]) for fa in wiretap_kernels):
                 continue
             found = vec
             break
@@ -295,8 +294,7 @@ def write_bundle(bundle: SecureCodeBundle) -> str:
 
 def parse_bundle(text: str) -> SecureCodeBundle:
     """Parse a bundle file written by write_bundle."""
-    code_header: str | None = None
-    secure_header: dict[str, int] | None = None
+    secure_header: tuple[int, ...] | None = None
     q_rows: list[list[int]] | None = None
     constant: tuple[int, ...] | None = None
     net_lines: list[str] = []
@@ -304,28 +302,20 @@ def parse_bundle(text: str) -> SecureCodeBundle:
 
     lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
     lines = [ln for ln in lines if ln]
+    seen: set[str] = set()
     pos = 0
     n = q = None
     while pos < len(lines):
         line = lines[pos]
         keyword = line.split()[0]
+        if keyword in ("code", "secure", "Q", "const"):
+            if keyword in seen:
+                raise ParseError(f"duplicate {keyword} line")
+            seen.add(keyword)
         if keyword == "code":
-            if code_header is not None:
-                raise ParseError("duplicate code header")
-            code_header = line
-            n, q = _parse_header(line)
+            n, q = _parse_header(line, "code", ("n", "q"))
         elif keyword == "secure":
-            tokens = line.split()[1:]
-            values: dict[str, int] = {}
-            for tok in tokens:
-                key, _, val = tok.partition("=")
-                try:
-                    values[key] = int(val)
-                except ValueError:
-                    raise ParseError(f"bad secure header token {tok!r}") from None
-            if set(values) != {"omega", "r", "i", "keydim"}:
-                raise ParseError(f"secure header needs omega=, r=, i=, keydim=: {line!r}")
-            secure_header = values
+            secure_header = _parse_header(line, "secure", ("omega", "r", "i", "keydim"))
         elif keyword == "Q":
             if n is None:
                 raise ParseError("Q block must follow the code header")
@@ -351,7 +341,7 @@ def parse_bundle(text: str) -> SecureCodeBundle:
             raise ParseError(f"unexpected line in bundle: {line!r}")
         pos += 1
 
-    if code_header is None or n is None or q is None:
+    if n is None or q is None:
         raise ParseError("missing code header")
     if secure_header is None:
         raise ParseError("missing secure header")
@@ -365,10 +355,7 @@ def parse_bundle(text: str) -> SecureCodeBundle:
     if any(len(row) != n for row in q_rows):
         raise ParseError("Q rows must all have n entries")
     mixing = Matrix.from_rows(field, q_rows, cols=n)
-    omega = secure_header["omega"]
-    r = secure_header["r"]
-    i = secure_header["i"]
-    key_dim = secure_header["keydim"]
+    omega, r, i, key_dim = secure_header
     if key_dim != r - i:
         raise ParseError(f"keydim={key_dim} is inconsistent with r={r}, i={i}")
     if not (omega >= 1 and r >= 1 and 0 <= i <= r and omega + key_dim <= n):

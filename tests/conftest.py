@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -13,6 +14,20 @@ FIXTURES = ROOT / "fixtures"
 
 def load_network(name: str) -> Network:
     return parse_network((FIXTURES / name).read_text(encoding="utf-8"))
+
+
+def combination_network(n: int, k: int, q: int) -> Network:
+    """C(n, k): source s, relays v1..vn, one sink per k-subset of relays,
+    source channels declared first."""
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    lines = [f"field {q}", "source s"] + [f"sink t{i}" for i in range(1, len(subsets) + 1)]
+    lines += [f"edge e{v} s v{v}" for v in range(1, n + 1)]
+    eid = n
+    for i, subset in enumerate(subsets, 1):
+        for v in subset:
+            eid += 1
+            lines.append(f"edge e{eid} v{v} t{i}")
+    return parse_network("\n".join(lines) + "\n")
 
 
 def run_cli_process(*argv: str, optimize: bool = False, timeout: float = 60.0) -> subprocess.CompletedProcess:

@@ -1,9 +1,13 @@
-import pytest
+import time
 
-from slnc.errors import ParseError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from slnc.errors import ParseError, SlncError
 from slnc.lnc import construct_lnc, parse_code, write_code
 from slnc.network import c_min, parse_network, serialize_network
 from slnc.secure import build_secure_bundle, parse_bundle, write_bundle
+from conftest import FIXTURES, load_network
 
 
 def test_code_round_trip(butterfly, parallel3_gf5):
@@ -53,14 +57,22 @@ def test_bundle_round_trip(butterfly, parallel3_gf5):
 
 def test_bundle_parse_rejects_inconsistencies(butterfly):
     text = write_bundle(build_secure_bundle(butterfly, omega=1, r=1))
-    with pytest.raises(ParseError):
-        parse_bundle(text.replace("keydim=1", "keydim=0"))
-    with pytest.raises(ParseError):
-        parse_bundle(text.replace("secure omega=1", "secure omega=9"))
-    with pytest.raises(ParseError):
-        parse_bundle("\n".join(ln for ln in text.splitlines() if ln != "const"))
-    with pytest.raises(ParseError):
-        parse_bundle(text.replace("Q\n2 1\n1 0", "Q\n1 1\n1 1"))  # singular Q
+    assert text.splitlines()[1:5] == ["secure omega=1 r=1 i=0 keydim=1", "Q", "2 1", "1 0"]
+    bad_texts = [
+        text.replace("keydim=1", "keydim=0"),
+        text.replace("secure omega=1", "secure omega=9"),
+        "\n".join(ln for ln in text.splitlines() if ln != "const"),
+        text.replace("Q\n2 1\n1 0", "Q\n1 1\n1 1"),  # singular Q
+        # a repeated line must not override the first one
+        text + "secure omega=1 r=2 i=1 keydim=1\n",
+        text + "Q\n1 0\n0 1\n",
+        text + "const\n",
+        text.replace("secure omega=1", "secure omega=1 omega=1"),
+        text.replace("keydim=1", "keydim=1 r=1"),
+    ]
+    for bad in bad_texts:
+        with pytest.raises(ParseError):
+            parse_bundle(bad)
 
 
 def test_bundle_embeds_canonical_network(butterfly):
@@ -75,3 +87,87 @@ def test_network_serialization_is_parse_stable():
     canon = serialize_network(net)
     assert canon == "field 2\nsource s\nsink t\nedge a s t\n"
     assert serialize_network(parse_network(canon)) == canon
+
+
+# -- fuzzing: hostile text ends quickly, with a result or an SlncError ---------------
+
+PARSE_SECONDS = 2.0
+
+NETWORK_KEYWORDS = ["field", "source", "sink", "edge"]
+CODE_KEYWORDS = ["code", "kernel", "local"]
+BUNDLE_KEYWORDS = NETWORK_KEYWORDS + CODE_KEYWORDS + ["secure", "Q", "const"]
+
+_token = st.one_of(
+    st.sampled_from(BUNDLE_KEYWORDS),
+    st.integers(-3, 70000).map(str),
+    st.sampled_from(["s", "t1", "t2", "n1", "n3", "e1", "e2", "e5", "e9", "__s_1", "__x", "#"]),
+    st.builds(
+        "{}={}".format,
+        st.sampled_from(["n", "q", "omega", "r", "i", "keydim", "x"]),
+        st.integers(-2, 9),
+    ),
+    st.text(alphabet="ab09=#-_\t\u00b2", max_size=5),
+)
+
+
+def _lines(keywords):
+    """Lines that mostly start with one of the parser's keywords, so that
+    inputs get past the first token."""
+    head = st.one_of(st.sampled_from(keywords), st.sampled_from(keywords), st.sampled_from(keywords), _token)
+    return st.builds(lambda h, rest: " ".join([h, *rest]), head, st.lists(_token, max_size=5))
+
+
+def _texts(keywords, bases):
+    """Random lines, or a base text with one line replaced by, or one line
+    inserted as, a random line or a copy of one of its own lines."""
+
+    @st.composite
+    def edited(draw):
+        lines = draw(st.sampled_from(bases)).splitlines()
+        new = draw(st.one_of(_lines(keywords), st.sampled_from(lines)))
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [new]
+        return "\n".join(lines) + "\n"
+
+    return st.one_of(st.lists(_lines(keywords), max_size=12).map("\n".join), edited())
+
+
+_NETWORK_TEXTS = [f.read_text(encoding="utf-8") for f in sorted(FIXTURES.glob("*.net"))]
+_CODED = [load_network("butterfly.net"), load_network("parallel3_gf5.net")]
+_CODE_TEXTS = [write_code(construct_lnc(net, c_min(net))) for net in _CODED]
+_BUNDLE_TEXTS = [
+    write_bundle(build_secure_bundle(_CODED[0], omega=1, r=1)),
+    write_bundle(build_secure_bundle(_CODED[1], omega=2, r=2, i=1)),
+]
+
+
+def _ends_quickly(parse, text):
+    start = time.perf_counter()
+    try:
+        parse(text)
+    except SlncError:
+        pass
+    assert time.perf_counter() - start < PARSE_SECONDS
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_texts(NETWORK_KEYWORDS, _NETWORK_TEXTS))
+def test_parse_network_fuzz(text):
+    _ends_quickly(parse_network, text)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(range(len(_CODED))).flatmap(
+        lambda k: st.tuples(st.just(_CODED[k]), _texts(CODE_KEYWORDS, [_CODE_TEXTS[k]]))
+    )
+)
+def test_parse_code_fuzz(case):
+    net, text = case
+    _ends_quickly(lambda t: parse_code(t, net), text)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_texts(BUNDLE_KEYWORDS, _BUNDLE_TEXTS))
+def test_parse_bundle_fuzz(text):
+    _ends_quickly(parse_bundle, text)

@@ -24,7 +24,7 @@ from slnc.network import (
     parse_network,
     serialize_network,
 )
-from conftest import FIXTURES
+from conftest import FIXTURES, combination_network
 
 
 # -- brute-force oracles -------------------------------------------------------
@@ -221,19 +221,6 @@ def test_edge_disjoint_paths_are_disjoint_and_deterministic(butterfly):
         assert butterfly.edge(path[-1]).head == "t1"
 
 
-def _combination_network(n, k, q):
-    """C(n, k): source s, relays v1..vn, one sink per k-subset of relays."""
-    subsets = list(itertools.combinations(range(1, n + 1), k))
-    lines = [f"field {q}", "source s"] + [f"sink t{i}" for i in range(1, len(subsets) + 1)]
-    lines += [f"edge e{v} s v{v}" for v in range(1, n + 1)]
-    eid = n
-    for i, subset in enumerate(subsets, 1):
-        for v in subset:
-            eid += 1
-            lines.append(f"edge e{eid} v{v} t{i}")
-    return parse_network("\n".join(lines) + "\n")
-
-
 # construct_lnc and every bundle are built on these exact paths, so a change in
 # the order the flow explores arcs must show up here.
 PINNED_PATHS = {
@@ -261,7 +248,7 @@ PINNED_PATHS = {
 
 
 def test_edge_disjoint_paths_pinned(butterfly):
-    nets = {"butterfly": butterfly, "C(4,2)/GF(5)": _combination_network(4, 2, 5)}
+    nets = {"butterfly": butterfly, "C(4,2)/GF(5)": combination_network(4, 2, 5)}
     for name, net in nets.items():
         got = {
             (t, count): edge_disjoint_paths(net, t, count)

@@ -13,6 +13,7 @@ from slnc.errors import (
 )
 from slnc.field import Matrix, spans_intersect_trivially, vector_from_index
 from slnc.lnc import construct_lnc, enumerate_code_wiretap_sets
+from slnc.network import c_min
 from slnc.secure import (
     SecureCodeBundle,
     build_secure_bundle,
@@ -20,6 +21,7 @@ from slnc.secure import (
     decode_at_sink,
     encode_source,
 )
+from conftest import combination_network
 
 
 # -- independent oracle for the greedy basis ----------------------------------
@@ -90,11 +92,27 @@ def test_choose_secure_basis_matches_oracle_butterfly(butterfly):
     assert oracle_cols == [(2, 1), (1, 0)]
 
 
-def test_choose_secure_basis_condition(butterfly):
-    code = construct_lnc(butterfly, 2)
-    q_mat = choose_secure_basis(code, 1)
-    n, r = 2, 1
-    leading = Matrix.from_cols(code.field, [q_mat.col(j) for j in range(n - r)], rows=n)
+@pytest.mark.parametrize(
+    "net_name, r, q_cols",
+    [
+        pytest.param("butterfly", 1, [(2, 1), (1, 0)], id="butterfly-r1"),
+        pytest.param("parallel3_gf5", 2, [(1, 1, 1), (1, 0, 0), (0, 1, 0)], id="parallel3_gf5-r2"),
+        # n - r = 2: the second column must avoid every span(F_A) together with the first
+        pytest.param(
+            "C(5,4)/GF(5)", 2, [(1, 0, 1, 0), (2, 1, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)], id="C54_gf5-r2"
+        ),
+    ],
+)
+def test_choose_secure_basis_condition(request, net_name, r, q_cols):
+    if net_name == "C(5,4)/GF(5)":
+        net = combination_network(5, 4, 5)
+    else:
+        net = request.getfixturevalue(net_name)
+    n = c_min(net)
+    code = construct_lnc(net, n)
+    q_mat = choose_secure_basis(code, r)
+    assert [q_mat.col(j) for j in range(n)] == q_cols  # the greedy scan's exact choice
+    leading = Matrix.from_cols(code.field, q_cols[:n - r], rows=n)
     for A in enumerate_code_wiretap_sets(code, r).sets:
         fa = code.kernel_matrix(A)
         assert spans_intersect_trivially(leading, fa)
