@@ -214,6 +214,10 @@ def combine(
     return tuple(acc)
 
 
+def standard_basis(n: int, j: int) -> tuple[int, ...]:
+    return tuple(1 if i == j else 0 for i in range(n))
+
+
 def dot(field: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
@@ -226,53 +230,75 @@ def dot(field: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
 
 # -- row echelon core ---------------------------------------------------------
 
-def _echelon(field: FieldSpec, rows: list[list[int]], reduced: bool = False) -> list[int]:
-    """Row-reduce in place and return the pivot column indices.
+class Echelon:
+    """A subspace of GF(q)^n held as reduced row-echelon rows keyed by pivot column:
+    each row is zero left of its pivot, 1 at its pivot and 0 at every other
+    pivot, so the rows sorted by pivot are the span's unique reduced basis."""
 
-    Pivots take the first nonzero entry scanning top-to-bottom within each
-    column, columns left-to-right, which fixes a canonical elimination order.
-    """
-    if not rows:
-        return []
-    cols = len(rows[0])
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(cols):
-        sel = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                sel = r
+    __slots__ = ("field", "n", "rows")
+
+    def __init__(self, field: FieldSpec, n: int, vectors: Iterable[Sequence[int]] = ()):
+        self.field = field
+        self.n = n
+        self.rows: dict[int, list[int]] = {}
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The rows sorted by pivot: equal for every generating set of the span."""
+        return tuple(tuple(self.rows[p]) for p in sorted(self.rows))
+
+    def reduce(self, v: Sequence[int]) -> Sequence[int]:
+        """v minus its part in the span, which is zero exactly when v lies in it."""
+        if len(v) != self.n:
+            raise DimensionMismatch(f"vector of length {len(v)} in a space of dimension {self.n}")
+        w = v
+        for p, row in self.rows.items():
+            # Every other row is zero at pivot p, so v's entry there is w's too.
+            if v[p]:
+                w = _subtract(self.field, list(v) if w is v else w, v[p], row)
+        return w
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Extend the span by v; False, changing nothing, when v already lies in it."""
+        w = self.reduce(v)
+        for p, x in enumerate(w):
+            if x:
                 break
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = field.inv(rows[pivot_row][col])
-        if inv != 1:
-            rows[pivot_row] = [field.mul(inv, x) for x in rows[pivot_row]]
-        targets = range(len(rows)) if reduced else range(pivot_row + 1, len(rows))
-        for r in targets:
-            if r == pivot_row or rows[r][col] == 0:
-                continue
-            factor = rows[r][col]
-            rows[r] = [
-                field.sub(x, field.mul(factor, y))
-                for x, y in zip(rows[r], rows[pivot_row])
-            ]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return pivots
+        else:
+            return False
+        if x != 1:
+            inv = self.field.inv(x)
+            w = [self.field.mul(inv, y) for y in w]
+        for row in self.rows.values():
+            if row[p]:
+                _subtract(self.field, row, row[p], w)
+        self.rows[p] = list(v) if w is v else w
+        return True
 
 
-def rank_of_rows(field: FieldSpec, rows: Iterable[Sequence[int]]) -> int:
-    work = [list(r) for r in rows]
-    return len(_echelon(field, work))
+def _subtract(field: FieldSpec, w: list[int], c: int, row: Sequence[int]) -> list[int]:
+    """w - c * row, computed in place."""
+    sub, mul = field.sub, field.mul
+    for idx, x in enumerate(row):
+        if x:
+            w[idx] = sub(w[idx], mul(c, x))
+    return w
+
+
+def rank_of_rows(field: FieldSpec, rows: Sequence[Sequence[int]]) -> int:
+    return len(Echelon(field, len(rows[0]), rows)) if rows else 0
 
 
 def in_span(field: FieldSpec, span: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> bool:
-    """True iff every vector lies in the row span of `span`: rank(span + vectors) == rank(span)."""
-    return rank_of_rows(field, [*span, *vectors]) == rank_of_rows(field, span)
+    """True iff every vector lies in the row span of `span`."""
+    if not vectors:
+        return True
+    echelon = Echelon(field, len(vectors[0]), span)
+    return not any(any(echelon.reduce(v)) for v in vectors)
 
 
 class Matrix:
@@ -308,6 +334,8 @@ class Matrix:
             cols = len(rows[0])
         elif cols is None:
             raise DimensionMismatch("empty matrix needs an explicit column count")
+        if any(len(row) != cols for row in rows):
+            raise DimensionMismatch(f"rows of a {cols}-column matrix differ in length")
         flat = [x for row in rows for x in row]
         return cls(field, len(rows), cols, flat)
 
@@ -317,6 +345,8 @@ class Matrix:
             rows = len(cols[0])
         elif rows is None:
             raise DimensionMismatch("empty matrix needs an explicit row count")
+        if any(len(col) != rows for col in cols):
+            raise DimensionMismatch(f"columns of a {rows}-row matrix differ in length")
         flat = [cols[j][i] for i in range(rows) for j in range(len(cols))]
         return cls(field, rows, len(cols), flat)
 
@@ -360,21 +390,18 @@ class Matrix:
         return Matrix.from_rows(self.field, rows, cols=self.cols + other.cols)
 
     def rank(self) -> int:
-        return rank_of_rows(self.field, (self.row(i) for i in range(self.rows)))
+        return rank_of_rows(self.field, [self.row(i) for i in range(self.rows)])
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices have inverses")
         n = self.rows
-        f = self.field
-        work = [
-            list(self.row(i)) + [1 if i == j else 0 for j in range(n)]
-            for i in range(n)
-        ]
-        pivots = _echelon(f, work, reduced=True)
-        if len(pivots) < n or any(p >= n for p in pivots):
-            raise Singular(f"matrix of rank {len(pivots)} < {n} has no inverse")
-        return Matrix.from_rows(f, [row[n:] for row in work], cols=n)
+        # [A | I] reduces to [I | A^-1] exactly when A's own columns hold n pivots.
+        echelon = Echelon(self.field, 2 * n, [self.row(i) + standard_basis(n, i) for i in range(n)])
+        rank = sum(p < n for p in echelon.rows)
+        if rank < n:
+            raise Singular(f"matrix of rank {rank} < {n} has no inverse")
+        return Matrix.from_rows(self.field, [row[n:] for row in echelon.basis()], cols=n)
 
     def __eq__(self, other: object) -> bool:
         return (

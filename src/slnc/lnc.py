@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
     SecurityLevelTooLarge,
 )
-from .field import FieldSpec, Matrix, combine, rank_of_rows
+from .field import Echelon, FieldSpec, Matrix, combine, rank_of_rows, standard_basis
 from .network import Network, WiretapCollection, c_min, edge_disjoint_paths, enumerate_topology_wiretap_sets
 
 IMAGINARY_PREFIX = "__s_"
@@ -27,10 +27,6 @@ IMAGINARY_PREFIX = "__s_"
 def imaginary_ids(n: int) -> list[str]:
     """Ids of the n imaginary source-input channels (never serialized)."""
     return [f"{IMAGINARY_PREFIX}{j + 1}" for j in range(n)]
-
-
-def standard_basis(n: int, j: int) -> tuple[int, ...]:
-    return tuple(1 if i == j else 0 for i in range(n))
 
 
 def in_channel_ids(net: Network, n: int, node: str) -> list[str]:
@@ -115,23 +111,21 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
                 local_coeffs[(d, edge.id)] = 0
             kernels[edge.id] = zero
             continue
-        chosen = None
         tail_kernels = [kernels[d] for d in tail_in]
+        # Each frontier has rank n, so f may take slot j exactly when it lies
+        # outside the span of the slot's n - 1 other kernels.
+        others = [
+            Echelon(field, n, [kernels[d] for idx, d in enumerate(frontier[t]) if idx != j])
+            for t, j in uses
+        ]
         for assignment in itertools.product(field.elements(), repeat=len(tail_in)):
             f = combine(field, assignment, tail_kernels, n)
-            if all(
-                rank_of_rows(
-                    field, [f if idx == j else kernels[d] for idx, d in enumerate(frontier[t])]
-                ) == n
-                for t, j in uses
-            ):
-                chosen = (assignment, f)
+            if all(any(echelon.reduce(f)) for echelon in others):
                 break
-        if chosen is None:
+        else:
             # Unreachable for q >= |T|; the flow-path feasibility argument
             # guarantees a valid assignment exists.
             raise AssertionError(f"no feasible coefficients for channel {edge.id}")
-        assignment, f = chosen
         for coeff, d in zip(assignment, tail_in):
             local_coeffs[(d, edge.id)] = coeff
         kernels[edge.id] = f

@@ -26,8 +26,8 @@ from .errors import (
     MonotonicityViolated,
     NotADistribution,
 )
-from .field import FieldSpec, combine, in_span
-from .lnc import GlobalCode, imaginary_ids, in_channel_ids, standard_basis
+from .field import FieldSpec, combine, in_span, standard_basis
+from .lnc import GlobalCode, imaginary_ids, in_channel_ids
 from .network import Network
 from .secure import SecureCodeBundle, decode_at_sink, encode_source
 

@@ -24,11 +24,10 @@ from .errors import (
     UnknownSink,
 )
 from .field import (
+    Echelon,
     FieldSpec,
     Matrix,
     dot,
-    in_span,
-    rank_of_rows,
     vector_from_index,
 )
 from .lnc import (
@@ -66,11 +65,8 @@ class SinkDecoder:
 
 
 def _sink_decoder(field: FieldSpec, n: int, gain: Mapping[str, tuple[int, ...]]) -> SinkDecoder:
-    channels: list[str] = []
-    for eid, col in gain.items():
-        basis = [gain[c] for c in channels]
-        if len(basis) < n and rank_of_rows(field, [*basis, col]) > len(basis):
-            channels.append(eid)
+    span = Echelon(field, n)
+    channels = [eid for eid, col in gain.items() if span.add(col)]
     inverse = None
     if len(channels) == n:
         inv = Matrix.from_cols(field, [gain[c] for c in channels], rows=n).inverse()
@@ -150,27 +146,29 @@ def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
     field = code.field
     if not 1 <= r < n:
         raise SecurityLevelTooLarge(f"need 1 <= r < n = {n}, got {r}")
-    wiretap_kernels = [
-        [code.kernels[eid] for eid in A] for A in enumerate_code_wiretap_sets(code, r).sets
-    ]
+    # cols are independent and meet no span(F_A), and F_A has rank r, so column
+    # j <= n - r may be vec exactly when vec lies outside span(cols + F_A). That
+    # depends on A only through span(F_A): keep one echelon per distinct span,
+    # keyed by its reduced basis, and extend it by each accepted column.
+    wiretap_spans: dict[tuple[tuple[int, ...], ...], Echelon] = {}
+    for A in enumerate_code_wiretap_sets(code, r).sets:
+        echelon = Echelon(field, n, [code.kernels[eid] for eid in A])
+        wiretap_spans.setdefault(echelon.basis(), echelon)
+    span = Echelon(field, n)
     cols: list[tuple[int, ...]] = []
     for j in range(1, n + 1):
-        found = None
+        avoid = [span, *wiretap_spans.values()] if j <= n - r else [span]
         for index in range(1, field.q ** n):
             vec = vector_from_index(field, index, n)
-            if in_span(field, cols, [vec]):
-                continue
-            # Exact: cols are independent and meet no span(F_A), and F_A has rank r,
-            # so cols + [vec] stays so iff vec lies outside span(cols + F_A).
-            if j <= n - r and any(in_span(field, cols + fa, [vec]) for fa in wiretap_kernels):
-                continue
-            found = vec
-            break
-        if found is None:
+            if all(any(echelon.reduce(vec)) for echelon in avoid):
+                break
+        else:
             raise FieldTooSmall(
                 f"no column {j} of {n} exists over GF({field.q}); retry with a larger field"
             )
-        cols.append(found)
+        for echelon in avoid:
+            echelon.add(vec)
+        cols.append(vec)
     return Matrix.from_cols(field, cols, rows=n)
 
 

@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 
 from slnc.errors import DimensionMismatch, DivisionByZero, FieldMismatch, Singular
 from slnc.field import (
+    Echelon,
     FieldSpec,
     Matrix,
+    combine,
     ff_op,
+    in_span,
     mat_inverse,
     mat_rank,
+    rank_of_rows,
     spans_intersect_trivially,
     vector_from_index,
 )
@@ -145,8 +149,21 @@ def test_mat_inverse_examples():
 
 
 def test_mat_inverse_singular():
-    with pytest.raises(Singular):
+    with pytest.raises(Singular, match="rank 1 < 2"):
         mat_inverse(Matrix.from_rows(GF2, [[1, 1], [1, 1]]))
+    with pytest.raises(Singular, match="rank 0 < 2"):
+        mat_inverse(Matrix.zero(GF2, 2, 2))
+
+
+def test_mismatched_lengths_raise_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        in_span(GF2, [(1, 0)], [(1, 0, 1)])
+    with pytest.raises(DimensionMismatch):
+        rank_of_rows(GF2, [(1, 0), (1,)])
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_cols(GF2, [(1, 0), (1,)])
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_rows(GF2, [[1], [0, 1], []])
 
 
 def test_spans_intersect_trivially_examples():
@@ -217,6 +234,39 @@ def test_spans_intersect_agrees_with_exhaustive_oracle(field):
         )
         oracle = _span_vectors(field, b1) & _span_vectors(field, b2) == {(0,) * rows}
         assert lib == oracle
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(q=st.sampled_from([2, 3, 4, 5, 16]), n=st.integers(1, 3), data=st.data())
+def test_echelon_agrees_with_exhaustive_span(q, n, data):
+    field = FieldSpec(q)
+    vector = st.tuples(*[st.integers(0, q - 1)] * n)
+    gens = data.draw(st.lists(vector, max_size=4))
+
+    def span_of(vectors):
+        return _span_vectors(field, vectors) if vectors else {(0,) * n}
+
+    echelon = Echelon(field, n)
+    kept = []  # the generators add accepted: an independent set spanning them all
+    for g in gens:
+        new = g not in span_of(kept)
+        assert echelon.add(g) == new
+        if new:
+            kept.append(g)
+    span = span_of(kept)
+    assert q ** len(echelon) == len(span)
+    for index in range(q ** n):
+        v = vector_from_index(field, index, n)
+        assert (not any(echelon.reduce(v))) == (v in span)
+    # Row k of `other` is scale[k] * g_k + g_{k-1} over shuffled generators: a
+    # change of basis with a nonzero diagonal, so it spans the same space.
+    shuffled = [gens[i] for i in data.draw(st.permutations(range(len(gens))))]
+    scale = data.draw(st.lists(st.integers(1, q - 1), min_size=len(gens), max_size=len(gens)))
+    other = [
+        combine(field, (scale[k], 1), (g, shuffled[k - 1] if k else (0,) * n), n)
+        for k, g in enumerate(shuffled)
+    ]
+    assert Echelon(field, n, other).basis() == echelon.basis()
 
 
 @settings(max_examples=150, deadline=None)

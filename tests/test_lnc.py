@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -12,6 +13,7 @@ from slnc.lnc import (
     verify_subset_bound,
     write_code,
 )
+from conftest import combination_network
 
 
 def sink_input_rank(code, t):
@@ -68,6 +70,27 @@ def test_construct_is_deterministic(butterfly):
     a = write_code(construct_lnc(butterfly, 2))
     b = write_code(construct_lnc(butterfly, 2))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "net_name, dim, digest",
+    [
+        ("butterfly", 2, "9aa7e232152af19ebbb740af7f76d0a39989a32d59eab3eb63334c99d7197922"),
+        ("parallel3_gf5", 3, "cac2cdde4a45a0d3184eb810a7f410112ed242f5029ae50bd6362c5e40373945"),
+        ((5, 4, 5), 4, "46ffbfdca2adcab4559ed52ccdc72ab1f2428685f6c05208c90d2ab2295d2c23"),
+        ((4, 3, 4), 3, "d7f5c7ee559c49bdc70665922338df50fb2d6e820d1941b2b7fb02e0c41dd493"),
+        ((5, 3, 11), 3, "7c9c6201ec1cf688bd24e895d0825f88c24ce2eb3cb3307a4d034b2ce5dd889a"),
+    ],
+    ids=["butterfly", "parallel3_gf5", "C54_gf5", "C43_gf4", "C53_gf11"],
+)
+def test_construct_pinned(request, net_name, dim, digest):
+    # The written code must stay byte-identical across versions, not only across runs.
+    if isinstance(net_name, tuple):
+        net = combination_network(*net_name)
+    else:
+        net = request.getfixturevalue(net_name)
+    text = write_code(construct_lnc(net, dim))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_kernels_recompute_from_locals(butterfly):

@@ -38,3 +38,28 @@ def test_security_verdicts_use_no_floating_point():
             elif isinstance(node, ast.Div):
                 found.append(f"{name}: true division")
     assert found == []
+
+
+def test_hot_paths_ask_rank_questions_of_an_echelon():
+    # Construction, basis search and the sink decoders extend one incremental
+    # echelon; none of them may eliminate from scratch per question again.
+    banned = {"rank_of_rows", "in_span", "kernel_matrix", "spans_intersect_trivially", "hstack"}
+    found = []
+    for module, names in (("lnc.py", {"construct_lnc"}), ("secure.py", {"choose_secure_basis", "_sink_decoder"})):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                names = names - {fn.name}
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                        if called in banned:
+                            found.append(f"{fn.name}:{node.lineno}: {called}")
+        assert names == set(), f"{module} no longer defines {names}"
+    field = ast.parse((PACKAGE / "field.py").read_text(encoding="utf-8"))
+    found += [
+        f"field.py:{node.lineno}: {node.name}"
+        for node in ast.walk(field)
+        if isinstance(node, ast.FunctionDef) and node.name == "_echelon"
+    ]
+    assert found == []
