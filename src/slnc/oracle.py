@@ -29,7 +29,7 @@ from .errors import (
 from .field import FieldSpec, combine, in_span, standard_basis
 from .lnc import GlobalCode, imaginary_ids, in_channel_ids
 from .network import Network
-from .secure import SecureCodeBundle, decode_at_sink, encode_source
+from .secure import SecureCodeBundle, _decode, encode_source
 
 DEFAULT_ENUM_BUDGET = 10**7
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -164,11 +164,13 @@ def _decode_roundtrip(
     columns: Mapping[str, list[int]],
 ) -> tuple[bool, str]:
     for t in bundle.network.sinks:
-        in_columns = [(e.id, columns[e.id]) for e in bundle.network.in_edges(t)]
-        for idx, (m, k) in enumerate(inputs):
-            observed = {eid: col[idx] for eid, col in in_columns}
+        decoder = bundle.decoders[t]
+        split = len(decoder.channels)
+        # Every sink has an in-channel, so each row holds at least one symbol.
+        rows = zip(*[columns[eid] for eid in decoder.channels + decoder.checks])
+        for (m, k), row in zip(inputs, rows):
             try:
-                got = decode_at_sink(bundle, t, observed)
+                got = _decode(bundle, t, row[:split], row[split:])
             except InconsistentObservation as exc:
                 return False, f"sink {t} failed on input {m}, {k}: {exc}"
             if got != (m, k):
@@ -250,10 +252,15 @@ def rank_security_criterion(bundle: SecureCodeBundle, edge_ids: Sequence[str]) -
 
 @dataclass
 class RefutationResult:
-    """Outcome of the exhaustive linear-code search for a smaller key."""
+    """Outcome of the exhaustive linear-code search for a smaller key.
+
+    `searched` counts the full assignments covered, pruned subtrees included;
+    `visited` counts the channel coefficient tuples the search actually tried.
+    """
 
     searched: int
     witness: GlobalCode | None
+    visited: int = 0
 
     @property
     def verdict(self) -> str:
@@ -268,6 +275,18 @@ class RefutationResult:
         return out
 
 
+@dataclass(frozen=True)
+class _SearchLevel:
+    """One channel of the depth-first search, in topological order, with the
+    checks it owns: the sinks and wiretap sets whose last channel it is."""
+
+    edge_id: str
+    ins: list[str]
+    sinks: list[list[str]]
+    sets: list[tuple[str, ...]]
+    subtree: int  # full assignments that extend each of its coefficient tuples
+
+
 def refute_key_rate(
     net: Network,
     omega: int,
@@ -280,71 +299,97 @@ def refute_key_rate(
     A counterexample is a local-coefficient assignment whose code lets every
     sink recover the message while the rank criterion holds on every channel
     set of size up to r.  Returning `refuted` means the full assignment space
-    was enumerated and no such code exists, corroborating that key_dim
-    symbols of key are insufficient at security level r.
+    was covered and no such code exists, corroborating that key_dim symbols
+    of key are insufficient at security level r.
+
+    The search is depth-first over the channels in topological order, trying
+    each channel's coefficient tuples in lexicographic order, so the witness
+    returned is the first in lexicographic order of the full assignments.  A
+    sink is checked once its last in-channel is assigned and a wiretap set
+    once its last channel is; when either check fails, no completion of the
+    prefix can pass, and the subtree is skipped.  `searched` counts the full
+    assignments covered, each skipped subtree by its size, so a `refuted`
+    search reports q^slots.
     """
     if omega < 1:
         raise ValueError(f"information rate must be at least 1, got {omega}")
     if key_dim < 0 or key_dim >= r:
         raise InvalidKeyDim(f"need 0 <= key_dim < r = {r}, got {key_dim}")
     field = net.field
+    q = field.q
     dim = omega + key_dim
 
+    # Count the slots, then compare q^slots with the budget one factor at a
+    # time, so a huge omega or key_dim is refused before anything is built.
     topo = net.topo_edges()
-    in_channels: dict[str, list[str]] = {}
-    slots: list[tuple[str, str]] = []
+    slots = sum(dim if e.tail == net.source else len(net.in_edges(e.tail)) for e in topo)
+    space, factors = 1, 0
+    while factors < slots and space <= budget:
+        space *= q
+        factors += 1
+    if space > budget:
+        raise BudgetExceeded(f"search space {q}^{slots} exceeds the budget {budget}")
+
+    levels: list[_SearchLevel] = []
+    prefixes = 1  # assignments of the channels up to this one
     for edge in topo:
         ins = in_channel_ids(net, dim, edge.tail)
-        in_channels[edge.id] = ins
-        slots.extend((edge.id, d) for d in ins)
-    space = field.q ** len(slots)
-    if space > budget:
-        raise BudgetExceeded(f"search space {space} exceeds the budget {budget}")
+        prefixes *= q ** len(ins)
+        levels.append(_SearchLevel(edge.id, ins, [], [], space // prefixes))
+    position = {e.id: j for j, e in enumerate(topo)}
+    for t in net.sinks:
+        ins = [e.id for e in net.in_edges(t)]
+        levels[max(position[eid] for eid in ins)].sinks.append(ins)
+    edge_ids_sorted = sorted(position)
+    for size in range(1, min(r, len(edge_ids_sorted)) + 1):
+        for combo in itertools.combinations(edge_ids_sorted, size):
+            levels[max(position[eid] for eid in combo)].sets.append(combo)
 
-    sink_in_ids = {t: [e.id for e in net.in_edges(t)] for t in net.sinks}
-    edge_ids_sorted = sorted(e.id for e in net.edges)
-    wiretap_combos = [
-        combo
-        for size in range(1, min(r, len(edge_ids_sorted)) + 1)
-        for combo in itertools.combinations(edge_ids_sorted, size)
-    ]
-
-    basis = {d: standard_basis(dim, j) for j, d in enumerate(imaginary_ids(dim))}
+    kernels = {d: standard_basis(dim, j) for j, d in enumerate(imaginary_ids(dim))}
     # A sink recovers the message iff e_1..e_omega lie in the span of its kernels;
     # otherwise two inputs differing in M share all its observations.
     message_units = [standard_basis(dim, j) for j in range(omega)]
-    searched = 0
-    for assignment in itertools.product(field.elements(), repeat=len(slots)):
-        searched += 1
-        kernels: dict[str, tuple[int, ...]] = dict(basis)
-        cursor = 0
-        for edge in topo:
-            ins = in_channels[edge.id]
-            coeffs = assignment[cursor:cursor + len(ins)]
-            cursor += len(ins)
-            kernels[edge.id] = combine(field, coeffs, [kernels[d] for d in ins], dim)
-
-        if not all(
-            in_span(field, [kernels[eid] for eid in sink_in_ids[t]], message_units)
-            for t in net.sinks
-        ):
+    message_rows, key_rows = range(omega), range(omega, dim)
+    elements = field.elements()
+    searched = visited = 0
+    # tries[j] yields channel j's remaining coefficient tuples; chosen[j] is its current one.
+    tries = [itertools.product(elements, repeat=len(levels[0].ins))]
+    chosen: list[tuple[int, ...]] = []
+    while tries:
+        depth = len(tries) - 1
+        del chosen[depth:]
+        coeffs = next(tries[depth], None)
+        if coeffs is None:
+            tries.pop()
             continue
-
-        if not all(
-            _message_in_key_span(
-                field, [kernels[eid] for eid in combo], range(omega), range(omega, dim)
-            )
-            for combo in wiretap_combos
-        ):
+        visited += 1
+        level = levels[depth]
+        kernels[level.edge_id] = combine(field, coeffs, [kernels[d] for d in level.ins], dim)
+        chosen.append(coeffs)
+        passed = all(
+            in_span(field, [kernels[eid] for eid in ins], message_units) for ins in level.sinks
+        ) and all(
+            _message_in_key_span(field, [kernels[eid] for eid in A], message_rows, key_rows)
+            for A in level.sets
+        )
+        if passed and depth + 1 < len(levels):
+            tries.append(itertools.product(elements, repeat=len(levels[depth + 1].ins)))
+            continue
+        searched += level.subtree
+        if not passed:
             continue
 
         real_kernels = {e.id: kernels[e.id] for e in net.edges}
-        local_coeffs = {(d, eid): coeff for (eid, d), coeff in zip(slots, assignment)}
+        local_coeffs = {
+            (d, lv.edge_id): coeff
+            for lv, tup in zip(levels, chosen)
+            for d, coeff in zip(lv.ins, tup)
+        }
         witness = GlobalCode(
             n=dim, kernels=real_kernels, local_coeffs=local_coeffs, network=net
         )
-        return RefutationResult(searched=searched, witness=witness)
-    return RefutationResult(searched=searched, witness=None)
+        return RefutationResult(searched=searched, witness=witness, visited=visited)
+    return RefutationResult(searched=searched, witness=None, visited=visited)
 
 
 # -- entropy profile (conditional-entropy averages) -----------------------------------

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from slnc.network import Network, parse_network
 
@@ -27,6 +28,29 @@ def combination_network(n: int, k: int, q: int) -> Network:
         for v in subset:
             eid += 1
             lines.append(f"edge e{eid} v{v} t{i}")
+    return parse_network("\n".join(lines) + "\n")
+
+
+@st.composite
+def dag_networks(draw, q=5, max_extra=7):
+    """Acyclic networks over GF(q) on nodes n0 (the source) .. n5, with a
+    channel out of n0 and up to max_extra more.
+
+    Channels run from a lower to a higher node, so parallel channels, sinks
+    with out-channels and nodes with no in-channels all occur; sinks are
+    drawn from the reachable nodes.
+    """
+    size = draw(st.integers(2, 6))
+    pair = st.integers(0, size - 2).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, size - 1)))
+    first = draw(st.integers(1, size - 1))
+    pairs = [(0, first)] + draw(st.lists(pair, max_size=max_extra))
+    reached = {0}
+    for a, b in sorted(pairs):
+        if a in reached:
+            reached.add(b)
+    sinks = draw(st.lists(st.sampled_from(sorted(reached - {0})), min_size=1, max_size=3, unique=True))
+    lines = [f"field {q}", "source n0"] + [f"sink n{t}" for t in sinks]
+    lines += [f"edge c{i} n{a} n{b}" for i, (a, b) in enumerate(pairs, 1)]
     return parse_network("\n".join(lines) + "\n")
 
 

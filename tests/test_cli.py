@@ -198,6 +198,21 @@ def test_refute_budget_exit(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "rates",
+    [("--omega", "1000000000", "--r", "1", "--keydim", "0"),
+     ("--omega", "1", "--r", "2000000000", "--keydim", "1999999999")],
+    ids=["omega", "keydim"],
+)
+def test_refute_huge_space_is_refused_quickly(rates):
+    # q^slots would have billions of digits: it is compared with the budget
+    # one factor at a time, and no slot list is built.
+    proc = run_cli_process("refute", BUTTERFLY, *rates, timeout=10.0)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget exceeded: search space 3^")
+
+
 def test_simulate_with_explicit_key(tmp_path, capsys):
     bundle_file = tmp_path / "b.slnc"
     run(capsys, "secure", BUTTERFLY, "--omega", "1", "--r", "1", "-o", str(bundle_file))

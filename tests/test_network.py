@@ -24,7 +24,7 @@ from slnc.network import (
     parse_network,
     serialize_network,
 )
-from conftest import FIXTURES, combination_network
+from conftest import FIXTURES, combination_network, dag_networks
 
 
 # -- brute-force oracles -------------------------------------------------------
@@ -260,26 +260,10 @@ def test_edge_disjoint_paths_pinned(butterfly):
 
 @st.composite
 def small_dags(draw):
-    """Acyclic networks of at most 8 channels on nodes n0 (the source) .. n5,
-    each with up to 4 nonempty channel sets.
-
-    Channels run from a lower to a higher node, so parallel channels and
-    sinks with out-channels both occur; sinks are drawn from the reachable nodes.
-    """
-    size = draw(st.integers(2, 6))
-    pair = st.integers(0, size - 2).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, size - 1)))
-    first = draw(st.integers(1, size - 1))
-    pairs = [(0, first)] + draw(st.lists(pair, max_size=7))
-    reached = {0}
-    for a, b in sorted(pairs):
-        if a in reached:
-            reached.add(b)
-    sinks = draw(st.lists(st.sampled_from(sorted(reached - {0})), min_size=1, max_size=3, unique=True))
-    lines = ["field 5", "source n0"] + [f"sink n{t}" for t in sinks]
-    lines += [f"edge c{i} n{a} n{b}" for i, (a, b) in enumerate(pairs, 1)]
-    ids = [f"c{i}" for i in range(1, len(pairs) + 1)]
-    edge_sets = st.lists(st.sampled_from(ids), min_size=1, unique=True)
-    return parse_network("\n".join(lines) + "\n"), draw(st.lists(edge_sets, min_size=1, max_size=4))
+    """A drawn network (see conftest.dag_networks) with up to 4 nonempty channel sets."""
+    net = draw(dag_networks())
+    edge_sets = st.lists(st.sampled_from([e.id for e in net.edges]), min_size=1, unique=True)
+    return net, draw(st.lists(edge_sets, min_size=1, max_size=4))
 
 
 # The first augmenting path s-a-b-t takes c1 and c3, and only undoing c3

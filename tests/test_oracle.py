@@ -1,18 +1,24 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from slnc.errors import (
     BudgetExceeded,
     InvalidKeyDim,
     NotADistribution,
 )
-from slnc.field import Matrix, rank_of_rows
-from slnc.lnc import construct_lnc
+from slnc.field import Matrix, combine, in_span, rank_of_rows, standard_basis
+from slnc.lnc import GlobalCode, construct_lnc, imaginary_ids, in_channel_ids
+from slnc.network import Network, parse_network
 from slnc.oracle import (
+    DEFAULT_SEARCH_BUDGET,
     JointDistribution,
+    RefutationResult,
+    _message_in_key_span,
     han_profile,
     mutual_information,
     observation_distribution,
@@ -21,7 +27,9 @@ from slnc.oracle import (
     refute_key_rate,
     verify_security,
 )
+from slnc import oracle
 from slnc.secure import SecureCodeBundle, build_secure_bundle
+from conftest import FIXTURES, dag_networks
 
 
 def _identity_mixing_bundle(net, omega, r):
@@ -322,6 +330,79 @@ def test_rank_criterion_agrees_with_enumeration(butterfly, parallel3_gf5, parall
 
 # -- refutation ---------------------------------------------------------------------------
 
+def flat_refute(
+    net: Network,
+    omega: int,
+    r: int,
+    key_dim: int,
+    budget: int = DEFAULT_SEARCH_BUDGET,
+) -> RefutationResult:
+    """The flat search over every assignment, kept as the reference the
+    depth-first search is checked against."""
+    if omega < 1:
+        raise ValueError(f"information rate must be at least 1, got {omega}")
+    if key_dim < 0 or key_dim >= r:
+        raise InvalidKeyDim(f"need 0 <= key_dim < r = {r}, got {key_dim}")
+    field = net.field
+    dim = omega + key_dim
+
+    topo = net.topo_edges()
+    in_channels: dict[str, list[str]] = {}
+    slots: list[tuple[str, str]] = []
+    for edge in topo:
+        ins = in_channel_ids(net, dim, edge.tail)
+        in_channels[edge.id] = ins
+        slots.extend((edge.id, d) for d in ins)
+    space = field.q ** len(slots)
+    if space > budget:
+        raise BudgetExceeded(f"search space {space} exceeds the budget {budget}")
+
+    sink_in_ids = {t: [e.id for e in net.in_edges(t)] for t in net.sinks}
+    edge_ids_sorted = sorted(e.id for e in net.edges)
+    wiretap_combos = [
+        combo
+        for size in range(1, min(r, len(edge_ids_sorted)) + 1)
+        for combo in itertools.combinations(edge_ids_sorted, size)
+    ]
+
+    basis = {d: standard_basis(dim, j) for j, d in enumerate(imaginary_ids(dim))}
+    # A sink recovers the message iff e_1..e_omega lie in the span of its kernels;
+    # otherwise two inputs differing in M share all its observations.
+    message_units = [standard_basis(dim, j) for j in range(omega)]
+    searched = 0
+    for assignment in itertools.product(field.elements(), repeat=len(slots)):
+        searched += 1
+        kernels: dict[str, tuple[int, ...]] = dict(basis)
+        cursor = 0
+        for edge in topo:
+            ins = in_channels[edge.id]
+            coeffs = assignment[cursor:cursor + len(ins)]
+            cursor += len(ins)
+            kernels[edge.id] = combine(field, coeffs, [kernels[d] for d in ins], dim)
+
+        if not all(
+            in_span(field, [kernels[eid] for eid in sink_in_ids[t]], message_units)
+            for t in net.sinks
+        ):
+            continue
+
+        if not all(
+            _message_in_key_span(
+                field, [kernels[eid] for eid in combo], range(omega), range(omega, dim)
+            )
+            for combo in wiretap_combos
+        ):
+            continue
+
+        real_kernels = {e.id: kernels[e.id] for e in net.edges}
+        local_coeffs = {(d, eid): coeff for (eid, d), coeff in zip(slots, assignment)}
+        witness = GlobalCode(
+            n=dim, kernels=real_kernels, local_coeffs=local_coeffs, network=net
+        )
+        return RefutationResult(searched=searched, witness=witness)
+    return RefutationResult(searched=searched, witness=None)
+
+
 def test_refute_parallel2(parallel2_gf2):
     result = refute_key_rate(parallel2_gf2, omega=1, r=1, key_dim=0)
     assert result.verdict == "refuted"
@@ -373,19 +454,113 @@ def test_refute_corroborates_optimal_key_rate(
     butterfly, parallel2_gf2, parallel3_gf2, parallel3_gf5
 ):
     """Wherever a bundle with key_dim = r builds and verifies, searching one
-    key symbol below must come back refuted."""
+    key symbol below must come back refuted, having covered all q^slots codes."""
+    butterfly_text = (FIXTURES / "butterfly.net").read_text(encoding="utf-8")
+    butterfly_gf4, butterfly_gf5 = (
+        parse_network(butterfly_text.replace("field 3", f"field {q}")) for q in (4, 5)
+    )
+    # (network, omega, r, q^slots); the butterfly has 10 slots at dimension 1,
+    # and each of parallel3's 3 source channels has one slot per dimension.
     cases = [
-        (butterfly, 1, 1),
-        (parallel2_gf2, 1, 1),
-        (parallel3_gf2, 1, 1),
-        (parallel3_gf5, 1, 1),
+        (butterfly, 1, 1, 3**10),
+        (butterfly_gf4, 1, 1, 4**10),
+        (butterfly_gf5, 1, 1, 5**10),
+        (parallel2_gf2, 1, 1, 2**2),
+        (parallel3_gf2, 1, 1, 2**3),
+        (parallel3_gf5, 1, 1, 5**3),
+        (parallel3_gf5, 2, 1, 5**6),
+        (parallel3_gf5, 1, 2, 5**6),
     ]
-    for net, omega, r in cases:
+    for net, omega, r, space in cases:
         bundle = build_secure_bundle(net, omega=omega, r=r)
         assert bundle.key_dim == r
         assert verify_security(bundle).secure
         result = refute_key_rate(net, omega=omega, r=r, key_dim=r - 1)
-        assert result.verdict == "refuted"
+        assert (result.verdict, result.searched) == ("refuted", space)
+
+
+def test_refute_prunes_the_butterfly_search(butterfly):
+    result = refute_key_rate(butterfly, omega=1, r=1, key_dim=0)
+    assert (result.verdict, result.searched, result.visited) == ("refuted", 3**10, 3042)
+    assert result.serialize() == "searched=59049 verdict=refuted\n"
+
+
+def tried_tuples(net, omega, r, key_dim):
+    """The channel coefficient tuples a depth-first search in topological
+    order tries when it drops a prefix as soon as a sink, or a channel set of
+    size up to r, that lies wholly inside the prefix fails its check.
+
+    Counted prefix by prefix, with no notion of which channel owns a check."""
+    field = net.field
+    dim = omega + key_dim
+    topo = net.topo_edges()
+    tail_ins = [in_channel_ids(net, dim, e.tail) for e in topo]
+    sinks = [[e.id for e in net.in_edges(t)] for t in net.sinks]
+    ids = sorted(e.id for e in net.edges)
+    sets = [A for size in range(1, min(r, len(ids)) + 1) for A in itertools.combinations(ids, size)]
+    units = [standard_basis(dim, j) for j in range(omega)]
+    tried = 0
+    for depth in range(len(topo)):
+        inside = {e.id for e in topo[:depth]}
+        done_sinks = [sink_ins for sink_ins in sinks if inside.issuperset(sink_ins)]
+        done_sets = [A for A in sets if inside.issuperset(A)]
+        tuples = [list(itertools.product(field.elements(), repeat=len(x))) for x in tail_ins[:depth + 1]]
+        for prefix in itertools.product(*tuples):
+            kernels = {d: standard_basis(dim, j) for j, d in enumerate(imaginary_ids(dim))}
+            for edge, x, coeffs in zip(topo, tail_ins, prefix):
+                kernels[edge.id] = combine(field, coeffs, [kernels[d] for d in x], dim)
+            tried += all(
+                in_span(field, [kernels[e] for e in sink_ins], units) for sink_ins in done_sinks
+            ) and all(
+                _message_in_key_span(
+                    field, [kernels[e] for e in A], range(omega), range(omega, dim)
+                )
+                for A in done_sets
+            )
+    return tried
+
+
+def _always_secure(*_args):
+    return True
+
+
+@st.composite
+def refutation_cases(draw):
+    """A drawn network with (omega, r, key_dim) and a small q^slots, and
+    whether the security check runs: without it the first decodable code is
+    a witness, so the witness branch runs too."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    net = draw(dag_networks(q=q, max_extra=4))
+    key_dim = draw(st.integers(0, 1))
+    omega = draw(st.integers(1, 2))
+    r = draw(st.integers(key_dim + 1, 3))
+    slots = sum(len(in_channel_ids(net, omega + key_dim, e.tail)) for e in net.edges)
+    assume(q**slots <= 512)
+    return net, omega, r, key_dim, draw(st.booleans())
+
+
+# Node u has no in-channels, so c2 has no coefficient to choose and carries
+# zero; it is also the last channel in topological order, owning the sink.
+ZERO_SLOT_CHANNEL = parse_network("field 3\nsource s\nsink t\nedge c1 s t\nedge c2 u t\n")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(refutation_cases())
+@example((ZERO_SLOT_CHANNEL, 1, 1, 0, True))
+@example((ZERO_SLOT_CHANNEL, 1, 2, 1, False))
+def test_pruned_refutation_matches_the_flat_search(case):
+    net, omega, r, key_dim, check_security = case
+    patched = {} if check_security else {"_message_in_key_span": _always_secure}
+    with mock.patch.dict(globals(), patched), mock.patch.dict(vars(oracle), patched):
+        got = refute_key_rate(net, omega, r, key_dim)
+        want = flat_refute(net, omega, r, key_dim)
+        assert (got.searched, got.verdict) == (want.searched, want.verdict)
+        if want.witness is None:
+            assert got.witness is None
+            assert got.visited == tried_tuples(net, omega, r, key_dim)
+        else:
+            assert list(got.witness.local_coeffs.items()) == list(want.witness.local_coeffs.items())
+            assert got.witness.kernels == want.witness.kernels
 
 
 # -- entropy profile -----------------------------------------------------------------------
