@@ -251,6 +251,12 @@ class Echelon:
         """The rows sorted by pivot: equal for every generating set of the span."""
         return tuple(tuple(self.rows[p]) for p in sorted(self.rows))
 
+    def copy(self) -> Echelon:
+        """An echelon of the same span that shares no row with this one."""
+        twin = Echelon(self.field, self.n)
+        twin.rows = {p: row[:] for p, row in self.rows.items()}
+        return twin
+
     def reduce(self, v: Sequence[int]) -> Sequence[int]:
         """v minus its part in the span, which is zero exactly when v lies in it."""
         if len(v) != self.n:

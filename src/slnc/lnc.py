@@ -19,7 +19,14 @@ from .errors import (
     SecurityLevelTooLarge,
 )
 from .field import Echelon, FieldSpec, Matrix, combine, rank_of_rows, standard_basis
-from .network import Network, WiretapCollection, c_min, edge_disjoint_paths, enumerate_topology_wiretap_sets
+from .network import (
+    Network,
+    WiretapCollection,
+    c_min,
+    downward_closed_subsets,
+    edge_disjoint_paths,
+    enumerate_topology_wiretap_sets,
+)
 
 IMAGINARY_PREFIX = "__s_"
 
@@ -187,15 +194,25 @@ def check_code_validity(code: GlobalCode) -> CodeValidityReport:
 # -- wiretap collections ----------------------------------------------------------
 
 def enumerate_code_wiretap_sets(code: GlobalCode, r: int) -> WiretapCollection:
-    """All size-r channel sets whose kernel matrix has full rank r."""
+    """All size-r channel sets whose kernel matrix has full rank r.
+
+    Independence is downward closed, so each prefix keeps the echelon of its
+    kernels and a channel extends it when its kernel reduces to nonzero.
+    """
     if not 1 <= r < code.n:
         raise SecurityLevelTooLarge(f"need 1 <= r < n = {code.n}, got {r}")
+    kernels = code.kernels
+
+    def extend(span: Echelon, eid: str) -> Echelon | None:
+        child = span.copy()
+        return child if child.add(kernels[eid]) else None
+
+    def accept(span: Echelon, eid: str) -> bool:
+        return any(span.reduce(kernels[eid]))
+
     ids = sorted(e.id for e in code.network.edges)
-    sets = tuple(
-        combo
-        for combo in itertools.combinations(ids, r)
-        if rank_of_rows(code.field, [code.kernels[eid] for eid in combo]) == r
-    )
+    root = Echelon(code.field, code.n)
+    sets = tuple(downward_closed_subsets(ids, r, root, extend, accept))
     return WiretapCollection(r=r, kind="rank", sets=sets)
 
 

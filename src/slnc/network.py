@@ -5,16 +5,16 @@ enumeration of the topology-based wiretap collection.  Every cut is one
 flow from the source into a set of channels: a sink's cut is the flow into
 its in-channels, an edge-set cut the flow into the set itself.  Flows
 explore channels in declaration order so that every derived quantity is
-deterministic.
+deterministic, and every flow grows by one augmenting-path routine over arc
+arrays built once per network.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     CycleDetected,
@@ -146,6 +146,10 @@ class Network:
     def out_edges(self, node: str) -> tuple[Edge, ...]:
         return self._out.get(node, ())
 
+    @cached_property
+    def _arcs(self) -> _Arcs:
+        return _Arcs(self)
+
     def topo_edges(self) -> list[Edge]:
         """Edges sorted by topological position of the tail, then declaration."""
         decl = {e.id: i for i, e in enumerate(self.edges)}
@@ -224,47 +228,78 @@ def serialize_network(net: Network) -> str:
 
 # -- unit-capacity max-flow ------------------------------------------------------
 
-_TARGET = ("target",)
+class _Arcs:
+    """A network's flow arcs, built once.
+
+    Nodes are their indices in `Network.nodes`, and the target that flows
+    end at is one more node after them.  Channel i is arc 2i (capacity 1,
+    in its tail's list) and reverse arc 2i + 1 (in its head's list), listed
+    in declaration order, so BFS finds the same augmenting paths on every
+    run.  A flow owns a copy of `to` in which the channels it sends to the
+    target have to[2i] set to it; their reverse arcs stay in the head's list,
+    where `_augment` skips them.
+    """
+
+    __slots__ = ("adj", "to", "source", "target", "channel")
+
+    def __init__(self, net: Network):
+        node = {v: k for k, v in enumerate(net.nodes)}
+        adj: list[list[int]] = [[] for _ in net.nodes]
+        to: list[int] = []
+        for i, e in enumerate(net.edges):
+            adj[node[e.tail]].append(2 * i)
+            adj[node[e.head]].append(2 * i + 1)
+            to += (node[e.head], node[e.tail])
+        self.adj = tuple(map(tuple, adj))
+        self.to = tuple(to)
+        self.source = node[net.source]
+        self.target = len(net.nodes)
+        self.channel = {e.id: i for i, e in enumerate(net.edges)}
+
+
+def _augment(arcs: _Arcs, to: list[int], cap: list[int]) -> bool:
+    """Push one unit along the first BFS path from the source to the target.
+
+    An arc is usable when it has residual capacity and starts at the node
+    being expanded: the reverse arc of a channel redirected to the target
+    starts at the target, which is never expanded.  Returns False, changing
+    nothing, when no augmenting path exists.
+    """
+    adj, source, target = arcs.adj, arcs.source, arcs.target
+    parent: list[int | None] = [None] * (target + 1)
+    parent[source] = -1
+    queue = [source]
+    for u in queue:
+        for arc in adj[u]:
+            v = to[arc]
+            if cap[arc] and parent[v] is None and to[arc ^ 1] == u:
+                parent[v] = arc
+                if v == target:
+                    while v != source:
+                        arc = parent[v]
+                        cap[arc] -= 1
+                        cap[arc ^ 1] += 1
+                        v = to[arc ^ 1]
+                    return True
+                queue.append(v)
+    return False
 
 
 def _unit_flow(net: Network, into: set[str], limit: int | None = None) -> tuple[int, list[int]]:
     """Max-flow from the source when every channel in `into` ends at one target.
 
-    Channel i is arc 2i (capacity 1, in its tail's list) and reverse arc
-    2i + 1 (in its head's list), appended in declaration order, so BFS finds
-    the same augmenting paths on every run.  Returns the flow value and the
-    residual capacities: channel i carries flow exactly when arc 2i reads 0.
+    The flow stops at `limit`, and at len(into), which no flow can pass.
+    Returns the flow value and the residual capacities: channel i carries
+    flow exactly when arc 2i reads 0.
     """
-    adj: dict[object, list[int]] = {v: [] for v in net.nodes}
-    adj[_TARGET] = []
-    to: list[object] = []
-    for i, e in enumerate(net.edges):
-        head = _TARGET if e.id in into else e.head
-        adj[e.tail].append(2 * i)
-        adj[head].append(2 * i + 1)
-        to += (head, e.tail)
+    arcs = net._arcs
+    to = list(arcs.to)
+    for eid in into:
+        to[2 * arcs.channel[eid]] = arcs.target
     cap = [1, 0] * len(net.edges)
+    goal = len(into) if limit is None else min(limit, len(into))
     value = 0
-    while limit is None or value < limit:
-        parent: dict[object, int] = {}
-        queue: deque[object] = deque([net.source])
-        while queue and _TARGET not in parent:
-            u = queue.popleft()
-            for arc in adj[u]:
-                v = to[arc]
-                if cap[arc] and v != net.source and v not in parent:
-                    parent[v] = arc
-                    if v is _TARGET:
-                        break
-                    queue.append(v)
-        if _TARGET not in parent:
-            break
-        node: object = _TARGET
-        while node != net.source:
-            arc = parent[node]
-            cap[arc] -= 1
-            cap[arc ^ 1] += 1
-            node = to[arc ^ 1]
+    while value < goal and _augment(arcs, to, cap):
         value += 1
     return value, cap
 
@@ -328,17 +363,74 @@ def min_cut_to_edges(net: Network, edge_ids: Iterable[str]) -> int:
     return _unit_flow(net, set(ids))[0]
 
 
+State = TypeVar("State")
+
+
+def downward_closed_subsets(
+    items: Sequence[str],
+    r: int,
+    root: State,
+    extend: Callable[[State, str], State | None],
+    accept: Callable[[State, str], bool],
+) -> Iterator[tuple[str, ...]]:
+    """The r-subsets of `items` in a downward-closed family, in lexicographic order.
+
+    The walk is depth-first and holds one state per prefix, starting from
+    `root` for the empty one.  `extend(state, item)` gives the state of the
+    prefix plus item, or None when that set is not in the family;
+    `accept(state, item)` decides the last item.  Every subset of a member
+    is a member, so a failed step skips every set that would extend it.
+    """
+
+    def walk(start: int, prefix: tuple[str, ...], state: State) -> Iterator[tuple[str, ...]]:
+        depth = len(prefix) + 1
+        for k in range(start, len(items) - r + depth):
+            item = items[k]
+            if depth == r:
+                if accept(state, item):
+                    yield (*prefix, item)
+            else:
+                child = extend(state, item)
+                if child is not None:
+                    yield from walk(k + 1, (*prefix, item), child)
+
+    return walk(0, (), root)
+
+
 def enumerate_topology_wiretap_sets(net: Network, r: int) -> WiretapCollection:
-    """All size-r channel sets whose source min-cut equals r (topology only)."""
+    """All size-r channel sets whose source min-cut equals r (topology only).
+
+    The family is downward closed: sending more channels to the target adds
+    no path into a prefix P, so mincut(A) <= mincut(P) + |A - P|.  A prefix's
+    state is its max-flow, of value |P|; adding a channel leaves a flow of
+    value |P| and a cut of at most |P| + 1, so one augmenting path decides.
+    """
     capacity = c_min(net)
     if not 1 <= r < capacity:
         raise SecurityLevelTooLarge(
             f"security level must satisfy 1 <= r < C_min = {capacity}, got {r}"
         )
+    arcs = net._arcs
+    adj, target = arcs.adj, arcs.target
+
+    def extend(flow: tuple[list[int], list[int]], eid: str) -> tuple[list[int], list[int]] | None:
+        to, cap = flow[0][:], flow[1][:]
+        arc = 2 * arcs.channel[eid]
+        if not cap[arc]:
+            # The channel's unit now ends at the target: drop the rest of its
+            # path, following flow-carrying out-channels (the graph is acyclic).
+            node = to[arc]
+            while node != target:
+                out = next(a for a in adj[node] if not (a & 1 or cap[a]))
+                cap[out], cap[out + 1] = 1, 0
+                node = to[out]
+        to[arc] = target
+        return (to, cap) if _augment(arcs, to, cap) else None
+
+    def accept(flow: tuple[list[int], list[int]], eid: str) -> bool:
+        return extend(flow, eid) is not None
+
     ids = sorted(e.id for e in net.edges)
-    sets = tuple(
-        combo
-        for combo in itertools.combinations(ids, r)
-        if min_cut_to_edges(net, combo) == r
-    )
+    root = (list(arcs.to), [1, 0] * len(net.edges))
+    sets = tuple(downward_closed_subsets(ids, r, root, extend, accept))
     return WiretapCollection(r=r, kind="cut", sets=sets)

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import itertools
 
 import pytest
 
 from slnc.errors import DimensionExceedsCapacity, FieldTooSmallForSinks, SecurityLevelTooLarge
+from slnc.field import rank_of_rows
 from slnc.lnc import (
     GlobalCode,
     check_code_validity,
@@ -13,6 +15,7 @@ from slnc.lnc import (
     verify_subset_bound,
     write_code,
 )
+from slnc.network import c_min
 from conftest import combination_network
 
 
@@ -179,16 +182,37 @@ def test_code_wiretap_sets_butterfly(butterfly):
     assert coll.sets == tuple((f"e{i}",) for i in range(1, 10))
 
 
-def test_code_wiretap_sets_exclude_zero_kernels(butterfly):
+def zero_kernel_code(butterfly):
+    """The butterfly's 2-dimensional code with channel e8's kernel zeroed."""
     code = construct_lnc(butterfly, 2)
     kernels = dict(code.kernels)
     kernels["e8"] = (0, 0)
-    mutated = GlobalCode(
-        n=2, kernels=kernels, local_coeffs=code.local_coeffs, network=butterfly
-    )
-    coll = enumerate_code_wiretap_sets(mutated, 1)
+    return GlobalCode(n=2, kernels=kernels, local_coeffs=code.local_coeffs, network=butterfly)
+
+
+def test_code_wiretap_sets_exclude_zero_kernels(butterfly):
+    coll = enumerate_code_wiretap_sets(zero_kernel_code(butterfly), 1)
     assert ("e8",) not in coll.sets
     assert len(coll) == 8
+
+
+def test_code_wiretap_sets_match_the_rank_filter(
+    butterfly, butterfly_gf2, parallel2_gf2, parallel3_gf2, parallel3_gf5
+):
+    # The prefix walk must list exactly the full-rank r-sets, in the order of
+    # itertools.combinations over the sorted ids.
+    nets = (butterfly, butterfly_gf2, parallel2_gf2, parallel3_gf2, parallel3_gf5, combination_network(5, 3, 11))
+    codes = [construct_lnc(net, n) for net in nets for n in range(1, c_min(net) + 1)]
+    codes.append(zero_kernel_code(butterfly))
+    for code in codes:
+        ids = sorted(e.id for e in code.network.edges)
+        for r in range(1, code.n):
+            expected = tuple(
+                combo
+                for combo in itertools.combinations(ids, r)
+                if rank_of_rows(code.field, [code.kernels[eid] for eid in combo]) == r
+            )
+            assert enumerate_code_wiretap_sets(code, r).sets == expected
 
 
 def test_code_wiretap_sets_parallel_pairs(parallel3_gf2):

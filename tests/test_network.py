@@ -309,6 +309,29 @@ def test_enumerate_topology_parallel_pairs(parallel3_gf2):
     assert coll.sets == (("e1", "e2"), ("e1", "e3"), ("e2", "e3"))
 
 
+# Three parallel paths s-a-b-t whose ids sort against the flow: a prefix's
+# flow runs through the upstream channels the walk adds later, so extending
+# {c1} by c4 must first drop the rest of c4's path.
+AGAINST_TOPOLOGICAL_ORDER = parse_network(
+    "field 5\nsource s\nsink t\n"
+    + "".join(f"edge c{i} s a\n" for i in (7, 8, 9))
+    + "".join(f"edge c{i} a b\n" for i in (4, 5, 6))
+    + "".join(f"edge c{i} b t\n" for i in (1, 2, 3))
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(dag_networks())
+@example(AGAINST_TOPOLOGICAL_ORDER)
+def test_topology_wiretap_sets_match_brute_force(net):
+    ids = sorted(e.id for e in net.edges)
+    for r in range(1, c_min(net)):
+        expected = tuple(
+            combo for combo in itertools.combinations(ids, r) if brute_force_edge_set_cut(net, combo) == r
+        )
+        assert enumerate_topology_wiretap_sets(net, r).sets == expected
+
+
 def test_enumerate_topology_rejects_large_r(butterfly, parallel3_gf2):
     with pytest.raises(SecurityLevelTooLarge):
         enumerate_topology_wiretap_sets(butterfly, 2)  # r = c_min

@@ -40,26 +40,48 @@ def test_security_verdicts_use_no_floating_point():
     assert found == []
 
 
+def _functions(module: str, names: set[str]) -> list[ast.FunctionDef]:
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    found = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in names]
+    assert {fn.name for fn in found} == names, f"{module} no longer defines {names}"
+    return found
+
+
+def _calls(fn: ast.FunctionDef) -> list[tuple[int, str]]:
+    """(line, name) of every call in fn, nested functions included."""
+    return [
+        (node.lineno, getattr(node.func, "id", getattr(node.func, "attr", None)))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+    ]
+
+
 def test_hot_paths_ask_rank_questions_of_an_echelon():
     # Construction, basis search and the sink decoders extend one incremental
     # echelon; none of them may eliminate from scratch per question again.
     banned = {"rank_of_rows", "in_span", "kernel_matrix", "spans_intersect_trivially", "hstack"}
     found = []
     for module, names in (("lnc.py", {"construct_lnc"}), ("secure.py", {"choose_secure_basis", "_sink_decoder"})):
-        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-        for fn in tree.body:
-            if isinstance(fn, ast.FunctionDef) and fn.name in names:
-                names = names - {fn.name}
-                for node in ast.walk(fn):
-                    if isinstance(node, ast.Call):
-                        called = getattr(node.func, "id", getattr(node.func, "attr", None))
-                        if called in banned:
-                            found.append(f"{fn.name}:{node.lineno}: {called}")
-        assert names == set(), f"{module} no longer defines {names}"
+        for fn in _functions(module, names):
+            found += [f"{fn.name}:{line}: {called}" for line, called in _calls(fn) if called in banned]
     field = ast.parse((PACKAGE / "field.py").read_text(encoding="utf-8"))
     found += [
         f"field.py:{node.lineno}: {node.name}"
         for node in ast.walk(field)
         if isinstance(node, ast.FunctionDef) and node.name == "_echelon"
     ]
+    assert found == []
+
+
+def test_wiretap_enumeration_extends_prefixes():
+    # Both wiretap collections grow one state per prefix (a flow, an echelon):
+    # no set may get a fresh max-flow or elimination, and the flow's arcs are
+    # built once per network, not per call.
+    banned = {"min_cut_to_edges", "_unit_flow", "rank_of_rows", "combinations"}
+    found = []
+    for module, name in (("network.py", "enumerate_topology_wiretap_sets"), ("lnc.py", "enumerate_code_wiretap_sets")):
+        for fn in _functions(module, {name}):
+            found += [f"{name}:{line}: {called}" for line, called in _calls(fn) if called in banned]
+    for fn in _functions("network.py", {"_unit_flow"}):
+        found += [f"_unit_flow:{line}: append" for line, called in _calls(fn) if called == "append"]
     assert found == []
