@@ -83,13 +83,14 @@ class FieldSpec:
     checked exhaustively at construction).
     """
 
-    __slots__ = ("q", "p", "m", "modulus", "_mod_mask")
+    __slots__ = ("q", "p", "m", "modulus", "_mod_mask", "_mul_rows")
 
     def __init__(self, q: int, modulus: Sequence[int] | None = None):
         p, m = _factor_prime_power(q)
         self.q = q
         self.p = p
         self.m = m
+        self._mul_rows: dict[int, tuple[int, ...]] = {}
         if m == 1:
             if modulus is not None:
                 raise ValueError("prime fields take no modulus")
@@ -143,6 +144,13 @@ class FieldSpec:
             if x & top:
                 x ^= self._mod_mask
         return res
+
+    def mul_row(self, c: int) -> tuple[int, ...]:
+        """The products c * x for every element x in element order, built once per c."""
+        row = self._mul_rows.get(c)
+        if row is None:
+            row = self._mul_rows[c] = tuple(self.mul(c, x) for x in self.elements())
+        return row
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -204,14 +212,33 @@ def ff_op(field: FieldSpec, a: int, b: int, kind: str) -> int:
 def combine(
     field: FieldSpec, coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int
 ) -> tuple[int, ...]:
-    """The length-n vector sum of c_i * v_i; zero coefficients and entries are skipped."""
-    acc = [0] * n
+    """The length-n vector sum of c_i * v_i; zero coefficients are skipped.
+
+    Over GF(2^m) each term is a lookup in the cached row of c_i's products;
+    over GF(p) each term is added as an integer and reduced mod p at once.
+    The vectors may be kernels or whole symbol columns, one entry per input.
+    """
+    # The first nonzero term starts the sum; with none, the sum is the zero
+    # vector.  No pass is spent on zeros or on a closing reduction, which
+    # matters to the thousands of one-entry kernels a refutation combines.
+    acc: list[int] | None = None
+    if field.m == 1:
+        p = field.p
+        for c, v in zip(coeffs, vectors):
+            if c:
+                if acc is None:
+                    acc = [c * x % p for x in v]
+                else:
+                    acc = [(a + c * x) % p for a, x in zip(acc, v)]
+        return (0,) * n if acc is None else tuple(acc)
     for c, v in zip(coeffs, vectors):
         if c:
-            for idx, x in enumerate(v):
-                if x:
-                    acc[idx] = field.add(acc[idx], field.mul(c, x))
-    return tuple(acc)
+            row = field.mul_row(c)
+            if acc is None:
+                acc = [row[x] for x in v]
+            else:
+                acc = [a ^ row[x] for a, x in zip(acc, v)]
+    return (0,) * n if acc is None else tuple(acc)
 
 
 def standard_basis(n: int, j: int) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -29,13 +29,10 @@ from .errors import (
 from .field import FieldSpec, combine, in_span, standard_basis
 from .lnc import GlobalCode, imaginary_ids, in_channel_ids
 from .network import Network
-from .secure import SecureCodeBundle, _decode, encode_source
+from .secure import SecureCodeBundle, _decode
 
 DEFAULT_ENUM_BUDGET = 10**7
 DEFAULT_SEARCH_BUDGET = 10**8
-
-# One row per (message, key) input: the message, the key, and every channel's symbol.
-SymbolRow = tuple[tuple[int, ...], tuple[int, ...], dict[str, int]]
 
 
 # -- exact observation distributions ---------------------------------------------
@@ -60,25 +57,43 @@ def _check_enum_budget(bundle: SecureCodeBundle, budget: int) -> None:
         raise BudgetExceeded(f"input space {space} exceeds the budget {budget}")
 
 
-def _symbol_rows(bundle: SecureCodeBundle) -> Iterator[SymbolRow]:
-    elems = bundle.field.elements()
-    for m in itertools.product(elems, repeat=bundle.omega):
-        for k in itertools.product(elems, repeat=bundle.key_dim):
-            yield m, k, encode_source(bundle, m, k)
+def _input_columns(bundle: SecureCodeBundle) -> list[tuple[int, ...]]:
+    """Each coordinate X_j of X = [message, constant, key] as a column over every
+    input, the (message, key) inputs listed as itertools.product lists them."""
+    q, free = bundle.field.q, bundle.omega + bundle.key_dim
+    # Free coordinate d repeats each element q^(free-1-d) times, q^d times over:
+    # the last coordinate varies fastest, as in itertools.product.
+    digits = [
+        tuple([x for x in range(q) for _ in range(q ** (free - 1 - d))]) * q**d
+        for d in range(free)
+    ]
+    constants = [(c,) * q**free for c in bundle.constant]
+    return digits[:bundle.omega] + constants + digits[bundle.omega:]
+
+
+def _symbol_columns(
+    bundle: SecureCodeBundle, inputs: Sequence[tuple[int, ...]], edge_ids: Iterable[str]
+) -> dict[str, tuple[int, ...]]:
+    """Channel e's symbol on every input: the column sum of gain[e][j] * X_j."""
+    size = len(inputs[0])
+    return {eid: combine(bundle.field, bundle.gain[eid], inputs, size) for eid in edge_ids}
 
 
 def _count(
     bundle: SecureCodeBundle,
-    pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
+    messages: Sequence[tuple[int, ...]],
+    columns: Sequence[Sequence[int]],
     ids: tuple[str, ...],
 ) -> JointDistribution:
-    """The count table of the (message, observation) pairs seen on the channel set `ids`."""
+    """The count table of (message, observation) over every input, where the
+    observation is the input's entry in each of the channel set's columns."""
+    observations = zip(*columns) if columns else itertools.repeat((), len(messages))
     return JointDistribution(
         q=bundle.field.q,
         omega=bundle.omega,
         key_dim=bundle.key_dim,
         edge_ids=ids,
-        counts=Counter(pairs),
+        counts=Counter(zip(messages, observations)),
     )
 
 
@@ -90,8 +105,10 @@ def observation_distribution(
     ids = tuple(sorted(edge_ids))
     for eid in ids:
         bundle.network.edge(eid)
-    pairs = ((m, tuple([symbols[eid] for eid in ids])) for m, _k, symbols in _symbol_rows(bundle))
-    return _count(bundle, pairs, ids)
+    inputs = _input_columns(bundle)
+    columns = _symbol_columns(bundle, inputs, ids)
+    messages = list(zip(*inputs[:bundle.omega]))
+    return _count(bundle, messages, [columns[eid] for eid in ids], ids)
 
 
 def mutual_information(dist: JointDistribution) -> int:
@@ -160,15 +177,29 @@ class SecurityReport:
 
 def _decode_roundtrip(
     bundle: SecureCodeBundle,
-    inputs: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    columns: Mapping[str, list[int]],
+    inputs: list[tuple[int, ...]],
+    columns: Mapping[str, tuple[int, ...]],
 ) -> tuple[bool, str]:
+    """Every sink recovers every input.  A sink passes when its decoder, applied
+    to whole symbol columns, fits every check channel's column and gives back
+    every input column (message, constant and key); any other sink is walked
+    input by input with the decode rule itself, which names the first failure."""
+    field, size = bundle.field, len(inputs[0])
     for t in bundle.network.sinks:
         decoder = bundle.decoders[t]
-        split = len(decoder.channels)
+        if decoder.inverse is not None:
+            basis = [columns[eid] for eid in decoder.channels]
+            decoded = [combine(field, col, basis, size) for col in decoder.inverse]
+            if all(
+                combine(field, bundle.gain[eid], decoded, size) == columns[eid]
+                for eid in decoder.checks
+            ) and decoded == inputs:
+                continue
+        split, key_start = len(decoder.channels), bundle.n - bundle.key_dim
         # Every sink has an in-channel, so each row holds at least one symbol.
         rows = zip(*[columns[eid] for eid in decoder.channels + decoder.checks])
-        for (m, k), row in zip(inputs, rows):
+        for x, row in zip(zip(*inputs), rows):
+            m, k = x[:bundle.omega], x[key_start:]
             try:
                 got = _decode(bundle, t, row[:split], row[split:])
             except InconsistentObservation as exc:
@@ -176,6 +207,13 @@ def _decode_roundtrip(
             if got != (m, k):
                 return False, f"sink {t} decoded {got} instead of {(m, k)}"
     return True, ""
+
+
+def _partition(column: Sequence[int]) -> tuple[int, ...]:
+    """The column relabelled by first occurrence: two columns give the same
+    tuple exactly when they split the inputs into the same classes."""
+    labels = {x: label for label, x in enumerate(dict.fromkeys(column))}
+    return tuple(map(labels.__getitem__, column))
 
 
 def verify_security(
@@ -187,25 +225,37 @@ def verify_security(
     at most i.  The decode round-trip over all inputs is checked as well.
     With fast=True only the size-r sets are scanned, justified by
     monotonicity of leakage under set inclusion.
+
+    Each channel splits the inputs into classes of equal symbol, and a set
+    splits them into the common refinement of its channels' classes.  Sets
+    whose channels induce the same collection of partitions therefore see the
+    same partition of the inputs, so their count tables agree up to renaming
+    the observations, and mutual_information, which reads only support sizes
+    and counts, gives both the same result.  The first set with each
+    collection is counted over every input; later ones reuse its leakage.
     """
     _check_enum_budget(bundle, budget)
-    inputs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    columns: dict[str, list[int]] = {e.id: [] for e in bundle.network.edges}
-    for m, k, symbols in _symbol_rows(bundle):
-        inputs.append((m, k))
-        for eid, symbol in symbols.items():
-            columns[eid].append(symbol)
+    inputs = _input_columns(bundle)
+    columns = _symbol_columns(bundle, inputs, bundle.gain)
     decode_ok, decode_detail = _decode_roundtrip(bundle, inputs, columns)
-    messages = [m for m, _k in inputs]
+    messages = list(zip(*inputs[:bundle.omega]))
 
+    interned: dict[tuple[int, ...], int] = {}
+    partition = {
+        eid: interned.setdefault(_partition(col), len(interned)) for eid, col in columns.items()
+    }
+    leakage: dict[frozenset[int], int] = {}
     ids = sorted(columns)
     top = min(bundle.r, len(ids))
     sizes = [top] if fast else list(range(1, top + 1))
     results: list[tuple[tuple[str, ...], int, bool]] = []
     for size in sizes:
         for combo in itertools.combinations(ids, size):
-            observations = zip(*[columns[eid] for eid in combo])
-            mi = mutual_information(_count(bundle, zip(messages, observations), combo))
+            key = frozenset([partition[eid] for eid in combo])
+            mi = leakage.get(key)
+            if mi is None:
+                dist = _count(bundle, messages, [columns[eid] for eid in combo], combo)
+                mi = leakage[key] = mutual_information(dist)
             results.append((combo, mi, mi <= bundle.i))
     if not results:
         raise EmptySet("the bundle has no channel set of size up to r to scan")

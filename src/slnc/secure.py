@@ -150,8 +150,17 @@ def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
     # j <= n - r may be vec exactly when vec lies outside span(cols + F_A). That
     # depends on A only through span(F_A): keep one echelon per distinct span,
     # keyed by its reduced basis, and extend it by each accepted column.
+    # The r kernels of a code set are independent, so sets whose kernels agree
+    # up to scaling span the same space; only a new such collection needs an
+    # echelon.  Each kernel is scaled once, to a leading 1, by a one-row echelon.
+    scaled = {eid: Echelon(field, n, [k]).basis() for eid, k in code.kernels.items()}
+    seen: set[frozenset[tuple[tuple[int, ...], ...]]] = set()
     wiretap_spans: dict[tuple[tuple[int, ...], ...], Echelon] = {}
     for A in enumerate_code_wiretap_sets(code, r).sets:
+        key = frozenset([scaled[eid] for eid in A])
+        if key in seen:
+            continue
+        seen.add(key)
         echelon = Echelon(field, n, [code.kernels[eid] for eid in A])
         wiretap_spans.setdefault(echelon.basis(), echelon)
     span = Echelon(field, n)

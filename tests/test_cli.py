@@ -1,6 +1,8 @@
 import pytest
 
 from slnc.cli import main, sample_key_symbols
+from slnc.oracle import verify_security
+from slnc.secure import parse_bundle
 from conftest import FIXTURES, run_cli_process
 
 BUTTERFLY = str(FIXTURES / "butterfly.net")
@@ -135,6 +137,64 @@ def test_verify_insecure_bundle_exits_1(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(bundle_file))
     assert code == 1
     assert "verdict fail" in out
+
+
+# The butterfly bundle of `secure --omega 1 --r 1`, except that e5 -> e6 has
+# coefficient 0 and e6 the zero kernel to match: sink t1 keeps rank 1 < 2.
+RANK_DEFICIENT_BUNDLE = """\
+code n=2 q=3
+secure omega=1 r=1 i=0 keydim=1
+Q
+2 1
+1 0
+const
+field 3
+source s
+sink t1
+sink t2
+edge e1 s n1
+edge e2 s n2
+edge e3 n1 n3
+edge e4 n2 n3
+edge e5 n3 n4
+edge e6 n4 t1
+edge e7 n4 t2
+edge e8 n1 t1
+edge e9 n2 t2
+kernel e1 1 0
+kernel e2 0 1
+kernel e3 1 0
+kernel e4 0 1
+kernel e5 1 1
+kernel e6 0 0
+kernel e7 1 1
+kernel e8 1 0
+kernel e9 0 1
+local e1 e3 1
+local e2 e4 1
+local e3 e5 1
+local e4 e5 1
+local e5 e6 0
+local e5 e7 1
+local e1 e8 1
+local e2 e9 1
+"""
+
+
+def test_verify_reports_a_sink_that_cannot_decode(tmp_path, capsys):
+    detail = "sink t1 failed on input (0,), (0,): sink t1 cannot isolate the input: rank 1 < 2"
+    report = verify_security(parse_bundle(RANK_DEFICIENT_BUNDLE))
+    assert report.decode_ok is False
+    assert report.decode_detail == detail
+    assert report.secure
+
+    bundle_file = tmp_path / "b.slnc"
+    bundle_file.write_text(RANK_DEFICIENT_BUNDLE)
+    code, out, err = run(capsys, "verify", str(bundle_file))
+    assert code == 1
+    assert out == report.serialize()
+    assert out.splitlines()[-1] == "verdict pass worst=e1 maxmi=0.000000000"
+    assert err == f"decode check failed: {detail}\n"
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -122,6 +123,31 @@ def test_mul_matches_repeated_addition_in_prime_fields(field):
         for k in field.elements():
             assert field.mul(a, k) == acc
             acc = field.add(acc, a)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cached_product_rows_match_the_bit_loop(m):
+    field = FieldSpec(2**m)
+    for c in field.elements():
+        assert field.mul_row(c) == tuple(field.mul(c, x) for x in field.elements())
+        assert field.mul_row(c) is field.mul_row(c)
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=lambda f: f"q{f.q}")
+def test_combine_matches_entrywise_products(field):
+    # Columns as long as the oracle's, and kernels as short as construction's.
+    rng = random.Random(field.q)
+    for n, terms in ((1, 1), (3, 2), (4, 4), (500, 5)):
+        coeffs = [rng.randrange(field.q) for _ in range(terms - 1)] + [0]
+        vectors = [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(terms)]
+        want = []
+        for entries in zip(*vectors):
+            acc = 0
+            for c, x in zip(coeffs, entries):
+                acc = field.add(acc, field.mul(c, x))
+            want.append(acc)
+        assert combine(field, coeffs, vectors, n) == tuple(want)
+    assert combine(field, [], [], 3) == (0, 0, 0)
 
 
 # -- matrices -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -8,16 +9,20 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from slnc.errors import (
     BudgetExceeded,
+    FieldTooSmall,
+    FieldTooSmallForSinks,
+    InconsistentObservation,
     InvalidKeyDim,
     NotADistribution,
 )
 from slnc.field import Matrix, combine, in_span, rank_of_rows, standard_basis
 from slnc.lnc import GlobalCode, construct_lnc, imaginary_ids, in_channel_ids
-from slnc.network import Network, parse_network
+from slnc.network import Network, c_min, parse_network
 from slnc.oracle import (
     DEFAULT_SEARCH_BUDGET,
     JointDistribution,
     RefutationResult,
+    SecurityReport,
     _message_in_key_span,
     han_profile,
     mutual_information,
@@ -28,14 +33,12 @@ from slnc.oracle import (
     verify_security,
 )
 from slnc import oracle
-from slnc.secure import SecureCodeBundle, build_secure_bundle
+from slnc.secure import SecureCodeBundle, build_secure_bundle, decode_at_sink, encode_source
 from conftest import FIXTURES, dag_networks
 
 
-def _identity_mixing_bundle(net, omega, r):
+def _identity_mixing_bundle(net, omega, r, i=0):
     """A deliberately insecure bundle: no mixing at all."""
-    from slnc.network import c_min
-
     n = c_min(net)
     base = construct_lnc(net, n)
     return SecureCodeBundle(
@@ -43,9 +46,9 @@ def _identity_mixing_bundle(net, omega, r):
         mixing=Matrix.identity(net.field, n),
         omega=omega,
         r=r,
-        i=0,
-        key_dim=r,
-        constant=(0,) * (n - omega - r),
+        i=i,
+        key_dim=r - i,
+        constant=(0,) * (n - omega - r + i),
     )
 
 
@@ -231,6 +234,130 @@ def test_exact_leakage_equals_rank_gap(butterfly, parallel3_gf2, parallel3_gf5):
     assert seen == {0, 1, 2}
 
 
+def reference_verify(bundle, fast=False):
+    """The per-input, per-set oracle, kept as the reference the column-wise
+    verify_security is checked against: every input encoded with
+    encode_source and decoded at every sink with decode_at_sink, and every
+    set's count table built from those symbols and passed to
+    mutual_information.  It also returns the count tables by set."""
+    elems = bundle.field.elements()
+    rows = [
+        (m, k, encode_source(bundle, m, k))
+        for m in itertools.product(elems, repeat=bundle.omega)
+        for k in itertools.product(elems, repeat=bundle.key_dim)
+    ]
+    net = bundle.network
+    detail = ""
+    for t in net.sinks:
+        for m, k, symbols in rows:
+            observed = {e.id: symbols[e.id] for e in net.in_edges(t)}
+            try:
+                got = decode_at_sink(bundle, t, observed)
+            except InconsistentObservation as exc:
+                detail = f"sink {t} failed on input {m}, {k}: {exc}"
+                break
+            if got != (m, k):
+                detail = f"sink {t} decoded {got} instead of {(m, k)}"
+                break
+        if detail:
+            break
+    ids = sorted(e.id for e in net.edges)
+    top = min(bundle.r, len(ids))
+    results, tables = [], {}
+    for size in [top] if fast else range(1, top + 1):
+        for combo in itertools.combinations(ids, size):
+            counts = collections.Counter((m, tuple(s[e] for e in combo)) for m, _k, s in rows)
+            tables[combo] = counts
+            mi = mutual_information(
+                JointDistribution(bundle.field.q, bundle.omega, bundle.key_dim, combo, counts)
+            )
+            results.append((combo, mi, mi <= bundle.i))
+    worst, max_mi, _ok = max(results, key=lambda res: res[1])
+    report = SecurityReport(
+        r=bundle.r,
+        i=bundle.i,
+        results=results,
+        worst_set=worst,
+        max_mi=max_mi,
+        secure=all(ok for _A, _mi, ok in results),
+        decode_ok=not detail,
+        decode_detail=detail,
+    )
+    return report, tables
+
+
+def _partition_bundle():
+    """Five parallel channels over GF(5) carrying X = [m, c, k1, k2] with c = 3:
+    e1 = m + k1 and e2 = 2(m + k1) split the inputs alike, yet {e1, e3} with
+    e3 = k1 reveals m while {e1, e2} does not.  e2 is sink t's check channel."""
+    net = parse_network("field 5\nsource s\nsink t\n" + "".join(f"edge e{j} s t\n" for j in range(1, 6)))
+    base = construct_lnc(net, 4)
+    base.kernels.update(
+        e1=(1, 0, 1, 0), e2=(2, 0, 2, 0), e3=(0, 0, 1, 0), e4=(0, 1, 0, 0), e5=(0, 0, 0, 1)
+    )
+    mixing = Matrix.identity(net.field, 4)
+    return SecureCodeBundle(base=base, mixing=mixing, omega=1, r=2, i=0, key_dim=2, constant=(3,))
+
+
+PARTITION_BUNDLE = _partition_bundle()
+
+
+# Most drawn networks have C_min = 1, so these two (C_min 2 and 3) join them.
+WIDER_NETWORKS = [
+    (FIXTURES / name).read_text(encoding="utf-8").split("\n", 1)[1]
+    for name in ("butterfly.net", "parallel3_gf5.net")
+]
+
+
+@st.composite
+def verify_cases(draw):
+    """A bundle over GF(p) or GF(2^m), on a drawn network or a wider fixture:
+    built by the secure construction, or leaky with identity mixing; at any i,
+    sometimes with one channel's kernel zeroed so that a sink may lose rank;
+    and whether to scan fast."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 8]))
+    wider = draw(st.sampled_from([None, *WIDER_NETWORKS]))
+    net = draw(dag_networks(q=q, max_extra=5)) if wider is None else parse_network(f"field {q}\n{wider}")
+    n = c_min(net)
+    r = draw(st.integers(1, max(1, n - 1)))
+    i = draw(st.integers(max(0, r - n + 1), r))
+    omega = draw(st.integers(1, n - r + i))
+    assume(q ** (omega + r - i) <= 256)
+    try:
+        # The construction needs r < C_min; identity mixing takes any r.
+        if r < n and draw(st.booleans()):
+            bundle = build_secure_bundle(net, omega, r, i)
+        else:
+            bundle = _identity_mixing_bundle(net, omega, r, i)
+    except (FieldTooSmall, FieldTooSmallForSinks):
+        assume(False)
+    if draw(st.booleans()):
+        bundle.base.kernels[draw(st.sampled_from([e.id for e in net.edges]))] = (0,) * n
+    return bundle, draw(st.booleans())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(verify_cases())
+@example((PARTITION_BUNDLE, False))
+@example((PARTITION_BUNDLE, True))
+def test_verify_matches_the_per_input_reference(case):
+    bundle, fast = case
+    got = verify_security(bundle, fast=fast)
+    want, tables = reference_verify(bundle, fast=fast)
+    assert got.serialize() == want.serialize()
+    assert (got.decode_ok, got.decode_detail) == (want.decode_ok, want.decode_detail)
+    for combo, counts in tables.items():
+        assert observation_distribution(bundle, combo).counts == counts
+
+
+def test_partition_bundle_shares_counts_only_between_equal_partitions():
+    got = verify_security(PARTITION_BUNDLE)
+    by_set = {A: mi for A, mi, _ok in got.results}
+    assert by_set[("e1", "e2")] == 0
+    assert by_set[("e1", "e3")] == by_set[("e2", "e3")] == 1
+    assert got.worst_set == ("e1", "e3") and got.decode_ok
+
+
 # -- rank criterion ---------------------------------------------------------------------
 
 def _manual_bundle(net, kernels, mixing_rows, omega, r, key_dim, const_len):
@@ -303,8 +430,6 @@ def test_rank_criterion_agrees_with_enumeration(butterfly, parallel3_gf5, parall
         (parallel3_gf5, 2, 2, 1),
         (parallel3_gf2, 1, 1, 0),
     ]
-    from slnc.network import c_min
-
     for net, omega, r, i in configs:
         n = c_min(net)
         base = construct_lnc(net, n)

@@ -15,28 +15,53 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _oracle_functions_reached_from(*roots: str) -> list[ast.FunctionDef]:
+    """The named oracle.py functions and every oracle.py function they reach by name."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo = list(roots)
+    reached: dict[str, ast.FunctionDef] = {}
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached[name] = functions[name]
+        todo += [
+            node.id
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Name) and node.id in functions
+        ]
+    return list(reached.values())
+
+
 def test_security_verdicts_use_no_floating_point():
     # README: no floating point anywhere security is decided.  The rule covers
     # the deciding functions and every oracle.py function they reach by name.
-    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    todo = ["verify_security", "mutual_information", "rank_security_criterion", "refute_key_rate"]
-    checked: set[str] = set()
+    roots = ["verify_security", "mutual_information", "rank_security_criterion", "refute_key_rate"]
     found = []
-    while todo:
-        name = todo.pop()
-        if name in checked:
-            continue
-        checked.add(name)
-        for node in ast.walk(functions[name]):
-            if isinstance(node, ast.Name) and node.id in functions:
-                todo.append(node.id)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+    for fn in _oracle_functions_reached_from(*roots):
+        name = fn.name
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
                 found.append(f"{name}:{node.lineno}: float constant {node.value!r}")
             elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "math":
                 found.append(f"{name}:{node.lineno}: math.{node.attr}")
             elif isinstance(node, ast.Div):
                 found.append(f"{name}: true division")
+    assert found == []
+
+
+def test_oracle_encodes_by_columns():
+    # The oracle builds each channel's symbols once, as a column over every
+    # input; no per-input encoding loop may come back into it.
+    banned = {"encode_source", "dot", "_symbol_rows"}
+    found = [
+        f"{fn.name}:{node.lineno}: {node.id if isinstance(node, ast.Name) else node.attr}"
+        for fn in _oracle_functions_reached_from("verify_security", "observation_distribution")
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Name) and node.id in banned)
+        or (isinstance(node, ast.Attribute) and node.attr in banned)
+    ]
     assert found == []
 
 
