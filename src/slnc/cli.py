@@ -133,6 +133,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_refute(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        raise _UsageError(f"--budget must be at least 1, got {args.budget}")
     net = _load_network(args.network)
     result = refute_key_rate(net, args.omega, args.r, args.keydim, budget=args.budget)
     sys.stdout.write(result.serialize())

@@ -313,6 +313,57 @@ class Echelon:
         return True
 
 
+def first_outside(
+    field: FieldSpec, basis: Sequence[Sequence[int]], spaces: Iterable[Echelon]
+) -> tuple[int, ...] | None:
+    """The first coefficient tuple a in `itertools.product` order whose
+    combination sum_k a_k * basis[k] lies outside every space; None if none does.
+
+    v lies in a space exactly when its residue `reduce(v)` is zero.  The
+    residue is linear in v (its entries at the free columns c are the forms of
+    the space's annihilator: 1 at c, -row_p[c] at each pivot p), so that of the
+    combination is sum_k a_k * reduce(basis[k]), and a space is decided at the
+    last coordinate whose basis vector has a nonzero residue.  The walk is
+    depth-first, first coordinate slowest, with one running residue per space;
+    a value is admissible when every space decided at its coordinate keeps a
+    nonzero residue.  Later coordinates leave a decided residue unchanged, so a
+    rejected prefix has no admissible completion and the first full tuple
+    reached is the first of all; coordinates past the last decided one stay 0.
+    """
+    d = len(basis)
+    decided: list[list[slice]] = [[] for _ in range(d)]
+    steps: list[list[int]] = [[] for _ in range(d)]  # every space's residue of basis[k]
+    width = 0
+    for space in spaces:
+        residues = [space.reduce(b) for b in basis]
+        last = max((k for k in range(d) if any(residues[k])), default=None)
+        if last is None:
+            return None  # every combination lies in the space
+        decided[last].append(slice(width, width + space.n))
+        width += space.n
+        for step, residue in zip(steps, residues):
+            step.extend(residue)
+    depth = max((k + 1 for k in range(d) if decided[k]), default=0)
+    sums = [(0,) * width]
+    prefix: list[int] = []
+    start = 0
+    while len(prefix) < depth:
+        k = len(prefix)
+        for a in range(start, field.q):
+            s = combine(field, (1, a), (sums[k], steps[k]), width)
+            if all(any(s[part]) for part in decided[k]):
+                prefix.append(a)
+                sums.append(s)
+                start = 0
+                break
+        else:
+            if not prefix:
+                return None
+            start = prefix.pop() + 1
+            sums.pop()
+    return (*prefix, *(0,) * (d - depth))
+
+
 def _subtract(field: FieldSpec, w: list[int], c: int, row: Sequence[int]) -> list[int]:
     """w - c * row, computed in place."""
     sub, mul = field.sub, field.mul

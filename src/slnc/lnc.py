@@ -8,9 +8,9 @@ keeps every sink's frontier kernels at full rank.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     DimensionExceedsCapacity,
@@ -18,8 +18,9 @@ from .errors import (
     ParseError,
     SecurityLevelTooLarge,
 )
-from .field import Echelon, FieldSpec, Matrix, combine, rank_of_rows, standard_basis
+from .field import Echelon, FieldSpec, Matrix, combine, first_outside, rank_of_rows, standard_basis
 from .network import (
+    Item,
     Network,
     WiretapCollection,
     c_min,
@@ -120,19 +121,17 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
             continue
         tail_kernels = [kernels[d] for d in tail_in]
         # Each frontier has rank n, so f may take slot j exactly when it lies
-        # outside the span of the slot's n - 1 other kernels.
+        # outside the hyperplane spanned by the slot's n - 1 other kernels.
         others = [
             Echelon(field, n, [kernels[d] for idx, d in enumerate(frontier[t]) if idx != j])
             for t, j in uses
         ]
-        for assignment in itertools.product(field.elements(), repeat=len(tail_in)):
-            f = combine(field, assignment, tail_kernels, n)
-            if all(any(echelon.reduce(f)) for echelon in others):
-                break
-        else:
+        assignment = first_outside(field, tail_kernels, others)
+        if assignment is None:
             # Unreachable for q >= |T|; the flow-path feasibility argument
             # guarantees a valid assignment exists.
             raise AssertionError(f"no feasible coefficients for channel {edge.id}")
+        f = combine(field, assignment, tail_kernels, n)
         for coeff, d in zip(assignment, tail_in):
             local_coeffs[(d, edge.id)] = coeff
         kernels[edge.id] = f
@@ -194,26 +193,31 @@ def check_code_validity(code: GlobalCode) -> CodeValidityReport:
 # -- wiretap collections ----------------------------------------------------------
 
 def enumerate_code_wiretap_sets(code: GlobalCode, r: int) -> WiretapCollection:
-    """All size-r channel sets whose kernel matrix has full rank r.
-
-    Independence is downward closed, so each prefix keeps the echelon of its
-    kernels and a channel extends it when its kernel reduces to nonzero.
-    """
+    """All size-r channel sets whose kernel matrix has full rank r."""
     if not 1 <= r < code.n:
         raise SecurityLevelTooLarge(f"need 1 <= r < n = {code.n}, got {r}")
-    kernels = code.kernels
-
-    def extend(span: Echelon, eid: str) -> Echelon | None:
-        child = span.copy()
-        return child if child.add(kernels[eid]) else None
-
-    def accept(span: Echelon, eid: str) -> bool:
-        return any(span.reduce(kernels[eid]))
-
     ids = sorted(e.id for e in code.network.edges)
-    root = Echelon(code.field, code.n)
-    sets = tuple(downward_closed_subsets(ids, r, root, extend, accept))
+    sets = tuple(independent_subsets(code.field, code.n, ids, r, code.kernels.__getitem__))
     return WiretapCollection(r=r, kind="rank", sets=sets)
+
+
+def independent_subsets(
+    field: FieldSpec, n: int, items: Sequence[Item], r: int, vector: Callable[[Item], Sequence[int]]
+) -> Iterator[tuple[Item, ...]]:
+    """The r-subsets of items whose vectors are independent, in lexicographic order.
+
+    Independence is downward closed, so each prefix keeps the echelon of its
+    vectors and an item extends it when its vector reduces to nonzero.
+    """
+
+    def extend(span: Echelon, item: Item) -> Echelon | None:
+        child = span.copy()
+        return child if child.add(vector(item)) else None
+
+    def accept(span: Echelon, item: Item) -> bool:
+        return any(span.reduce(vector(item)))
+
+    return downward_closed_subsets(items, r, Echelon(field, n), extend, accept)
 
 
 @dataclass(frozen=True)

@@ -364,15 +364,16 @@ def min_cut_to_edges(net: Network, edge_ids: Iterable[str]) -> int:
 
 
 State = TypeVar("State")
+Item = TypeVar("Item")
 
 
 def downward_closed_subsets(
-    items: Sequence[str],
+    items: Sequence[Item],
     r: int,
     root: State,
-    extend: Callable[[State, str], State | None],
-    accept: Callable[[State, str], bool],
-) -> Iterator[tuple[str, ...]]:
+    extend: Callable[[State, Item], State | None],
+    accept: Callable[[State, Item], bool],
+) -> Iterator[tuple[Item, ...]]:
     """The r-subsets of `items` in a downward-closed family, in lexicographic order.
 
     The walk is depth-first and holds one state per prefix, starting from
@@ -382,7 +383,7 @@ def downward_closed_subsets(
     is a member, so a failed step skips every set that would extend it.
     """
 
-    def walk(start: int, prefix: tuple[str, ...], state: State) -> Iterator[tuple[str, ...]]:
+    def walk(start: int, prefix: tuple[Item, ...], state: State) -> Iterator[tuple[Item, ...]]:
         depth = len(prefix) + 1
         for k in range(start, len(items) - r + depth):
             item = items[k]

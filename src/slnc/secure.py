@@ -23,19 +23,13 @@ from .errors import (
     Singular,
     UnknownSink,
 )
-from .field import (
-    Echelon,
-    FieldSpec,
-    Matrix,
-    dot,
-    vector_from_index,
-)
+from .field import Echelon, FieldSpec, Matrix, dot, first_outside, standard_basis
 from .lnc import (
     GlobalCode,
     _parse_header,
     code_body_lines,
     construct_lnc,
-    enumerate_code_wiretap_sets,
+    independent_subsets,
     parse_code_lines,
 )
 from .network import Network, c_min, parse_network, serialize_network
@@ -136,11 +130,11 @@ class SecureCodeBundle:
 def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
     """Greedy deterministic choice of the mixing matrix Q.
 
-    Vectors of GF(q)^n are scanned in base-q integer order (first coordinate
-    least significant).  Each of the first n - r columns is the smallest
-    vector that keeps the prefix independent and its span disjoint from
-    every wiretappable kernel span; the remaining columns just extend
-    independence.  Raises FieldTooSmall if a column scan exhausts the field.
+    Vectors of GF(q)^n are ordered by their base-q integer index (first
+    coordinate least significant).  Each of the first n - r columns is the
+    smallest vector that keeps the prefix independent and its span disjoint
+    from every wiretappable kernel span; the remaining columns just extend
+    independence.  Raises FieldTooSmall if no vector qualifies for a column.
     """
     n = code.n
     field = code.field
@@ -148,33 +142,31 @@ def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
         raise SecurityLevelTooLarge(f"need 1 <= r < n = {n}, got {r}")
     # cols are independent and meet no span(F_A), and F_A has rank r, so column
     # j <= n - r may be vec exactly when vec lies outside span(cols + F_A). That
-    # depends on A only through span(F_A): keep one echelon per distinct span,
-    # keyed by its reduced basis, and extend it by each accepted column.
-    # The r kernels of a code set are independent, so sets whose kernels agree
-    # up to scaling span the same space; only a new such collection needs an
-    # echelon.  Each kernel is scaled once, to a leading 1, by a one-row echelon.
-    scaled = {eid: Echelon(field, n, [k]).basis() for eid, k in code.kernels.items()}
-    seen: set[frozenset[tuple[tuple[int, ...], ...]]] = set()
+    # depends on A only through span(F_A).  A code set's r independent kernels,
+    # each scaled to a leading 1, are r distinct directions, and one channel per
+    # direction realises every independent r-set of directions: so the spans
+    # are those of the independent r-sets of distinct nonzero directions.
+    directions = sorted(
+        {row for k in code.kernels.values() for row in Echelon(field, n, [k]).basis()}
+    )
     wiretap_spans: dict[tuple[tuple[int, ...], ...], Echelon] = {}
-    for A in enumerate_code_wiretap_sets(code, r).sets:
-        key = frozenset([scaled[eid] for eid in A])
-        if key in seen:
-            continue
-        seen.add(key)
-        echelon = Echelon(field, n, [code.kernels[eid] for eid in A])
+    for A in independent_subsets(field, n, directions, r, lambda d: d):
+        echelon = Echelon(field, n, A)
         wiretap_spans.setdefault(echelon.basis(), echelon)
+    # Index order is lexicographic with the last coordinate slowest: search over
+    # the unit vectors, last first, and reverse.  The zero vector (index 0) lies
+    # in every space, so the search never returns it.
+    units = [standard_basis(n, c) for c in reversed(range(n))]
     span = Echelon(field, n)
     cols: list[tuple[int, ...]] = []
     for j in range(1, n + 1):
         avoid = [span, *wiretap_spans.values()] if j <= n - r else [span]
-        for index in range(1, field.q ** n):
-            vec = vector_from_index(field, index, n)
-            if all(any(echelon.reduce(vec)) for echelon in avoid):
-                break
-        else:
+        found = first_outside(field, units, avoid)
+        if found is None:
             raise FieldTooSmall(
                 f"no column {j} of {n} exists over GF({field.q}); retry with a larger field"
             )
+        vec = found[::-1]
         for echelon in avoid:
             echelon.add(vec)
         cols.append(vec)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from slnc.errors import SlncError
 from slnc.network import Network, parse_network
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +53,32 @@ def dag_networks(draw, q=5, max_extra=7):
     lines = [f"field {q}", "source n0"] + [f"sink n{t}" for t in sinks]
     lines += [f"edge c{i} n{a} n{b}" for i, (a, b) in enumerate(pairs, 1)]
     return parse_network("\n".join(lines) + "\n")
+
+
+# Small networks on which the linear-form searches are held to their
+# candidate-scan references: random DAGs, whose off-path channels and nodes
+# with several in-channels vary the search, and combination networks, whose
+# source channels search the whole of GF(q)^n.
+SEARCH_FIELDS = (2, 3, 4, 5, 7, 8)
+# The candidate scans try up to q^d tuples per channel or column, so the tests
+# that compare against them stop at dimension 4 (at most 8^4 = 4,096 tuples);
+# eight parallel channels over GF(8) would otherwise ask for 8^7 at the first.
+SCAN_MAX_DIM = 4
+small_networks = st.one_of(
+    st.sampled_from(SEARCH_FIELDS).flatmap(lambda q: dag_networks(q=q)),
+    st.builds(
+        lambda n, k, q: combination_network(n, min(k, n - 1), q),
+        st.integers(2, 5), st.integers(1, 4), st.sampled_from(SEARCH_FIELDS),
+    ),
+)
+
+
+def outcome(build):
+    """What build() returns, or the type and message of the SlncError it raises."""
+    try:
+        return build()
+    except SlncError as exc:
+        return type(exc), str(exc)
 
 
 def run_cli_process(*argv: str, optimize: bool = False, timeout: float = 60.0) -> subprocess.CompletedProcess:

@@ -1,4 +1,9 @@
+import contextlib
+import io
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slnc.cli import main, sample_key_symbols
 from slnc.oracle import verify_security
@@ -258,6 +263,15 @@ def test_refute_budget_exit(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_refute_budget_below_one_is_a_usage_error(capsys, budget):
+    code, out, err = run(
+        capsys, "refute", BUTTERFLY, "--omega", "1", "--r", "1", "--keydim", "0", "--budget", budget
+    )
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --budget must be at least 1, got {budget}\n"
+
+
 @pytest.mark.parametrize(
     "rates",
     [("--omega", "1000000000", "--r", "1", "--keydim", "0"),
@@ -333,6 +347,50 @@ def test_hancheck_rejects_bad_table(tmp_path, capsys):
         code, out, err = run(capsys, "hancheck", "--table", str(table))
         assert (code, out) == (3, "")
         assert err.startswith("error:")
+
+
+_PROBABILITIES = st.sampled_from(["0", "1", "0.5", "0.25", "1.0", "-0.5", "nan", "inf", "-inf", "1e400", "1_0"])
+_TABLE_TOKENS = st.one_of(
+    _PROBABILITIES,
+    st.sampled_from(["a", "b", "#"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4),
+)
+# Lines of any tokens, and lines of outcomes of mixed arity ending in a probability.
+_TABLE_LINES = st.one_of(
+    st.lists(_TABLE_TOKENS, max_size=14).map(" ".join),
+    st.tuples(st.lists(st.sampled_from("01ab"), max_size=13), _PROBABILITIES).map(
+        lambda line: " ".join([*line[0], line[1]])
+    ),
+)
+
+
+@st.composite
+def _uniform_tables(draw):
+    """Well-formed tables: distinct outcomes of one arity, equal dyadic probabilities."""
+    arity = draw(st.integers(1, 4))
+    size = draw(st.sampled_from([1, 2, 4, 8]))
+    outcome = st.tuples(*[st.sampled_from("01ab")] * arity)
+    outcomes = draw(st.lists(outcome, min_size=size, max_size=size, unique=True))
+    return [" ".join(o) + f" {1 / size}" for o in outcomes]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(st.lists(_TABLE_LINES, max_size=6), _uniform_tables()))
+def test_hancheck_table_fuzz(tmp_path_factory, lines):
+    # Random tokens, bad probabilities, mixed arities and empty files all end
+    # quickly with a profile (exit 0) or an input error (exit 3), never a crash.
+    table = tmp_path_factory.getbasetemp() / "fuzz_table.txt"
+    table.write_text("\n".join(lines), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["hancheck", "--table", str(table)])
+    assert time.perf_counter() - start < 2.0
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().count("\n") == 1
+    else:
+        assert (code, out.getvalue()) == (3, "")
+        assert err.getvalue().startswith("error:")
 
 
 @pytest.mark.parametrize("base", ["1", "nan", "inf", "0", "-2"])

@@ -13,6 +13,7 @@ from slnc.field import (
     Matrix,
     combine,
     ff_op,
+    first_outside,
     in_span,
     mat_inverse,
     mat_rank,
@@ -293,6 +294,26 @@ def test_echelon_agrees_with_exhaustive_span(q, n, data):
         for k, g in enumerate(shuffled)
     ]
     assert Echelon(field, n, other).basis() == echelon.basis()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(q=st.sampled_from([2, 3, 4, 5]), n=st.integers(1, 3), data=st.data())
+def test_first_outside_is_the_first_product_tuple_outside_every_space(q, n, data):
+    field = FieldSpec(q)
+    vector = st.tuples(*[st.integers(0, q - 1)] * n)
+    basis = data.draw(st.lists(vector, max_size=3))
+    generators = data.draw(st.lists(st.lists(vector, max_size=3), max_size=3))
+    spans = [_span_vectors(field, gens) if gens else {(0,) * n} for gens in generators]
+    expected = next(
+        (
+            a
+            for a in itertools.product(field.elements(), repeat=len(basis))
+            if all(combine(field, a, basis, n) not in span for span in spans)
+        ),
+        None,
+    )
+    spaces = [Echelon(field, n, gens) for gens in generators]
+    assert first_outside(field, basis, spaces) == expected
 
 
 @settings(max_examples=150, deadline=None)

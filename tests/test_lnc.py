@@ -3,20 +3,23 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slnc.errors import DimensionExceedsCapacity, FieldTooSmallForSinks, SecurityLevelTooLarge
-from slnc.field import rank_of_rows
+from slnc.field import Echelon, combine, rank_of_rows
 from slnc.lnc import (
     GlobalCode,
     check_code_validity,
     construct_lnc,
     enumerate_code_wiretap_sets,
+    imaginary_ids,
+    in_channel_ids,
     standard_basis,
     verify_subset_bound,
     write_code,
 )
-from slnc.network import c_min
-from conftest import combination_network
+from slnc.network import Network, c_min, edge_disjoint_paths
+from conftest import SCAN_MAX_DIM, combination_network, outcome, small_networks
 
 
 def sink_input_rank(code, t):
@@ -94,6 +97,81 @@ def test_construct_pinned(request, net_name, dim, digest):
         net = request.getfixturevalue(net_name)
     text = write_code(construct_lnc(net, dim))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def scan_construct_lnc(net: Network, n: int) -> GlobalCode:
+    """The candidate scan over every coefficient tuple in product order, kept
+    as the reference the linear-form search of `construct_lnc` is checked against.
+
+    Requires n <= C_min and q >= |T|.  Edges on no flow path carry all-zero
+    kernels; everything else follows the lexicographic coefficient search,
+    so identical inputs reproduce identical codes byte for byte.
+    """
+    if n < 1:
+        raise ValueError("code dimension must be at least 1")
+    capacity = c_min(net)
+    if n > capacity:
+        raise DimensionExceedsCapacity(f"dimension {n} exceeds C_min = {capacity}")
+    field = net.field
+    if field.q < len(net.sinks):
+        raise FieldTooSmallForSinks(
+            f"flow-path construction needs q >= |T|; q={field.q}, |T|={len(net.sinks)}"
+        )
+
+    imag = imaginary_ids(n)
+    kernels: dict[str, tuple[int, ...]] = {
+        d: standard_basis(n, j) for j, d in enumerate(imag)
+    }
+    zero = (0,) * n
+
+    on_path: dict[str, list[tuple[str, int]]] = {}
+    for t in net.sinks:
+        for j, path in enumerate(edge_disjoint_paths(net, t, n)):
+            for eid in path:
+                on_path.setdefault(eid, []).append((t, j))
+    frontier: dict[str, list[str]] = {t: list(imag) for t in net.sinks}
+
+    local_coeffs: dict[tuple[str, str], int] = {}
+    for edge in net.topo_edges():
+        tail_in = in_channel_ids(net, n, edge.tail)
+        uses = on_path.get(edge.id, ())
+        if not uses:
+            for d in tail_in:
+                local_coeffs[(d, edge.id)] = 0
+            kernels[edge.id] = zero
+            continue
+        tail_kernels = [kernels[d] for d in tail_in]
+        # Each frontier has rank n, so f may take slot j exactly when it lies
+        # outside the span of the slot's n - 1 other kernels.
+        others = [
+            Echelon(field, n, [kernels[d] for idx, d in enumerate(frontier[t]) if idx != j])
+            for t, j in uses
+        ]
+        for assignment in itertools.product(field.elements(), repeat=len(tail_in)):
+            f = combine(field, assignment, tail_kernels, n)
+            if all(any(echelon.reduce(f)) for echelon in others):
+                break
+        else:
+            # Unreachable for q >= |T|; the flow-path feasibility argument
+            # guarantees a valid assignment exists.
+            raise AssertionError(f"no feasible coefficients for channel {edge.id}")
+        for coeff, d in zip(assignment, tail_in):
+            local_coeffs[(d, edge.id)] = coeff
+        kernels[edge.id] = f
+        for t, j in uses:
+            frontier[t][j] = edge.id
+
+    real_kernels = {e.id: kernels[e.id] for e in net.edges}
+    return GlobalCode(n=n, kernels=real_kernels, local_coeffs=local_coeffs, network=net)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(small_networks)
+def test_construct_matches_the_candidate_scan(net):
+    for d in range(1, min(c_min(net), SCAN_MAX_DIM) + 1):
+        assert outcome(lambda: write_code(construct_lnc(net, d))) == outcome(
+            lambda: write_code(scan_construct_lnc(net, d))
+        )
 
 
 def test_kernels_recompute_from_locals(butterfly):

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slnc.errors import (
     DimensionMismatch,
@@ -11,17 +13,18 @@ from slnc.errors import (
     SecurityLevelTooLarge,
     UnknownSink,
 )
-from slnc.field import Matrix, spans_intersect_trivially, vector_from_index
-from slnc.lnc import construct_lnc, enumerate_code_wiretap_sets
-from slnc.network import c_min
+from slnc.field import Echelon, Matrix, spans_intersect_trivially, vector_from_index
+from slnc.lnc import GlobalCode, construct_lnc, enumerate_code_wiretap_sets
+from slnc.network import c_min, parse_network
 from slnc.secure import (
     SecureCodeBundle,
     build_secure_bundle,
     choose_secure_basis,
     decode_at_sink,
     encode_source,
+    write_bundle,
 )
-from conftest import combination_network
+from conftest import SCAN_MAX_DIM, SEARCH_FIELDS, combination_network, outcome, small_networks
 
 
 # -- independent oracle for the greedy basis ----------------------------------
@@ -120,6 +123,84 @@ def test_choose_secure_basis_condition(request, net_name, r, q_cols):
     assert q_mat.rank() == n
 
 
+def scan_choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
+    """The scan over every code wiretap set and every candidate column, kept as
+    the reference the linear-form search of `choose_secure_basis` is checked against.
+
+    Vectors of GF(q)^n are scanned in base-q integer order (first coordinate
+    least significant).  Each of the first n - r columns is the smallest
+    vector that keeps the prefix independent and its span disjoint from
+    every wiretappable kernel span; the remaining columns just extend
+    independence.  Raises FieldTooSmall if a column scan exhausts the field.
+    """
+    n = code.n
+    field = code.field
+    if not 1 <= r < n:
+        raise SecurityLevelTooLarge(f"need 1 <= r < n = {n}, got {r}")
+    # cols are independent and meet no span(F_A), and F_A has rank r, so column
+    # j <= n - r may be vec exactly when vec lies outside span(cols + F_A). That
+    # depends on A only through span(F_A): keep one echelon per distinct span,
+    # keyed by its reduced basis, and extend it by each accepted column.
+    # The r kernels of a code set are independent, so sets whose kernels agree
+    # up to scaling span the same space; only a new such collection needs an
+    # echelon.  Each kernel is scaled once, to a leading 1, by a one-row echelon.
+    scaled = {eid: Echelon(field, n, [k]).basis() for eid, k in code.kernels.items()}
+    seen: set[frozenset[tuple[tuple[int, ...], ...]]] = set()
+    wiretap_spans: dict[tuple[tuple[int, ...], ...], Echelon] = {}
+    for A in enumerate_code_wiretap_sets(code, r).sets:
+        key = frozenset([scaled[eid] for eid in A])
+        if key in seen:
+            continue
+        seen.add(key)
+        echelon = Echelon(field, n, [code.kernels[eid] for eid in A])
+        wiretap_spans.setdefault(echelon.basis(), echelon)
+    span = Echelon(field, n)
+    cols: list[tuple[int, ...]] = []
+    for j in range(1, n + 1):
+        avoid = [span, *wiretap_spans.values()] if j <= n - r else [span]
+        for index in range(1, field.q ** n):
+            vec = vector_from_index(field, index, n)
+            if all(any(echelon.reduce(vec)) for echelon in avoid):
+                break
+        else:
+            raise FieldTooSmall(
+                f"no column {j} of {n} exists over GF({field.q}); retry with a larger field"
+            )
+        for echelon in avoid:
+            echelon.add(vec)
+        cols.append(vec)
+    return Matrix.from_cols(field, cols, rows=n)
+
+
+def constructed_codes(net):
+    """The network's constructed codes of every dimension from 2 up to
+    SCAN_MAX_DIM; none when q < |T|."""
+    dims = range(2, min(c_min(net), SCAN_MAX_DIM) + 1)
+    return [construct_lnc(net, d) for d in dims] if net.field.q >= len(net.sinks) else []
+
+
+@st.composite
+def arbitrary_codes(draw):
+    """One code with arbitrary kernels on parallel channels: the basis search
+    reads only the kernels, and over small fields many kernels leave no column."""
+    q = draw(st.sampled_from(SEARCH_FIELDS))
+    n = draw(st.integers(2, SCAN_MAX_DIM))
+    kernels = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), min_size=1, max_size=10))
+    ids = [f"c{i}" for i in range(len(kernels))]
+    net = parse_network("\n".join([f"field {q}", "source s", "sink t"] + [f"edge {c} s t" for c in ids]))
+    return [GlobalCode(n=n, kernels=dict(zip(ids, kernels)), local_coeffs={}, network=net)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.one_of(small_networks.map(constructed_codes), arbitrary_codes()))
+def test_choose_secure_basis_matches_the_candidate_scan(codes):
+    for code in codes:
+        for r in range(1, code.n):
+            assert outcome(lambda: choose_secure_basis(code, r)) == outcome(
+                lambda: scan_choose_secure_basis(code, r)
+            )
+
+
 def test_choose_secure_basis_rejects_bad_level(butterfly):
     code = construct_lnc(butterfly, 2)
     with pytest.raises(SecurityLevelTooLarge):
@@ -137,6 +218,14 @@ def test_choose_secure_basis_field_too_small(butterfly_gf2):
 
 
 # -- bundle building ------------------------------------------------------------
+
+def test_benchmark_bundle_pinned():
+    # The benchmark's secure workload: C(6,4)/GF(16) at omega=1, r=3.  Its
+    # bundle must stay byte-identical across versions, not only across runs.
+    bundle = build_secure_bundle(combination_network(6, 4, 16), 1, 3)
+    digest = hashlib.sha256(write_bundle(bundle).encode()).hexdigest()
+    assert digest == "124dd8c323abdb888ca5190fe89e8504ebccc3aa84d71d83079bcc111a54c38c"
+
 
 def test_build_bundle_with_padding(parallel3_gf5):
     bundle = build_secure_bundle(parallel3_gf5, omega=1, r=1)

@@ -104,9 +104,29 @@ def test_wiretap_enumeration_extends_prefixes():
     # built once per network, not per call.
     banned = {"min_cut_to_edges", "_unit_flow", "rank_of_rows", "combinations"}
     found = []
-    for module, name in (("network.py", "enumerate_topology_wiretap_sets"), ("lnc.py", "enumerate_code_wiretap_sets")):
+    for module, name in (
+        ("network.py", "enumerate_topology_wiretap_sets"),
+        ("lnc.py", "enumerate_code_wiretap_sets"),
+        ("lnc.py", "independent_subsets"),
+    ):
         for fn in _functions(module, {name}):
             found += [f"{name}:{line}: {called}" for line, called in _calls(fn) if called in banned]
     for fn in _functions("network.py", {"_unit_flow"}):
         found += [f"_unit_flow:{line}: append" for line, called in _calls(fn) if called == "append"]
+    assert found == []
+
+
+def test_construction_and_basis_search_walk_linear_forms():
+    # Both find their first admissible vector with the one linear-form search:
+    # neither may scan candidate tuples or columns, or enumerate code wiretap
+    # sets only to find their spans.
+    banned = {"product", "vector_from_index", "enumerate_code_wiretap_sets"}
+    found = [
+        f"{fn.name}:{node.lineno}: {node.id if isinstance(node, ast.Name) else node.attr}"
+        for module, name in (("lnc.py", "construct_lnc"), ("secure.py", "choose_secure_basis"))
+        for fn in _functions(module, {name})
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Name) and node.id in banned)
+        or (isinstance(node, ast.Attribute) and node.attr in banned)
+    ]
     assert found == []
