@@ -57,43 +57,22 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-def _poly_mod2(a: int, b: int) -> int:
-    """Remainder of carry-less division of a by b (bitmask polynomials over GF(2))."""
-    deg_b = b.bit_length() - 1
-    while a and a.bit_length() - 1 >= deg_b:
-        a ^= b << (a.bit_length() - 1 - deg_b)
-    return a
-
-
-def _is_irreducible_gf2(mask: int, m: int) -> bool:
-    # Any reducible degree-m polynomial has a factor of degree <= m // 2;
-    # the candidate space is tiny for m <= 8, so scan it exhaustively.
-    for d in range(1, m // 2 + 1):
-        for cand in range(1 << d, 1 << (d + 1)):
-            if _poly_mod2(mask, cand) == 0:
-                return False
-    return True
-
-
 class FieldSpec:
     """GF(q) with elements represented as canonical integers in [0, q).
 
     Supported: prime q below 2^16, and GF(2^m) for m <= 8 with the fixed
-    built-in moduli (a custom irreducible modulus may be supplied; it is
-    checked exhaustively at construction).
+    built-in moduli.
     """
 
     __slots__ = ("q", "p", "m", "modulus", "_mod_mask", "_mul_rows")
 
-    def __init__(self, q: int, modulus: Sequence[int] | None = None):
+    def __init__(self, q: int):
         p, m = _factor_prime_power(q)
         self.q = q
         self.p = p
         self.m = m
         self._mul_rows: dict[int, tuple[int, ...]] = {}
         if m == 1:
-            if modulus is not None:
-                raise ValueError("prime fields take no modulus")
             self.modulus = ()
             self._mod_mask = 0
             return
@@ -101,16 +80,8 @@ class FieldSpec:
             raise ValueError(f"extension fields with characteristic {p} are unsupported")
         if m > _MAX_DEGREE:
             raise ValueError(f"extension degree {m} exceeds the supported maximum {_MAX_DEGREE}")
-        coeffs = tuple(modulus) if modulus is not None else _BINARY_MODULI[m]
-        if len(coeffs) != m + 1 or coeffs[-1] != 1 or any(c not in (0, 1) for c in coeffs):
-            raise ValueError(f"modulus must be a monic degree-{m} polynomial over GF(2)")
-        mask = 0
-        for i, c in enumerate(coeffs):
-            mask |= c << i
-        if not _is_irreducible_gf2(mask, m):
-            raise ValueError("modulus polynomial is reducible over GF(2)")
-        self.modulus = coeffs
-        self._mod_mask = mask
+        self.modulus = _BINARY_MODULI[m]
+        self._mod_mask = sum(c << i for i, c in enumerate(self.modulus))
 
     # Arithmetic below assumes canonical operands; `check` is the validating
     # entry point used by the public surface.
@@ -157,34 +128,28 @@ class FieldSpec:
             raise DivisionByZero(f"zero has no inverse in {self}")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        # a^(q-1) = 1, so a^(q-2) is the inverse: square-and-multiply.
+        res = 1
+        e = self.q - 2
+        while e:
+            if e & 1:
+                res = self.mul(res, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return res
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        res = 1
-        base = a
-        while e:
-            if e & 1:
-                res = self.mul(res, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return res
-
     def elements(self) -> range:
         return range(self.q)
 
+    # q fixes the modulus, so it fixes the field.
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, FieldSpec) and self.q == other.q
 
     def __hash__(self) -> int:
-        return hash((self.p, self.m, self.modulus))
+        return hash(self.q)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -405,10 +370,6 @@ class Matrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, (0,) * (rows * cols))
-
-    @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
         return cls(field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
@@ -436,9 +397,6 @@ class Matrix:
 
     # -- access ----------------------------------------------------------
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
@@ -450,9 +408,6 @@ class Matrix:
     def _require_same_field(self, other: "Matrix") -> None:
         if self.field != other.field:
             raise FieldMismatch(f"mixed fields {self.field} and {other.field}")
-
-    def transpose(self) -> "Matrix":
-        return Matrix.from_rows(self.field, [list(self.col(j)) for j in range(self.cols)], cols=self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._require_same_field(other)
@@ -526,15 +481,3 @@ def spans_intersect_trivially(b1: Matrix, b2: Matrix) -> bool:
     if b1.rows != b2.rows:
         raise DimensionMismatch("span test needs equal ambient dimensions")
     return b1.hstack(b2).rank() == b1.rank() + b2.rank()
-
-
-def vector_from_index(field: FieldSpec, index: int, n: int) -> tuple[int, ...]:
-    """Decode a base-q integer into a length-n vector, first coordinate least significant."""
-    digits = []
-    for _ in range(n):
-        index, rem = divmod(index, field.q)
-        digits.append(rem)
-    if index:
-        raise ValueError("index out of range for the requested vector length")
-    return tuple(digits)
-

@@ -69,10 +69,6 @@ class GlobalCode:
             return standard_basis(self.n, j)
         return self.kernels[channel_id]
 
-    def in_channel_ids(self, node: str) -> list[str]:
-        """Incoming channel ids at a node; the source sees the imaginary inputs."""
-        return in_channel_ids(self.network, self.n, node)
-
     def kernel_matrix(self, edge_ids) -> Matrix:
         """Columns f_e for the given channel ids, in the given order."""
         cols = [self.kernel(eid) for eid in edge_ids]
@@ -161,7 +157,7 @@ def _recursion_violations(code: GlobalCode) -> dict[str, tuple[int, ...]]:
     field = code.field
     violations: dict[str, tuple[int, ...]] = {}
     for edge in code.network.edges:
-        ins = code.in_channel_ids(edge.tail)
+        ins = in_channel_ids(code.network, code.n, edge.tail)
         expected = combine(
             field,
             [code.local_coeffs.get((d, edge.id), 0) for d in ins],

@@ -143,9 +143,6 @@ class Network:
     def in_edges(self, node: str) -> tuple[Edge, ...]:
         return self._in.get(node, ())
 
-    def out_edges(self, node: str) -> tuple[Edge, ...]:
-        return self._out.get(node, ())
-
     @cached_property
     def _arcs(self) -> _Arcs:
         return _Arcs(self)

@@ -73,7 +73,7 @@ def _sink_decoder(field: FieldSpec, n: int, gain: Mapping[str, tuple[int, ...]])
 class SecureCodeBundle:
     """A base code plus mixing matrix and rate bookkeeping.
 
-    key_dim = r - i uniform key symbols; the key rate equals key_dim exactly.
+    key_dim = r - i uniform key symbols, which is exactly the key rate.
     basis_level is the level at which the span-avoidance condition was built.
     """
 
@@ -96,10 +96,6 @@ class SecureCodeBundle:
     @property
     def network(self) -> Network:
         return self.base.network
-
-    @property
-    def key_rate(self) -> int:
-        return self.key_dim
 
     @property
     def basis_level(self) -> int:

@@ -73,6 +73,18 @@ small_networks = st.one_of(
 )
 
 
+def vector_from_index(field, index: int, n: int) -> tuple[int, ...]:
+    """Decode a base-q integer into a length-n vector, first coordinate least
+    significant: the index order of the candidate-scan references."""
+    digits = []
+    for _ in range(n):
+        index, rem = divmod(index, field.q)
+        digits.append(rem)
+    if index:
+        raise ValueError("index out of range for the requested vector length")
+    return tuple(digits)
+
+
 def outcome(build):
     """What build() returns, or the type and message of the SlncError it raises."""
     try:

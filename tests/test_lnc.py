@@ -182,7 +182,7 @@ def test_kernels_recompute_from_locals(butterfly):
     values = {d: standard_basis(2, j) for j, d in enumerate(["__s_1", "__s_2"])}
     for edge in butterfly.topo_edges():
         acc = (0, 0)
-        for d in code.in_channel_ids(edge.tail):
+        for d in in_channel_ids(code.network, code.n, edge.tail):
             k = code.local_coeffs[(d, edge.id)]
             acc = tuple(
                 field.add(x, field.mul(k, y)) for x, y in zip(acc, values[d])

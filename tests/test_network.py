@@ -34,8 +34,8 @@ def _reachable(net, removed, start):
     stack = [start]
     while stack:
         v = stack.pop()
-        for e in net.out_edges(v):
-            if e.id in removed or e.head in seen:
+        for e in net.edges:
+            if e.tail != v or e.id in removed or e.head in seen:
                 continue
             seen.add(e.head)
             stack.append(e.head)

@@ -13,7 +13,7 @@ from slnc.errors import (
     SecurityLevelTooLarge,
     UnknownSink,
 )
-from slnc.field import Echelon, Matrix, spans_intersect_trivially, vector_from_index
+from slnc.field import Echelon, Matrix, spans_intersect_trivially
 from slnc.lnc import GlobalCode, construct_lnc, enumerate_code_wiretap_sets
 from slnc.network import c_min, parse_network
 from slnc.secure import (
@@ -24,7 +24,14 @@ from slnc.secure import (
     encode_source,
     write_bundle,
 )
-from conftest import SCAN_MAX_DIM, SEARCH_FIELDS, combination_network, outcome, small_networks
+from conftest import (
+    SCAN_MAX_DIM,
+    SEARCH_FIELDS,
+    combination_network,
+    outcome,
+    small_networks,
+    vector_from_index,
+)
 
 
 # -- independent oracle for the greedy basis ----------------------------------
@@ -231,7 +238,7 @@ def test_build_bundle_with_padding(parallel3_gf5):
     bundle = build_secure_bundle(parallel3_gf5, omega=1, r=1)
     assert (bundle.n, bundle.key_dim, len(bundle.constant)) == (3, 1, 1)
     assert bundle.constant == (0,)
-    assert bundle.key_rate == 1
+    assert bundle.key_dim == 1
     assert bundle.constructively_certified
 
 
@@ -306,7 +313,7 @@ def test_encode_frozen_symbols_parallel_gf2(parallel3_gf2):
     inv = _brute_force_inverse_gf2(bundle.mixing)
     x = (1, 0, 1)  # [message, constant, key]
     w = tuple(
-        sum(x[i] * inv.at(i, j) for i in range(3)) % 2 for j in range(3)
+        sum(x[i] * inv.row(i)[j] for i in range(3)) % 2 for j in range(3)
     )
     for j, eid in enumerate(["e1", "e2", "e3"]):
         expected = sum(w[i] * bundle.base.kernels[eid][i] for i in range(3)) % 2

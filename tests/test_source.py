@@ -130,3 +130,29 @@ def test_construction_and_basis_search_walk_linear_forms():
         or (isinstance(node, ast.Attribute) and node.attr in banned)
     ]
     assert found == []
+
+
+def test_every_definition_is_referenced_in_the_package():
+    # A function, class, method or property that no package code names is
+    # only kept alive by the tests; it belongs in the tests or nowhere.  A
+    # name in `__all__` is a reference, and dunder methods are exempt.
+    # `perfectly_secure` is the exact count-table check that the tests hold
+    # `mutual_information` against, so the package keeps it for them.
+    defined: dict[str, str] = {}
+    referenced = {"perfectly_secure"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                referenced.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    found = sorted(
+        f"{where}: {name}"
+        for name, where in defined.items()
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert found == []
