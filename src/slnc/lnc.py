@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -190,28 +191,36 @@ def check_code_validity(code: GlobalCode) -> CodeValidityReport:
 
 def enumerate_code_wiretap_sets(code: GlobalCode, r: int) -> WiretapCollection:
     """All size-r channel sets whose kernel matrix has full rank r."""
+    return WiretapCollection(r=r, kind="rank", sets=tuple(_code_sets(code, r)))
+
+
+def _code_sets(code: GlobalCode, r: int) -> Iterator[tuple[str, ...]]:
+    """The code collection's sets as the walk lists them; r is checked at once."""
     if not 1 <= r < code.n:
         raise SecurityLevelTooLarge(f"need 1 <= r < n = {code.n}, got {r}")
     ids = sorted(e.id for e in code.network.edges)
-    sets = tuple(independent_subsets(code.field, code.n, ids, r, code.kernels.__getitem__))
-    return WiretapCollection(r=r, kind="rank", sets=sets)
+    return independent_subsets(code.field, code.n, ids, r, code.kernels.__getitem__)
 
 
 def independent_subsets(
-    field: FieldSpec, n: int, items: Sequence[Item], r: int, vector: Callable[[Item], Sequence[int]]
+    field: FieldSpec, n: int, items: Sequence[Item], r: int, vector: Callable[[Item], tuple[int, ...]]
 ) -> Iterator[tuple[Item, ...]]:
     """The r-subsets of items whose vectors are independent, in lexicographic order.
 
     Independence is downward closed, so each prefix keeps the echelon of its
-    vectors and an item extends it when its vector reduces to nonzero.
+    vectors and an item extends it when its vector reduces to nonzero.  Last
+    items often share vectors (a relay copies its kernel onto every
+    out-channel), so each (r-1)-prefix reduces each distinct vector once; a
+    zero vector reduces to zero and is never accepted.
     """
 
     def extend(span: Echelon, item: Item) -> Echelon | None:
         child = span.copy()
         return child if child.add(vector(item)) else None
 
-    def accept(span: Echelon, item: Item) -> bool:
-        return any(span.reduce(vector(item)))
+    def accept(span: Echelon) -> Callable[[Item], bool]:
+        outside = cache(lambda v: any(span.reduce(v)))
+        return lambda item: outside(vector(item))
 
     return downward_closed_subsets(items, r, Echelon(field, n), extend, accept)
 
@@ -236,12 +245,16 @@ def verify_subset_bound(code: GlobalCode, r: int) -> SubsetBoundReport:
     A false subset flag signals an implementation bug, never a property of
     the inputs.
     """
-    code_sets = enumerate_code_wiretap_sets(code, r)
+    code_sets = _code_sets(code, r)
     cut_sets = enumerate_topology_wiretap_sets(code.network, r)
-    holds = set(code_sets.sets) <= set(cut_sets.sets)
+    cut_members = cut_sets.members  # both walks list each set sorted
+    code_count = outside = 0
+    for A in code_sets:
+        code_count += 1
+        outside += A not in cut_members
     return SubsetBoundReport(
-        subset_holds=holds,
-        code_count=len(code_sets),
+        subset_holds=not outside,
+        code_count=code_count,
         cut_count=len(cut_sets),
         binomial=math.comb(len(code.network.edges), r),
     )

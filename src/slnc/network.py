@@ -50,11 +50,11 @@ class WiretapCollection:
     sets: tuple[tuple[str, ...], ...]
 
     @cached_property
-    def _members(self) -> frozenset[tuple[str, ...]]:
+    def members(self) -> frozenset[tuple[str, ...]]:
         return frozenset(self.sets)
 
     def __contains__(self, item: Sequence[str]) -> bool:
-        return tuple(sorted(item)) in self._members
+        return tuple(sorted(item)) in self.members
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -234,7 +234,7 @@ class _Arcs:
     in declaration order, so BFS finds the same augmenting paths on every
     run.  A flow owns a copy of `to` in which the channels it sends to the
     target have to[2i] set to it; their reverse arcs stay in the head's list,
-    where `_augment` skips them.
+    where `_search` skips them.
     """
 
     __slots__ = ("adj", "to", "source", "target", "channel")
@@ -254,13 +254,13 @@ class _Arcs:
         self.channel = {e.id: i for i, e in enumerate(net.edges)}
 
 
-def _augment(arcs: _Arcs, to: list[int], cap: list[int]) -> bool:
-    """Push one unit along the first BFS path from the source to the target.
+def _search(arcs: _Arcs, to: list[int], cap: list[int]) -> list[int | None]:
+    """Each node's parent arc in the BFS of the residual graph from the source
+    (-1 at the source, None where unreached), stopping at the target.
 
     An arc is usable when it has residual capacity and starts at the node
     being expanded: the reverse arc of a channel redirected to the target
-    starts at the target, which is never expanded.  Returns False, changing
-    nothing, when no augmenting path exists.
+    starts at the target, which is never expanded.
     """
     adj, source, target = arcs.adj, arcs.source, arcs.target
     parent: list[int | None] = [None] * (target + 1)
@@ -272,14 +272,23 @@ def _augment(arcs: _Arcs, to: list[int], cap: list[int]) -> bool:
             if cap[arc] and parent[v] is None and to[arc ^ 1] == u:
                 parent[v] = arc
                 if v == target:
-                    while v != source:
-                        arc = parent[v]
-                        cap[arc] -= 1
-                        cap[arc ^ 1] += 1
-                        v = to[arc ^ 1]
-                    return True
+                    return parent
                 queue.append(v)
-    return False
+    return parent
+
+
+def _augment(arcs: _Arcs, to: list[int], cap: list[int]) -> bool:
+    """Push one unit along the first BFS path to the target; False, changing nothing, if none."""
+    parent = _search(arcs, to, cap)
+    v = arcs.target
+    if parent[v] is None:
+        return False
+    while v != arcs.source:
+        arc = parent[v]
+        cap[arc] -= 1
+        cap[arc ^ 1] += 1
+        v = to[arc ^ 1]
+    return True
 
 
 def _unit_flow(net: Network, into: set[str], limit: int | None = None) -> tuple[int, list[int]]:
@@ -369,28 +378,28 @@ def downward_closed_subsets(
     r: int,
     root: State,
     extend: Callable[[State, Item], State | None],
-    accept: Callable[[State, Item], bool],
+    accept: Callable[[State], Callable[[Item], bool]],
 ) -> Iterator[tuple[Item, ...]]:
     """The r-subsets of `items` in a downward-closed family, in lexicographic order.
 
     The walk is depth-first and holds one state per prefix, starting from
     `root` for the empty one.  `extend(state, item)` gives the state of the
-    prefix plus item, or None when that set is not in the family;
-    `accept(state, item)` decides the last item.  Every subset of a member
-    is a member, so a failed step skips every set that would extend it.
+    prefix plus item, or None when that set is not in the family.
+    `accept(state)` runs once per (r-1)-prefix and returns the predicate that
+    decides each last item, so their shared work is done once.  Every subset
+    of a member is a member, so a failed step skips every set that would
+    extend it.
     """
 
     def walk(start: int, prefix: tuple[Item, ...], state: State) -> Iterator[tuple[Item, ...]]:
-        depth = len(prefix) + 1
-        for k in range(start, len(items) - r + depth):
-            item = items[k]
-            if depth == r:
-                if accept(state, item):
-                    yield (*prefix, item)
-            else:
-                child = extend(state, item)
-                if child is not None:
-                    yield from walk(k + 1, (*prefix, item), child)
+        if len(prefix) == r - 1:
+            last = accept(state)
+            yield from ((*prefix, item) for item in items[start:] if last(item))
+            return
+        for k in range(start, len(items) - r + len(prefix) + 1):
+            child = extend(state, items[k])
+            if child is not None:
+                yield from walk(k + 1, (*prefix, items[k]), child)
 
     return walk(0, (), root)
 
@@ -402,6 +411,12 @@ def enumerate_topology_wiretap_sets(net: Network, r: int) -> WiretapCollection:
     no path into a prefix P, so mincut(A) <= mincut(P) + |A - P|.  A prefix's
     state is its max-flow, of value |P|; adding a channel leaves a flow of
     value |P| and a cut of at most |P| + 1, so one augmenting path decides.
+
+    One scan of P's residual graph decides every last channel e that carries
+    no flow: mincut(P + e) = |P| + 1 exactly when tail(e) is reachable, since
+    every P channel is saturated (an augmenting path must end with e), e's
+    reverse arc has no capacity, and a shortest path to tail(e) never uses e.
+    A last channel that carries flow is decided by `extend`.
     """
     capacity = c_min(net)
     if not 1 <= r < capacity:
@@ -425,8 +440,17 @@ def enumerate_topology_wiretap_sets(net: Network, r: int) -> WiretapCollection:
         to[arc] = target
         return (to, cap) if _augment(arcs, to, cap) else None
 
-    def accept(flow: tuple[list[int], list[int]], eid: str) -> bool:
-        return extend(flow, eid) is not None
+    def accept(flow: tuple[list[int], list[int]]) -> Callable[[str], bool]:
+        to, cap = flow
+        reached = _search(arcs, to, cap)
+
+        def last(eid: str) -> bool:
+            arc = 2 * arcs.channel[eid]
+            if cap[arc]:  # no flow; the reverse arc leads to the tail
+                return reached[to[arc + 1]] is not None
+            return extend(flow, eid) is not None
+
+        return last
 
     ids = sorted(e.id for e in net.edges)
     root = (list(arcs.to), [1, 0] * len(net.edges))

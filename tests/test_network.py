@@ -320,9 +320,34 @@ AGAINST_TOPOLOGICAL_ORDER = parse_network(
 )
 
 
+# The prefix {c3}'s flow takes the shortest path s-a-b-c, through c1 and c2, so
+# the last candidate c6 (a to c, carrying no flow) has its tail a reachable only
+# along s-d-b and then back over c2's reverse arc: {c3, c6} has min cut 2.
+TAIL_BEHIND_REVERSE_ARC = parse_network(
+    "field 5\nsource s\nsink c\nedge c1 s a\nedge c2 a b\nedge c3 b c\n"
+    "edge c4 s d\nedge c5 d b\nedge c6 a c\nedge c7 s c\n"
+)
+
+# The prefix {c1} saturates the only channel into u, so the tail of c2 is
+# unreachable in its residual graph: {c1, c2} has min cut 1.
+TAIL_UNREACHABLE = parse_network(
+    "field 5\nsource s\nsink t\nedge c1 s u\nedge c2 u t\nedge c3 s t\nedge c4 s t\n"
+)
+
+# The prefix {c3}'s flow runs through c4, whose tail s is always reachable, yet
+# c4 feeds only c3: {c3, c4} has min cut 1, so a channel carrying flow is not
+# decided by reachability.
+IN_SERIES_WITH_PREFIX = parse_network(
+    "field 5\nsource s\nsink t\nedge c1 s t\nedge c2 s t\nedge c3 u t\nedge c4 s u\n"
+)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(dag_networks())
 @example(AGAINST_TOPOLOGICAL_ORDER)
+@example(TAIL_BEHIND_REVERSE_ARC)
+@example(TAIL_UNREACHABLE)
+@example(IN_SERIES_WITH_PREFIX)
 def test_topology_wiretap_sets_match_brute_force(net):
     ids = sorted(e.id for e in net.edges)
     for r in range(1, c_min(net)):

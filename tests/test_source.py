@@ -107,6 +107,7 @@ def test_wiretap_enumeration_extends_prefixes():
     for module, name in (
         ("network.py", "enumerate_topology_wiretap_sets"),
         ("lnc.py", "enumerate_code_wiretap_sets"),
+        ("lnc.py", "_code_sets"),
         ("lnc.py", "independent_subsets"),
     ):
         for fn in _functions(module, {name}):
