@@ -409,25 +409,6 @@ class Matrix:
         if self.field != other.field:
             raise FieldMismatch(f"mixed fields {self.field} and {other.field}")
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._require_same_field(other)
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        f = self.field
-        out: list[int] = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                out.append(dot(f, r, other.col(j)))
-        return Matrix(f, self.rows, other.cols, out)
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        self._require_same_field(other)
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack needs equal row counts")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return Matrix.from_rows(self.field, rows, cols=self.cols + other.cols)
-
     def rank(self) -> int:
         return rank_of_rows(self.field, [self.row(i) for i in range(self.rows)])
 
@@ -480,4 +461,5 @@ def spans_intersect_trivially(b1: Matrix, b2: Matrix) -> bool:
     b1._require_same_field(b2)
     if b1.rows != b2.rows:
         raise DimensionMismatch("span test needs equal ambient dimensions")
-    return b1.hstack(b2).rank() == b1.rank() + b2.rank()
+    cols = [b.col(j) for b in (b1, b2) for j in range(b.cols)]
+    return len(Echelon(b1.field, b1.rows, cols)) == b1.rank() + b2.rank()

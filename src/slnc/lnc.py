@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
     SecurityLevelTooLarge,
 )
-from .field import Echelon, FieldSpec, Matrix, combine, first_outside, rank_of_rows, standard_basis
+from .field import Echelon, FieldSpec, combine, first_outside, rank_of_rows, standard_basis
 from .network import (
     Item,
     Network,
@@ -69,11 +69,6 @@ class GlobalCode:
                 raise KeyError(channel_id)
             return standard_basis(self.n, j)
         return self.kernels[channel_id]
-
-    def kernel_matrix(self, edge_ids) -> Matrix:
-        """Columns f_e for the given channel ids, in the given order."""
-        cols = [self.kernel(eid) for eid in edge_ids]
-        return Matrix.from_cols(self.field, cols, rows=self.n)
 
 
 def construct_lnc(net: Network, n: int) -> GlobalCode:

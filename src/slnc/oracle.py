@@ -6,8 +6,11 @@ an integer comparison (never floating point).  With uniform message and key,
 a linear code gives every wiretap set a uniform count table, so its leakage
 is a whole number of q-ary symbols, read off exact support sizes.  Count-table
 equality and the algebraic rank criterion are two further, independent routes
-to the zero-leakage verdict.  The refutation search exhausts every linear code
-of a given dimension to corroborate that smaller key rates cannot work.
+to the zero-leakage verdict.  The rank criterion reads leakage as a rank gap,
+rank(F_A) minus the rank of F_A's key rows, and the refutation search uses the
+same rule as it exhausts every linear code of a given dimension to corroborate
+that smaller key rates cannot work.  Leakage only grows with the set, so the
+search checks, for each channel, only the largest sets that end with it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     MonotonicityViolated,
     NotADistribution,
 )
-from .field import FieldSpec, combine, in_span, standard_basis
+from .field import Echelon, FieldSpec, combine, in_span, standard_basis
 from .lnc import GlobalCode, imaginary_ids, in_channel_ids
 from .network import Network
 from .secure import SecureCodeBundle, _decode
@@ -272,30 +275,26 @@ def verify_security(
     )
 
 
-def _message_in_key_span(
-    field: FieldSpec, cols: Sequence[Sequence[int]], message_rows: range, key_rows: range
-) -> bool:
-    """The rank security criterion on one channel set, given its columns:
-    the set's message rows lie in the row space of its key rows."""
-
-    def rows(idx: range) -> list[tuple[int, ...]]:
-        return [tuple(col[i] for col in cols) for i in idx]
-
-    return in_span(field, rows(key_rows), rows(message_rows))
+def _leakage(field: FieldSpec, cols: Sequence[Sequence[int]], omega: int, dim: int) -> int:
+    """I(M; Y_A) in log-q units for a channel set whose columns over the
+    (message | key) coordinates are cols: with uniform message and key,
+    H(Y_A) = rank(F_A) and H(Y_A | M) = rank of its key rows, so the leakage
+    is their gap, zero exactly when the message rows lie in the key rows' span
+    (the rank form of the Cai-Yeung security condition)."""
+    seen = Echelon(field, dim, cols)
+    hidden = Echelon(field, dim - omega, [col[omega:] for col in cols])
+    return len(seen) - len(hidden)
 
 
 def rank_security_criterion(bundle: SecureCodeBundle, edge_ids: Sequence[str]) -> bool:
-    """Algebraic cross-check: zero leakage iff the message rows of Q^{-1} F_A
-    lie in the row space of its key rows."""
+    """Algebraic cross-check: zero leakage iff Q^{-1} F_A, its constant rows
+    dropped, has no rank gap between all its rows and its key rows."""
     ids = sorted(edge_ids)
     for eid in ids:
         bundle.network.edge(eid)
-    return _message_in_key_span(
-        bundle.field,
-        [bundle.gain[eid] for eid in ids],
-        range(bundle.omega),
-        range(bundle.n - bundle.key_dim, bundle.n),
-    )
+    omega, key_start = bundle.omega, bundle.n - bundle.key_dim
+    cols = [bundle.gain[eid][:omega] + bundle.gain[eid][key_start:] for eid in ids]
+    return not _leakage(bundle.field, cols, omega, omega + bundle.key_dim)
 
 
 # -- key-rate refutation -------------------------------------------------------------
@@ -328,7 +327,8 @@ class RefutationResult:
 @dataclass(frozen=True)
 class _SearchLevel:
     """One channel of the depth-first search, in topological order, with the
-    checks it owns: the sinks and wiretap sets whose last channel it is."""
+    checks it owns: the sinks whose last in-channel it is, and the largest
+    wiretap sets whose last channel it is."""
 
     edge_id: str
     ins: list[str]
@@ -347,17 +347,20 @@ def refute_key_rate(
     """Exhaust every linear code of dimension omega + key_dim over the network.
 
     A counterexample is a local-coefficient assignment whose code lets every
-    sink recover the message while the rank criterion holds on every channel
-    set of size up to r.  Returning `refuted` means the full assignment space
-    was covered and no such code exists, corroborating that key_dim symbols
-    of key are insufficient at security level r.
+    sink recover the message while no channel set of size up to r leaks: each
+    has a zero rank gap between its kernels and their key parts.  Returning
+    `refuted` means the full assignment space was covered and no such code
+    exists, corroborating that key_dim symbols of key are insufficient at
+    security level r.
 
     The search is depth-first over the channels in topological order, trying
     each channel's coefficient tuples in lexicographic order, so the witness
     returned is the first in lexicographic order of the full assignments.  A
     sink is checked once its last in-channel is assigned and a wiretap set
     once its last channel is; when either check fails, no completion of the
-    prefix can pass, and the subtree is skipped.  `searched` counts the full
+    prefix can pass, and the subtree is skipped.  Only the largest sets a
+    channel owns are checked, since leakage only grows with the set and every
+    smaller owned set lies inside one of them.  `searched` counts the full
     assignments covered, each skipped subtree by its size, so a `refuted`
     search reports q^slots.
     """
@@ -380,26 +383,25 @@ def refute_key_rate(
     if space > budget:
         raise BudgetExceeded(f"search space {q}^{slots} exceeds the budget {budget}")
 
+    topo_ids = [e.id for e in topo]
     levels: list[_SearchLevel] = []
     prefixes = 1  # assignments of the channels up to this one
-    for edge in topo:
+    for j, edge in enumerate(topo):
         ins = in_channel_ids(net, dim, edge.tail)
         prefixes *= q ** len(ins)
-        levels.append(_SearchLevel(edge.id, ins, [], [], space // prefixes))
-    position = {e.id: j for j, e in enumerate(topo)}
+        # Of the sets that end with this channel, only the largest need checking.
+        rests = itertools.combinations(topo_ids[:j], min(r, j + 1) - 1)
+        sets = [(*rest, edge.id) for rest in rests]
+        levels.append(_SearchLevel(edge.id, ins, [], sets, space // prefixes))
+    position = {eid: j for j, eid in enumerate(topo_ids)}
     for t in net.sinks:
         ins = [e.id for e in net.in_edges(t)]
         levels[max(position[eid] for eid in ins)].sinks.append(ins)
-    edge_ids_sorted = sorted(position)
-    for size in range(1, min(r, len(edge_ids_sorted)) + 1):
-        for combo in itertools.combinations(edge_ids_sorted, size):
-            levels[max(position[eid] for eid in combo)].sets.append(combo)
 
     kernels = {d: standard_basis(dim, j) for j, d in enumerate(imaginary_ids(dim))}
     # A sink recovers the message iff e_1..e_omega lie in the span of its kernels;
     # otherwise two inputs differing in M share all its observations.
     message_units = [standard_basis(dim, j) for j in range(omega)]
-    message_rows, key_rows = range(omega), range(omega, dim)
     elements = field.elements()
     searched = visited = 0
     # tries[j] yields channel j's remaining coefficient tuples; chosen[j] is its current one.
@@ -419,8 +421,7 @@ def refute_key_rate(
         passed = all(
             in_span(field, [kernels[eid] for eid in ins], message_units) for ins in level.sinks
         ) and all(
-            _message_in_key_span(field, [kernels[eid] for eid in A], message_rows, key_rows)
-            for A in level.sets
+            _leakage(field, [kernels[eid] for eid in A], omega, dim) == 0 for A in level.sets
         )
         if passed and depth + 1 < len(levels):
             tries.append(itertools.product(elements, repeat=len(levels[depth + 1].ins)))

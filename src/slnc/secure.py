@@ -23,7 +23,7 @@ from .errors import (
     Singular,
     UnknownSink,
 )
-from .field import Echelon, FieldSpec, Matrix, dot, first_outside, standard_basis
+from .field import Echelon, FieldSpec, Matrix, combine, dot, first_outside, standard_basis
 from .lnc import (
     GlobalCode,
     _parse_header,
@@ -108,9 +108,12 @@ class SecureCodeBundle:
     @cached_property
     def gain(self) -> dict[str, tuple[int, ...]]:
         """The column Q^{-1} f_e per channel; raises Singular if Q has no inverse."""
-        ids = [e.id for e in self.network.edges]
-        g = self.mixing.inverse() @ self.base.kernel_matrix(ids)
-        return {eid: g.col(j) for j, eid in enumerate(ids)}
+        inverse = self.mixing.inverse()
+        cols = [inverse.col(j) for j in range(self.n)]
+        return {
+            e.id: combine(self.field, self.base.kernel(e.id), cols, self.n)
+            for e in self.network.edges
+        }
 
     @cached_property
     def decoders(self) -> dict[str, SinkDecoder]:

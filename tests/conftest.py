@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from slnc.errors import SlncError
+from slnc.field import Matrix, dot
 from slnc.network import Network, parse_network
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,16 +41,29 @@ def dag_networks(draw, q=5, max_extra=7):
     Channels run from a lower to a higher node, so parallel channels, sinks
     with out-channels and nodes with no in-channels all occur; sinks are
     drawn from the reachable nodes.
+
+    With max_extra >= 6, half the draws on five or more nodes start instead
+    from a path n0-a-b-c, the shortcut a-c beside it, a two-step detour
+    n0-d-b around a and the channel n0-c, declared in a drawn order, with c
+    the one sink.  Once a flow into b-c runs through a-b, the tail of a-c is
+    reachable only over the reverse arc of a-b.
     """
     size = draw(st.integers(2, 6))
     pair = st.integers(0, size - 2).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, size - 1)))
-    first = draw(st.integers(1, size - 1))
-    pairs = [(0, first)] + draw(st.lists(pair, max_size=max_extra))
-    reached = {0}
-    for a, b in sorted(pairs):
-        if a in reached:
-            reached.add(b)
-    sinks = draw(st.lists(st.sampled_from(sorted(reached - {0})), min_size=1, max_size=3, unique=True))
+    if max_extra >= 6 and size >= 5 and draw(st.booleans()):
+        low, high, b, c = sorted(draw(st.sets(st.integers(1, size - 1), min_size=4, max_size=4)))
+        a, d = draw(st.permutations([low, high]))
+        pairs = draw(st.permutations([(0, a), (a, b), (b, c), (a, c), (0, d), (d, b), (0, c)]))
+        pairs += draw(st.lists(pair, max_size=max_extra - 6))
+        sinks = [c]
+    else:
+        first = draw(st.integers(1, size - 1))
+        pairs = [(0, first)] + draw(st.lists(pair, max_size=max_extra))
+        reached = {0}
+        for a, b in sorted(pairs):
+            if a in reached:
+                reached.add(b)
+        sinks = draw(st.lists(st.sampled_from(sorted(reached - {0})), min_size=1, max_size=3, unique=True))
     lines = [f"field {q}", "source n0"] + [f"sink n{t}" for t in sinks]
     lines += [f"edge c{i} n{a} n{b}" for i, (a, b) in enumerate(pairs, 1)]
     return parse_network("\n".join(lines) + "\n")
@@ -83,6 +97,23 @@ def vector_from_index(field, index: int, n: int) -> tuple[int, ...]:
     if index:
         raise ValueError("index out of range for the requested vector length")
     return tuple(digits)
+
+
+def kernel_matrix(code, edge_ids) -> Matrix:
+    """The columns f_e of the given channels, in the given order."""
+    return Matrix.from_cols(code.field, [code.kernel(eid) for eid in edge_ids], rows=code.n)
+
+
+def hstack(a: Matrix, b: Matrix) -> Matrix:
+    """[a | b]: the columns of a, then those of b."""
+    return Matrix.from_cols(a.field, [m.col(j) for m in (a, b) for j in range(m.cols)], rows=a.rows)
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b, entry by entry; mixed fields raise FieldMismatch."""
+    a._require_same_field(b)
+    rows = [[dot(a.field, a.row(i), b.col(j)) for j in range(b.cols)] for i in range(a.rows)]
+    return Matrix.from_rows(a.field, rows, cols=b.cols)
 
 
 def outcome(build):

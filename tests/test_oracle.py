@@ -23,7 +23,6 @@ from slnc.oracle import (
     JointDistribution,
     RefutationResult,
     SecurityReport,
-    _message_in_key_span,
     han_profile,
     mutual_information,
     observation_distribution,
@@ -34,7 +33,7 @@ from slnc.oracle import (
 )
 from slnc import oracle
 from slnc.secure import SecureCodeBundle, build_secure_bundle, decode_at_sink, encode_source
-from conftest import FIXTURES, dag_networks
+from conftest import FIXTURES, dag_networks, load_network
 
 
 def _identity_mixing_bundle(net, omega, r, i=0):
@@ -411,6 +410,8 @@ def test_rank_criterion_trivial_cases(parallel3_gf2):
         const_len=0,
     )
     assert not rank_security_criterion(naked, ["e1"])
+    # the empty set observes nothing, so it leaks nothing
+    assert rank_security_criterion(naked, [])
 
 
 def _random_invertible(field, n, rng):
@@ -454,6 +455,17 @@ def test_rank_criterion_agrees_with_enumeration(butterfly, parallel3_gf5, parall
 
 
 # -- refutation ---------------------------------------------------------------------------
+
+def message_in_key_span(field, cols, message_rows, key_rows):
+    """The row-span form of the security criterion on one channel set, kept
+    as the refutation references' own: the set's message rows lie in the row
+    space of its key rows."""
+
+    def rows(idx):
+        return [tuple(col[i] for col in cols) for i in idx]
+
+    return in_span(field, rows(key_rows), rows(message_rows))
+
 
 def flat_refute(
     net: Network,
@@ -512,7 +524,7 @@ def flat_refute(
             continue
 
         if not all(
-            _message_in_key_span(
+            message_in_key_span(
                 field, [kernels[eid] for eid in combo], range(omega), range(omega, dim)
             )
             for combo in wiretap_combos
@@ -637,7 +649,7 @@ def tried_tuples(net, omega, r, key_dim):
             tried += all(
                 in_span(field, [kernels[e] for e in sink_ins], units) for sink_ins in done_sinks
             ) and all(
-                _message_in_key_span(
+                message_in_key_span(
                     field, [kernels[e] for e in A], range(omega), range(omega, dim)
                 )
                 for A in done_sets
@@ -647,6 +659,10 @@ def tried_tuples(net, omega, r, key_dim):
 
 def _always_secure(*_args):
     return True
+
+
+def _no_leakage(*_args):
+    return 0
 
 
 @st.composite
@@ -668,15 +684,21 @@ def refutation_cases(draw):
 # zero; it is also the last channel in topological order, owning the sink.
 ZERO_SLOT_CHANNEL = parse_network("field 3\nsource s\nsink t\nedge c1 s t\nedge c2 u t\n")
 
+# Three parallel channels at r = 3: the second and third levels own sets of
+# several sizes, of which the search checks only the largest.
+PARALLEL3_GF2 = load_network("parallel3_gf2.net")
+
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(refutation_cases())
 @example((ZERO_SLOT_CHANNEL, 1, 1, 0, True))
 @example((ZERO_SLOT_CHANNEL, 1, 2, 1, False))
+@example((PARALLEL3_GF2, 1, 3, 1, True))
 def test_pruned_refutation_matches_the_flat_search(case):
     net, omega, r, key_dim, check_security = case
-    patched = {} if check_security else {"_message_in_key_span": _always_secure}
-    with mock.patch.dict(globals(), patched), mock.patch.dict(vars(oracle), patched):
+    reference = {} if check_security else {"message_in_key_span": _always_secure}
+    searched = {} if check_security else {"_leakage": _no_leakage}
+    with mock.patch.dict(globals(), reference), mock.patch.dict(vars(oracle), searched):
         got = refute_key_rate(net, omega, r, key_dim)
         want = flat_refute(net, omega, r, key_dim)
         assert (got.searched, got.verdict) == (want.searched, want.verdict)

@@ -28,6 +28,9 @@ from conftest import (
     SCAN_MAX_DIM,
     SEARCH_FIELDS,
     combination_network,
+    hstack,
+    kernel_matrix,
+    matmul,
     outcome,
     small_networks,
     vector_from_index,
@@ -124,9 +127,9 @@ def test_choose_secure_basis_condition(request, net_name, r, q_cols):
     assert [q_mat.col(j) for j in range(n)] == q_cols  # the greedy scan's exact choice
     leading = Matrix.from_cols(code.field, q_cols[:n - r], rows=n)
     for A in enumerate_code_wiretap_sets(code, r).sets:
-        fa = code.kernel_matrix(A)
+        fa = kernel_matrix(code, A)
         assert spans_intersect_trivially(leading, fa)
-        assert leading.hstack(fa).rank() == n
+        assert hstack(leading, fa).rank() == n
     assert q_mat.rank() == n
 
 
@@ -299,7 +302,7 @@ def _brute_force_inverse_gf2(mat):
     eye = Matrix.identity(field, 3)
     for bits in itertools.product((0, 1), repeat=9):
         cand = Matrix(field, 3, 3, bits)
-        if mat @ cand == eye:
+        if matmul(mat, cand) == eye:
             return cand
     raise AssertionError("no inverse found")
 

@@ -98,6 +98,16 @@ def test_hot_paths_ask_rank_questions_of_an_echelon():
     assert found == []
 
 
+def test_one_leakage_rule():
+    # The rank criterion and the refutation search read leakage the same way,
+    # as the rank gap `_leakage` computes; no second row-span test may return.
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_message_in_key_span" not in defined
+    for fn in _functions("oracle.py", {"rank_security_criterion", "refute_key_rate"}):
+        assert "_leakage" in {called for _line, called in _calls(fn)}, fn.name
+
+
 def test_wiretap_enumeration_extends_prefixes():
     # Both wiretap collections grow one state per prefix (a flow, an echelon):
     # no set may get a fresh max-flow or elimination, and the flow's arcs are
