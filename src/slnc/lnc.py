@@ -38,6 +38,11 @@ def imaginary_ids(n: int) -> list[str]:
     return [f"{IMAGINARY_PREFIX}{j + 1}" for j in range(n)]
 
 
+def imaginary_kernels(n: int) -> dict[str, tuple[int, ...]]:
+    """The imaginary input channels' kernels: the standard basis, in order."""
+    return {d: standard_basis(n, j) for j, d in enumerate(imaginary_ids(n))}
+
+
 def in_channel_ids(net: Network, n: int, node: str) -> list[str]:
     """Incoming channel ids at a node; the source sees the n imaginary inputs."""
     if node == net.source:
@@ -49,8 +54,8 @@ def in_channel_ids(net: Network, n: int, node: str) -> list[str]:
 class GlobalCode:
     """An n-dimensional linear code: kernel f_e per channel plus local coefficients.
 
-    Kernels of the imaginary input channels are the standard basis and are
-    kept implicit; `kernel` resolves both real and imaginary ids.
+    `kernels` holds the real channels only; the imaginary input channels'
+    kernels are the standard basis, which `imaginary_kernels(n)` supplies.
     """
 
     n: int
@@ -62,21 +67,14 @@ class GlobalCode:
     def field(self) -> FieldSpec:
         return self.network.field
 
-    def kernel(self, channel_id: str) -> tuple[int, ...]:
-        if channel_id.startswith(IMAGINARY_PREFIX):
-            j = int(channel_id[len(IMAGINARY_PREFIX):]) - 1
-            if not 0 <= j < self.n:
-                raise KeyError(channel_id)
-            return standard_basis(self.n, j)
-        return self.kernels[channel_id]
-
 
 def construct_lnc(net: Network, n: int) -> GlobalCode:
     """Build an n-dimensional decodable code on the network, deterministically.
 
-    Requires n <= C_min and q >= |T|.  Edges on no flow path carry all-zero
-    kernels; everything else follows the lexicographic coefficient search,
-    so identical inputs reproduce identical codes byte for byte.
+    Requires n <= C_min and q >= |T|.  Every edge takes the lexicographic
+    coefficient search; an edge on no flow path meets no constraint, so it
+    gets the all-zero tuple and kernel.  Identical inputs reproduce identical
+    codes byte for byte.
     """
     if n < 1:
         raise ValueError("code dimension must be at least 1")
@@ -89,31 +87,22 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
             f"flow-path construction needs q >= |T|; q={field.q}, |T|={len(net.sinks)}"
         )
 
-    imag = imaginary_ids(n)
-    kernels: dict[str, tuple[int, ...]] = {
-        d: standard_basis(n, j) for j, d in enumerate(imag)
-    }
-    zero = (0,) * n
-
+    kernels = imaginary_kernels(n)
     on_path: dict[str, list[tuple[str, int]]] = {}
     for t in net.sinks:
         for j, path in enumerate(edge_disjoint_paths(net, t, n)):
             for eid in path:
                 on_path.setdefault(eid, []).append((t, j))
-    frontier: dict[str, list[str]] = {t: list(imag) for t in net.sinks}
+    frontier: dict[str, list[str]] = {t: imaginary_ids(n) for t in net.sinks}
 
     local_coeffs: dict[tuple[str, str], int] = {}
     for edge in net.topo_edges():
         tail_in = in_channel_ids(net, n, edge.tail)
         uses = on_path.get(edge.id, ())
-        if not uses:
-            for d in tail_in:
-                local_coeffs[(d, edge.id)] = 0
-            kernels[edge.id] = zero
-            continue
         tail_kernels = [kernels[d] for d in tail_in]
         # Each frontier has rank n, so f may take slot j exactly when it lies
         # outside the hyperplane spanned by the slot's n - 1 other kernels.
+        # An edge on no flow path avoids no space, so it gets the all-zero tuple.
         others = [
             Echelon(field, n, [kernels[d] for idx, d in enumerate(frontier[t]) if idx != j])
             for t, j in uses
@@ -151,13 +140,14 @@ class CodeValidityReport:
 def _recursion_violations(code: GlobalCode) -> dict[str, tuple[int, ...]]:
     """Stored kernel minus the local-coefficient combination, per offending edge."""
     field = code.field
+    kernels = imaginary_kernels(code.n) | code.kernels
     violations: dict[str, tuple[int, ...]] = {}
     for edge in code.network.edges:
         ins = in_channel_ids(code.network, code.n, edge.tail)
         expected = combine(
             field,
             [code.local_coeffs.get((d, edge.id), 0) for d in ins],
-            [code.kernel(d) for d in ins],
+            [kernels[d] for d in ins],
             code.n,
         )
         actual = code.kernels[edge.id]

@@ -30,9 +30,9 @@ from .errors import (
     NotADistribution,
 )
 from .field import Echelon, FieldSpec, combine, in_span, standard_basis
-from .lnc import GlobalCode, imaginary_ids, in_channel_ids
+from .lnc import GlobalCode, imaginary_kernels, in_channel_ids, write_code
 from .network import Network
-from .secure import SecureCodeBundle, _decode
+from .secure import SecureCodeBundle, decode_at_sink
 
 DEFAULT_ENUM_BUDGET = 10**7
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -184,27 +184,24 @@ def _decode_roundtrip(
     columns: Mapping[str, tuple[int, ...]],
 ) -> tuple[bool, str]:
     """Every sink recovers every input.  A sink passes when its decoder, applied
-    to whole symbol columns, fits every check channel's column and gives back
-    every input column (message, constant and key); any other sink is walked
-    input by input with the decode rule itself, which names the first failure."""
+    to whole symbol columns, gives back every input column (message, constant
+    and key); any other sink is walked input by input with decode_at_sink,
+    which names the first failure."""
     field, size = bundle.field, len(inputs[0])
     for t in bundle.network.sinks:
         decoder = bundle.decoders[t]
         if decoder.inverse is not None:
             basis = [columns[eid] for eid in decoder.channels]
-            decoded = [combine(field, col, basis, size) for col in decoder.inverse]
-            if all(
-                combine(field, bundle.gain[eid], decoded, size) == columns[eid]
-                for eid in decoder.checks
-            ) and decoded == inputs:
+            # Each check column is combine(gain[e], inputs), so it fits once these do.
+            if [combine(field, col, basis, size) for col in decoder.inverse] == inputs:
                 continue
-        split, key_start = len(decoder.channels), bundle.n - bundle.key_dim
+        ids = [e.id for e in bundle.network.in_edges(t)]
         # Every sink has an in-channel, so each row holds at least one symbol.
-        rows = zip(*[columns[eid] for eid in decoder.channels + decoder.checks])
+        rows = zip(*[columns[eid] for eid in ids])
         for x, row in zip(zip(*inputs), rows):
-            m, k = x[:bundle.omega], x[key_start:]
+            m, k = x[:bundle.omega], x[bundle.n - bundle.key_dim:]
             try:
-                got = _decode(bundle, t, row[:split], row[split:])
+                got = decode_at_sink(bundle, t, dict(zip(ids, row)))
             except InconsistentObservation as exc:
                 return False, f"sink {t} failed on input {m}, {k}: {exc}"
             if got != (m, k):
@@ -318,8 +315,6 @@ class RefutationResult:
     def serialize(self) -> str:
         out = f"searched={self.searched} verdict={self.verdict}\n"
         if self.witness is not None:
-            from .lnc import write_code
-
             out += write_code(self.witness)
         return out
 
@@ -333,7 +328,8 @@ class _SearchLevel:
     edge_id: str
     ins: list[str]
     sinks: list[list[str]]
-    sets: list[tuple[str, ...]]
+    before: list[str]  # the channels before it; its sets, walked as they are checked,
+    rest: int  # are (*rest, edge_id) for each `rest` of this many of those channels
     subtree: int  # full assignments that extend each of its coefficient tuples
 
 
@@ -390,15 +386,15 @@ def refute_key_rate(
         ins = in_channel_ids(net, dim, edge.tail)
         prefixes *= q ** len(ins)
         # Of the sets that end with this channel, only the largest need checking.
-        rests = itertools.combinations(topo_ids[:j], min(r, j + 1) - 1)
-        sets = [(*rest, edge.id) for rest in rests]
-        levels.append(_SearchLevel(edge.id, ins, [], sets, space // prefixes))
+        levels.append(
+            _SearchLevel(edge.id, ins, [], topo_ids[:j], min(r, j + 1) - 1, space // prefixes)
+        )
     position = {eid: j for j, eid in enumerate(topo_ids)}
     for t in net.sinks:
         ins = [e.id for e in net.in_edges(t)]
         levels[max(position[eid] for eid in ins)].sinks.append(ins)
 
-    kernels = {d: standard_basis(dim, j) for j, d in enumerate(imaginary_ids(dim))}
+    kernels = imaginary_kernels(dim)
     # A sink recovers the message iff e_1..e_omega lie in the span of its kernels;
     # otherwise two inputs differing in M share all its observations.
     message_units = [standard_basis(dim, j) for j in range(omega)]
@@ -421,7 +417,8 @@ def refute_key_rate(
         passed = all(
             in_span(field, [kernels[eid] for eid in ins], message_units) for ins in level.sinks
         ) and all(
-            _leakage(field, [kernels[eid] for eid in A], omega, dim) == 0 for A in level.sets
+            _leakage(field, [kernels[eid] for eid in (*rest, level.edge_id)], omega, dim) == 0
+            for rest in itertools.combinations(level.before, level.rest)
         )
         if passed and depth + 1 < len(levels):
             tries.append(itertools.product(elements, repeat=len(levels[depth + 1].ins)))

@@ -111,7 +111,7 @@ class SecureCodeBundle:
         inverse = self.mixing.inverse()
         cols = [inverse.col(j) for j in range(self.n)]
         return {
-            e.id: combine(self.field, self.base.kernel(e.id), cols, self.n)
+            e.id: combine(self.field, self.base.kernels[e.id], cols, self.n)
             for e in self.network.edges
         }
 
@@ -256,25 +256,12 @@ def decode_at_sink(
     field = bundle.field
     y = {eid: field.check(observed[eid]) for eid in in_ids}
     decoder = bundle.decoders[t]
-    return _decode(
-        bundle, t, [y[eid] for eid in decoder.channels], [y[eid] for eid in decoder.checks]
-    )
-
-
-def _decode(
-    bundle: SecureCodeBundle, t: str, basis_symbols: Sequence[int], check_symbols: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The decode rule itself, on field elements already known to be valid:
-    the symbols on sink t's decoder channels, then on its check channels."""
-    decoder = bundle.decoders[t]
     if decoder.inverse is None:
         rank, n = len(decoder.channels), bundle.n
         raise InconsistentObservation(f"sink {t} cannot isolate the input: rank {rank} < {n}")
-    field = bundle.field
+    basis_symbols = [y[eid] for eid in decoder.channels]
     x = tuple(dot(field, basis_symbols, col) for col in decoder.inverse)
-    if any(
-        dot(field, x, bundle.gain[eid]) != y for eid, y in zip(decoder.checks, check_symbols)
-    ):
+    if any(dot(field, x, bundle.gain[eid]) != y[eid] for eid in decoder.checks):
         raise InconsistentObservation(f"symbols at sink {t} match no input")
     omega, const_len = bundle.omega, len(bundle.constant)
     m = x[:omega]

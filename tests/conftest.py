@@ -101,7 +101,7 @@ def vector_from_index(field, index: int, n: int) -> tuple[int, ...]:
 
 def kernel_matrix(code, edge_ids) -> Matrix:
     """The columns f_e of the given channels, in the given order."""
-    return Matrix.from_cols(code.field, [code.kernel(eid) for eid in edge_ids], rows=code.n)
+    return Matrix.from_cols(code.field, [code.kernels[eid] for eid in edge_ids], rows=code.n)
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:

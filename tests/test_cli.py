@@ -1,5 +1,7 @@
 import contextlib
+import importlib.util
 import io
+import re
 import time
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from slnc.cli import main, sample_key_symbols
 from slnc.oracle import verify_security
 from slnc.secure import parse_bundle
-from conftest import FIXTURES, run_cli_process
+from conftest import FIXTURES, ROOT, run_cli_process
 
 BUTTERFLY = str(FIXTURES / "butterfly.net")
 PARALLEL3_GF2 = str(FIXTURES / "parallel3_gf2.net")
@@ -411,3 +413,23 @@ def test_emitted_files_round_trip_through_consumers(tmp_path, capsys):
     assert run(capsys, "secure", PARALLEL3_GF5, "--omega", "2", "--r", "1", "-o", str(bundle_file))[0] == 0
     assert run(capsys, "verify", str(bundle_file))[0] == 0
     assert run(capsys, "simulate", str(bundle_file), "--message", "1,2", "--seed", "1")[0] == 0
+
+
+def test_cli_sweep_prints_one_hashed_line_per_case(capsys):
+    # tools/cli_sweep.py compares two trees by diffing these lines, so each
+    # names its command once, masks the temporary directory, and ends in a hash.
+    spec = importlib.util.spec_from_file_location("cli_sweep", ROOT / "tools" / "cli_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    start = time.perf_counter()
+    assert sweep.main([str(ROOT), "butterfly"]) == 0
+    assert time.perf_counter() - start < 5
+    lines = capsys.readouterr().out.splitlines()
+    commands = [line.rsplit(" ", 1)[0] for line in lines]
+    assert len(set(commands)) == len(lines) > 40
+    assert commands[0] == "slnc mincut <tmp>/butterfly.net"
+    pattern = re.compile(r"slnc (mincut|construct|enumerate|secure|verify|simulate|refute) <tmp>/\S+( \S+)* [0-9a-f]{16}")
+    assert [line for line in lines if not pattern.fullmatch(line)] == []
+    assert {command.split()[1] for command in commands} == {
+        "mincut", "construct", "enumerate", "secure", "verify", "simulate", "refute"
+    }

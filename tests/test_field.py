@@ -312,6 +312,16 @@ def test_first_outside_is_the_first_product_tuple_outside_every_space(q, n, data
     assert first_outside(field, basis, spaces) == expected
 
 
+@pytest.mark.parametrize("field", [GF2, GF3, GF4])
+def test_first_outside_with_no_space_is_the_zero_tuple(field):
+    # construct_lnc gives a channel on no flow path no space to avoid and
+    # relies on this: the zero tuple over its tail's kernels, () with none.
+    basis = [(1, 0), (0, 1), (1, 1)]
+    assert first_outside(field, basis, []) == (0, 0, 0)
+    assert first_outside(field, basis[:1], []) == (0,)
+    assert first_outside(field, [], []) == ()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     q=st.sampled_from([2, 3, 4, 5]),

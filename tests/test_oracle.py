@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -708,6 +709,29 @@ def test_pruned_refutation_matches_the_flat_search(case):
         else:
             assert list(got.witness.local_coeffs.items()) == list(want.witness.local_coeffs.items())
             assert got.witness.kernels == want.witness.kernels
+
+
+# s-t beside 20 channels out of u, which has no in-channel: two codes over
+# GF(2), yet at r = 10 its channels own 352,725 largest wiretap sets, the
+# last one C(20, 9) = 167,960 of them.
+WIDE_ZERO_SLOTS = parse_network(
+    "field 2\nsource s\nsink t\nedge c s t\n" + "".join(f"edge u{k} u t\n" for k in range(20))
+)
+
+
+def test_refutation_walks_its_wiretap_sets_as_it_checks_them():
+    # With every set leaking, the first set checked fails both codes.  A
+    # search that listed each level's sets up front held 43 MiB before it
+    # started; one that walks them holds almost nothing.
+    tracemalloc.start()
+    try:
+        with mock.patch.object(oracle, "_leakage", lambda *args: 1):
+            result = refute_key_rate(WIDE_ZERO_SLOTS, 1, 10, 0)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.serialize() == "searched=2 verdict=refuted\n"
+    assert peak < 2**20
 
 
 # -- entropy profile -----------------------------------------------------------------------

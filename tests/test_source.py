@@ -108,6 +108,26 @@ def test_one_leakage_rule():
         assert "_leakage" in {called for _line, called in _calls(fn)}, fn.name
 
 
+def test_oracle_uses_only_public_names_of_the_code_it_checks():
+    # The oracle stays independent of the construction it checks: it decodes
+    # through decode_at_sink, and no private decode rule or id-parsing kernel
+    # lookup may come back for it to lean on.
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("slnc"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    secure = ast.parse((PACKAGE / "secure.py").read_text(encoding="utf-8"))
+    assert "_decode" not in {node.name for node in secure.body if isinstance(node, ast.FunctionDef)}
+    lnc = ast.parse((PACKAGE / "lnc.py").read_text(encoding="utf-8"))
+    (code,) = [node for node in lnc.body if isinstance(node, ast.ClassDef) and node.name == "GlobalCode"]
+    assert "kernel" not in {node.name for node in code.body if isinstance(node, ast.FunctionDef)}
+
+
 def test_wiretap_enumeration_extends_prefixes():
     # Both wiretap collections grow one state per prefix (a flow, an echelon):
     # no set may get a fresh max-flow or elimination, and the flow's arcs are

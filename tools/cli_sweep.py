@@ -1,0 +1,173 @@
+"""Run a fixed list of slnc CLI cases in-process and print one hash per case.
+
+    PYTHONPATH=/path/to/tree-a/src python tools/cli_sweep.py ROOT > a.txt
+    PYTHONPATH=/path/to/tree-b/src python tools/cli_sweep.py ROOT > b.txt
+    diff a.txt b.txt
+
+ROOT is a checkout whose `fixtures/` directory supplies the fixture
+networks; the package under test is whichever `slnc` is importable.  Name
+networks after ROOT (fixture stems such as `butterfly`, `c5_3_gf8`,
+`dag07`) to run only those.
+
+The networks are the fixtures, six combination networks C(n,k) over GF(q),
+and 40 seeded random DAGs over GF(2..5) whose channel ids and edge lines
+are shuffled against the topological order.  The commands on each are
+`mincut` (overall and per sink), `construct` at dimension 0..5,
+`enumerate --code` and `--prop1` at every r from 0 to C_min + 1, `secure`
+for every omega up to C_min + 1, r <= 3 and every i, with `verify`, `verify --fast` and
+`simulate --seed 7` on each bundle built, and `refute` at omega <= 2,
+r <= 3 and every keydim < r with budget 200,000.  The list depends on the
+tree only through the C_min that `mincut` prints and the `secure` cases that
+succeed, and both of those are compared too.
+
+Each line is `slnc <args> <hash>`, the temporary directory masked as
+`<tmp>`.  The hash covers the exit code, stdout, stderr and the file the
+case writes (or its absence), so two trees agree on a case exactly when
+their lines are equal.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from slnc.cli import main as slnc_main
+
+COMBINATIONS = [(3, 2, 5), (4, 2, 5), (4, 3, 7), (5, 3, 8), (5, 4, 16), (6, 4, 16)]
+RANDOM_DAGS = 40
+REFUTE_BUDGET = 200_000
+
+
+def combination_network(n: int, k: int, q: int) -> str:
+    """C(n, k): relays v1..vn off the source, one sink per k-subset of relays."""
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    lines = [f"field {q}", "source s"] + [f"sink t{i}" for i in range(1, len(subsets) + 1)]
+    lines += [f"edge e{v} s v{v}" for v in range(1, n + 1)]
+    eid = n
+    for i, subset in enumerate(subsets, 1):
+        for v in subset:
+            eid += 1
+            lines.append(f"edge e{eid} v{v} t{i}")
+    return "\n".join(lines) + "\n"
+
+
+def random_dag(seed: int) -> str:
+    """An acyclic network on nodes n0 (the source) .. n5 over GF(2..5).
+
+    Channels run from a lower to a higher node, the first one to three out
+    of n0; one or two sinks are drawn from the nodes the source reaches.  Channel ids are
+    a shuffled numbering and the edge lines are shuffled too, so neither id
+    order nor declaration order follows the topological order.
+    """
+    rng = random.Random(seed)
+    q = rng.choice([2, 3, 4, 5])
+    size = rng.randint(3, 6)
+    pairs = [(0, rng.randint(1, size - 1)) for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(2, 7)):
+        a = rng.randint(0, size - 2)
+        pairs.append((a, rng.randint(a + 1, size - 1)))
+    reached = {0}
+    for a, b in sorted(pairs):
+        if a in reached:
+            reached.add(b)
+    sinks = rng.sample(sorted(reached - {0}), min(len(reached) - 1, rng.randint(1, 2)))
+    ids = rng.sample(range(1, 100), len(pairs))
+    edges = [f"edge c{i} n{a} n{b}" for i, (a, b) in zip(ids, pairs)]
+    rng.shuffle(edges)
+    return "\n".join([f"field {q}", "source n0", *[f"sink n{t}" for t in sinks], *edges]) + "\n"
+
+
+def networks(root: Path) -> dict[str, str]:
+    nets = {p.stem: p.read_text(encoding="utf-8") for p in sorted((root / "fixtures").glob("*.net"))}
+    for n, k, q in COMBINATIONS:
+        nets[f"c{n}_{k}_gf{q}"] = combination_network(n, k, q)
+    for seed in range(RANDOM_DAGS):
+        nets[f"dag{seed:02d}"] = random_dag(seed)
+    return nets
+
+
+class Sweep:
+    """Runs cases in one temporary directory and prints a line for each."""
+
+    def __init__(self, tmp: Path):
+        self.tmp = tmp
+
+    def run(self, *args: str, output: str | None = None) -> tuple[object, str]:
+        """Run `slnc args`, print its line, and return (exit code, stdout)."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code: object = slnc_main(list(args))
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+            except Exception as exc:  # an escape is a result to compare too
+                code = f"raised {type(exc).__name__}: {exc}"
+        written = None
+        if output is not None and Path(output).exists():
+            written = Path(output).read_text(encoding="utf-8")
+        mask = str(self.tmp)
+        record = [str(code), out.getvalue(), err.getvalue(), written]
+        record = [None if x is None else x.replace(mask, "<tmp>") for x in record]
+        digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16]
+        print("slnc " + " ".join(args).replace(mask, "<tmp>"), digest)
+        return code, out.getvalue()
+
+    def network(self, name: str, text: str) -> None:
+        net = str(self.tmp / f"{name}.net")
+        Path(net).write_text(text, encoding="utf-8")
+        q = int(text.split("field", 1)[1].split()[0])
+        code, out = self.run("mincut", net)
+        cmin = int(out) if code == 0 else 0
+        for line in text.splitlines():
+            if line.startswith("sink "):
+                self.run("mincut", net, "--sink", line.split()[1])
+        for dim in range(6):
+            path = str(self.tmp / f"{name}.d{dim}.code")
+            self.run("construct", net, "--dim", str(dim), "-o", path, output=path)
+        code_file = str(self.tmp / f"{name}.d{cmin}.code")
+        for r in range(cmin + 2):
+            self.run("enumerate", net, "--r", str(r), "--code", code_file)
+            self.run("enumerate", net, "--r", str(r), "--code", code_file, "--prop1")
+        for omega, r in itertools.product(range(1, cmin + 2), range(1, 4)):
+            for i in range(r + 1):
+                bundle = str(self.tmp / f"{name}.w{omega}r{r}i{i}.bundle")
+                args = ("--omega", str(omega), "--r", str(r), "--i", str(i))
+                code, _out = self.run("secure", net, *args, "-o", bundle, output=bundle)
+                if code != 0:
+                    continue
+                self.run("verify", bundle)
+                self.run("verify", bundle, "--fast")
+                message = ",".join(str((j + 1) % q) for j in range(omega))
+                self.run("simulate", bundle, "--message", message, "--seed", "7")
+        for omega, r in itertools.product(range(1, 3), range(1, 4)):
+            for keydim in range(r):
+                args = ("--omega", str(omega), "--r", str(r), "--keydim", str(keydim))
+                self.run("refute", net, *args, "--budget", str(REFUTE_BUDGET))
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__, file=sys.stderr)
+        return 2
+    nets = networks(Path(argv[0]))
+    chosen = argv[1:] or list(nets)
+    unknown = [name for name in chosen if name not in nets]
+    if unknown:
+        print(f"unknown networks: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="cli_sweep_") as tmp:
+        sweep = Sweep(Path(tmp))
+        for name in chosen:
+            sweep.network(name, nets[name])
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
