@@ -3,50 +3,12 @@
 Build exact-arithmetic linear codes, wrap them with a secrecy-preserving
 mixing basis and a one-time-pad key, and verify the information-theoretic
 guarantees by exhaustive enumeration.
+
+The public names load lazily (PEP 562): `import slnc` imports no submodule,
+and the first access to a name imports only the module that defines it.
 """
 
-from . import errors
-from .field import FieldSpec, Matrix, ff_op, mat_inverse, mat_rank, spans_intersect_trivially
-from .lnc import (
-    GlobalCode,
-    check_code_validity,
-    construct_lnc,
-    enumerate_code_wiretap_sets,
-    parse_code,
-    verify_subset_bound,
-    write_code,
-)
-from .network import (
-    Edge,
-    Network,
-    WiretapCollection,
-    c_min,
-    enumerate_topology_wiretap_sets,
-    min_cut_to_edges,
-    min_cut_to_sink,
-    parse_network,
-    serialize_network,
-)
-from .oracle import (
-    JointDistribution,
-    RefutationResult,
-    SecurityReport,
-    han_profile,
-    mutual_information,
-    observation_distribution,
-    rank_security_criterion,
-    refute_key_rate,
-    verify_security,
-)
-from .secure import (
-    SecureCodeBundle,
-    build_secure_bundle,
-    choose_secure_basis,
-    decode_at_sink,
-    encode_source,
-    parse_bundle,
-    write_bundle,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -91,3 +53,28 @@ __all__ = [
     "refute_key_rate",
     "han_profile",
 ]
+
+# The defining module of each public name.
+_HOME = {
+    name: module
+    for module, names in (
+        ("errors", "errors"),
+        ("field", "FieldSpec Matrix ff_op mat_rank mat_inverse spans_intersect_trivially"),
+        ("network", "Edge Network WiretapCollection parse_network serialize_network min_cut_to_sink "
+                    "min_cut_to_edges c_min enumerate_topology_wiretap_sets"),
+        ("lnc", "GlobalCode construct_lnc check_code_validity enumerate_code_wiretap_sets "
+                "verify_subset_bound write_code parse_code"),
+        ("secure", "SecureCodeBundle choose_secure_basis build_secure_bundle encode_source "
+                   "decode_at_sink write_bundle parse_bundle"),
+        ("oracle", "JointDistribution SecurityReport RefutationResult observation_distribution "
+                   "mutual_information verify_security rank_security_criterion refute_key_rate han_profile"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_HOME[name]}")
+    return module if name == _HOME[name] else getattr(module, name)

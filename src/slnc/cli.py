@@ -10,31 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import BudgetExceeded, ParseError, SlncError
-from .lnc import (
-    construct_lnc,
-    enumerate_code_wiretap_sets,
-    parse_code,
-    verify_subset_bound,
-    write_code,
-)
-from .network import (
-    Network,
-    c_min,
-    enumerate_topology_wiretap_sets,
-    min_cut_to_edges,
-    min_cut_to_sink,
-    parse_network,
-)
-from .oracle import (
-    DEFAULT_SEARCH_BUDGET,
-    han_profile,
-    refute_key_rate,
-    verify_security,
-)
-from .secure import build_secure_bundle, decode_at_sink, encode_source, parse_bundle, write_bundle
+
+if TYPE_CHECKING:
+    from .network import Network
 
 _LCG_MULTIPLIER = 6364136223846793005
 _LCG_INCREMENT = 1442695040888963407
@@ -61,6 +42,8 @@ class _UsageError(Exception):
 
 
 def _load_network(path: str) -> Network:
+    from .network import parse_network
+
     return parse_network(Path(path).read_text(encoding="utf-8"))
 
 
@@ -72,6 +55,8 @@ def _parse_symbols(raw: str, what: str) -> list[int]:
 
 
 def _cmd_mincut(args: argparse.Namespace) -> int:
+    from .network import c_min, min_cut_to_edges, min_cut_to_sink
+
     net = _load_network(args.network)
     if args.sink is not None and args.edges is not None:
         raise _UsageError("--sink and --edges are mutually exclusive")
@@ -86,6 +71,8 @@ def _cmd_mincut(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from .lnc import construct_lnc, write_code
+
     net = _load_network(args.network)
     code = construct_lnc(net, args.dim)
     Path(args.output).write_text(write_code(code), encoding="utf-8")
@@ -93,6 +80,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_secure(args: argparse.Namespace) -> int:
+    from .secure import build_secure_bundle, write_bundle
+
     net = _load_network(args.network)
     bundle = build_secure_bundle(net, args.omega, args.r, args.i)
     if not bundle.constructively_certified:
@@ -106,6 +95,9 @@ def _cmd_secure(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .lnc import enumerate_code_wiretap_sets, parse_code, verify_subset_bound
+    from .network import enumerate_topology_wiretap_sets
+
     net = _load_network(args.network)
     if args.prop1:
         if args.code is None:
@@ -124,6 +116,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import verify_security
+    from .secure import parse_bundle
+
     bundle = parse_bundle(Path(args.bundle).read_text(encoding="utf-8"))
     report = verify_security(bundle, fast=args.fast)
     sys.stdout.write(report.serialize())
@@ -133,15 +128,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_refute(args: argparse.Namespace) -> int:
-    if args.budget < 1:
-        raise _UsageError(f"--budget must be at least 1, got {args.budget}")
+    from .oracle import DEFAULT_SEARCH_BUDGET, refute_key_rate
+
+    budget = DEFAULT_SEARCH_BUDGET if args.budget is None else args.budget
+    if budget < 1:
+        raise _UsageError(f"--budget must be at least 1, got {budget}")
     net = _load_network(args.network)
-    result = refute_key_rate(net, args.omega, args.r, args.keydim, budget=args.budget)
+    result = refute_key_rate(net, args.omega, args.r, args.keydim, budget=budget)
     sys.stdout.write(result.serialize())
     return 0 if result.witness is None else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .secure import decode_at_sink, encode_source, parse_bundle
+
     bundle = parse_bundle(Path(args.bundle).read_text(encoding="utf-8"))
     message = _parse_symbols(args.message, "--message")
     if args.key is not None:
@@ -181,6 +181,8 @@ def _parse_table_file(path: str) -> dict[tuple[str, ...], float]:
 
 
 def _cmd_hancheck(args: argparse.Namespace) -> int:
+    from .oracle import han_profile
+
     table = _parse_table_file(args.table)
     profile = han_profile(table, base=args.base)
     print(" ".join(f"{h:.9f}" for h in profile))
@@ -231,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--keydim", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_refute)
 
     p = sub.add_parser("simulate", help="encode one input and decode at every sink")

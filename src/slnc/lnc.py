@@ -9,9 +9,8 @@ keeps every sink's frontier kernels at full rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from functools import cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DimensionExceedsCapacity,
@@ -50,7 +49,6 @@ def in_channel_ids(net: Network, n: int, node: str) -> list[str]:
     return [e.id for e in net.in_edges(node)]
 
 
-@dataclass(eq=False)
 class GlobalCode:
     """An n-dimensional linear code: kernel f_e per channel plus local coefficients.
 
@@ -58,10 +56,17 @@ class GlobalCode:
     kernels are the standard basis, which `imaginary_kernels(n)` supplies.
     """
 
-    n: int
-    kernels: dict[str, tuple[int, ...]]
-    local_coeffs: dict[tuple[str, str], int]
-    network: Network
+    def __init__(
+        self,
+        n: int,
+        kernels: dict[str, tuple[int, ...]],
+        local_coeffs: dict[tuple[str, str], int],
+        network: Network,
+    ):
+        self.n = n
+        self.kernels = kernels
+        self.local_coeffs = local_coeffs
+        self.network = network
 
     @property
     def field(self) -> FieldSpec:
@@ -125,12 +130,23 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
 
 # -- validity -------------------------------------------------------------------
 
-@dataclass
 class CodeValidityReport:
     """Every violated code invariant; empty report means the code is valid."""
 
-    recursion_violations: dict[str, tuple[int, ...]] = dc_field(default_factory=dict)
-    sink_rank_deficits: dict[str, int] = dc_field(default_factory=dict)
+    def __init__(
+        self,
+        recursion_violations: dict[str, tuple[int, ...]] | None = None,
+        sink_rank_deficits: dict[str, int] | None = None,
+    ):
+        self.recursion_violations = {} if recursion_violations is None else recursion_violations
+        self.sink_rank_deficits = {} if sink_rank_deficits is None else sink_rank_deficits
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.recursion_violations, self.sink_rank_deficits) == (
+            other.recursion_violations, other.sink_rank_deficits
+        )
 
     @property
     def ok(self) -> bool:
@@ -210,8 +226,7 @@ def independent_subsets(
     return downward_closed_subsets(items, r, Echelon(field, n), extend, accept)
 
 
-@dataclass(frozen=True)
-class SubsetBoundReport:
+class SubsetBoundReport(NamedTuple):
     """Cross-check of the code collection against the topology collection."""
 
     subset_holds: bool

@@ -12,9 +12,8 @@ arrays built once per network.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     CycleDetected,
@@ -29,25 +28,32 @@ from .errors import (
 from .field import FieldSpec
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     tail: str
     head: str
 
 
-@dataclass(frozen=True)
 class WiretapCollection:
     """A family of same-size channel sets, in lexicographic order of sorted ids.
 
     kind is "cut" for the topology collection (size-r sets whose min cut
     from the source equals r) and "rank" for the code collection (size-r
-    sets whose kernel matrix has rank r).
+    sets whose kernel matrix has rank r).  Equal fields make equal collections.
     """
 
-    r: int
-    kind: str
-    sets: tuple[tuple[str, ...], ...]
+    def __init__(self, r: int, kind: str, sets: tuple[tuple[str, ...], ...]):
+        self.r = r
+        self.kind = kind
+        self.sets = sets
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.kind, self.sets) == (other.r, other.kind, other.sets)
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.kind, self.sets))
 
     @cached_property
     def members(self) -> frozenset[tuple[str, ...]]:

@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -32,7 +31,9 @@ from .errors import (
 from .field import Echelon, FieldSpec, combine, in_span, standard_basis
 from .lnc import GlobalCode, imaginary_kernels, in_channel_ids, write_code
 from .network import Network
-from .secure import SecureCodeBundle, decode_at_sink
+
+if TYPE_CHECKING:
+    from .secure import SecureCodeBundle
 
 DEFAULT_ENUM_BUDGET = 10**7
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -40,8 +41,7 @@ DEFAULT_SEARCH_BUDGET = 10**8
 
 # -- exact observation distributions ---------------------------------------------
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(NamedTuple):
     """Exact joint counts of (message, wiretap observation) over all inputs."""
 
     q: int
@@ -153,8 +153,7 @@ def perfectly_secure(dist: JointDistribution) -> bool:
 
 # -- security reports --------------------------------------------------------------
 
-@dataclass
-class SecurityReport:
+class SecurityReport(NamedTuple):
     """Per-wiretap-set leakage results plus the decode round-trip outcome."""
 
     r: int
@@ -187,6 +186,8 @@ def _decode_roundtrip(
     to whole symbol columns, gives back every input column (message, constant
     and key); any other sink is walked input by input with decode_at_sink,
     which names the first failure."""
+    from .secure import decode_at_sink
+
     field, size = bundle.field, len(inputs[0])
     for t in bundle.network.sinks:
         decoder = bundle.decoders[t]
@@ -296,8 +297,7 @@ def rank_security_criterion(bundle: SecureCodeBundle, edge_ids: Sequence[str]) -
 
 # -- key-rate refutation -------------------------------------------------------------
 
-@dataclass
-class RefutationResult:
+class RefutationResult(NamedTuple):
     """Outcome of the exhaustive linear-code search for a smaller key.
 
     `searched` counts the full assignments covered, pruned subtrees included;
@@ -319,8 +319,7 @@ class RefutationResult:
         return out
 
 
-@dataclass(frozen=True)
-class _SearchLevel:
+class _SearchLevel(NamedTuple):
     """One channel of the depth-first search, in topological order, with the
     checks it owns: the sinks whose last in-channel it is, and the largest
     wiretap sets whose last channel it is."""

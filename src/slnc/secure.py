@@ -9,9 +9,8 @@ Channel e carries X Q^{-1} f_e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -42,8 +41,7 @@ def _basis_level(omega: int, r: int, key_dim: int, n: int) -> int:
     return r if omega + r <= n else key_dim
 
 
-@dataclass(frozen=True)
-class SinkDecoder:
+class SinkDecoder(NamedTuple):
     """How one sink recovers the input X from the symbols on its in-channels.
 
     `channels` are the first in-channels whose gain columns are independent.
@@ -69,7 +67,6 @@ def _sink_decoder(field: FieldSpec, n: int, gain: Mapping[str, tuple[int, ...]])
     return SinkDecoder(channels=tuple(channels), inverse=inverse, checks=checks)
 
 
-@dataclass(eq=False)
 class SecureCodeBundle:
     """A base code plus mixing matrix and rate bookkeeping.
 
@@ -77,13 +74,23 @@ class SecureCodeBundle:
     basis_level is the level at which the span-avoidance condition was built.
     """
 
-    base: GlobalCode
-    mixing: Matrix
-    omega: int
-    r: int
-    i: int
-    key_dim: int
-    constant: tuple[int, ...]
+    def __init__(
+        self,
+        base: GlobalCode,
+        mixing: Matrix,
+        omega: int,
+        r: int,
+        i: int,
+        key_dim: int,
+        constant: tuple[int, ...],
+    ):
+        self.base = base
+        self.mixing = mixing
+        self.omega = omega
+        self.r = r
+        self.i = i
+        self.key_dim = key_dim
+        self.constant = constant
 
     @property
     def n(self) -> int:

@@ -124,22 +124,21 @@ def outcome(build):
         return type(exc), str(exc)
 
 
-def run_cli_process(*argv: str, optimize: bool = False, timeout: float = 60.0) -> subprocess.CompletedProcess:
-    """Run `python [-O] -m slnc.cli argv` in a fresh interpreter.
+def run_python(*args: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """Run `python args` in a fresh interpreter that imports slnc from this tree.
 
     A command still running after `timeout` seconds raises TimeoutExpired,
     which fails the calling test instead of hanging the suite.
     """
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def run_cli_process(*argv: str, optimize: bool = False, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """Run `python [-O] -m slnc.cli argv` in a fresh interpreter."""
     flags = ["-O"] if optimize else []
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "slnc.cli", *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
+    return run_python(*flags, "-m", "slnc.cli", *argv, timeout=timeout)
 
 
 @pytest.fixture(scope="session")

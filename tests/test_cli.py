@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from slnc.cli import main, sample_key_symbols
 from slnc.oracle import verify_security
 from slnc.secure import parse_bundle
-from conftest import FIXTURES, ROOT, run_cli_process
+from conftest import FIXTURES, ROOT, run_cli_process, run_python
 
 BUTTERFLY = str(FIXTURES / "butterfly.net")
 PARALLEL3_GF2 = str(FIXTURES / "parallel3_gf2.net")
@@ -433,3 +433,40 @@ def test_cli_sweep_prints_one_hashed_line_per_case(capsys):
     assert {command.split()[1] for command in commands} == {
         "mincut", "construct", "enumerate", "secure", "verify", "simulate", "refute"
     }
+
+
+# -- start-up --------------------------------------------------------------------
+
+_LOADED_AFTER_MAIN = """
+import sys
+from slnc.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("slnc") or m == "dataclasses"))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # Every command runs in a fresh interpreter, where loading a module means
+    # compiling it; so each loads only what it calls, and none `dataclasses`.
+    code, bundle = str(tmp_path / "b.code"), str(tmp_path / "b.bundle")
+    commands = {
+        "mincut": ["mincut", BUTTERFLY],
+        "construct": ["construct", BUTTERFLY, "--dim", "2", "-o", code],
+        "secure": ["secure", BUTTERFLY, "--omega", "1", "--r", "1", "-o", bundle],
+        "enumerate": ["enumerate", BUTTERFLY, "--r", "1", "--code", code, "--prop1"],
+        "refute": ["refute", BUTTERFLY, "--omega", "1", "--r", "1", "--keydim", "0"],
+        "verify": ["verify", bundle],
+    }
+    loaded = {}
+    for name, argv in commands.items():
+        proc = run_python("-c", _LOADED_AFTER_MAIN, *argv)
+        exit_code, *modules = proc.stdout.splitlines()[-1].split()
+        assert (name, exit_code, proc.stderr) == (name, "0", "")
+        loaded[name] = set(modules)
+    assert [name for name, modules in loaded.items() if "dataclasses" in modules] == []
+    assert [name for name, modules in loaded.items() if "slnc.oracle" in modules] == ["refute", "verify"]
+    assert [name for name, modules in loaded.items() if {"slnc.oracle", "slnc.secure"} <= modules] == ["verify"]
+    assert "slnc.secure" not in loaded["refute"]
+    assert loaded["mincut"] == {"slnc", "slnc.cli", "slnc.errors", "slnc.field", "slnc.network"}
+    bare = run_python("-c", "import sys, slnc; print(*sorted(m for m in sys.modules if m.startswith('slnc')))")
+    assert bare.stdout.split() == ["slnc"]

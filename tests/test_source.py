@@ -1,7 +1,10 @@
 """Rules that the package source itself must keep."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import slnc
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slnc"
 
@@ -186,4 +189,58 @@ def test_every_definition_is_referenced_in_the_package():
         for name, where in defined.items()
         if name not in referenced and not (name.startswith("__") and name.endswith("__"))
     )
+    assert found == []
+
+
+# The package root's public names in `__all__` order, each with its defining module.
+PUBLIC = [
+    (name, module)
+    for module, names in (
+        ("errors", "errors"),
+        ("field", "FieldSpec Matrix ff_op mat_rank mat_inverse spans_intersect_trivially"),
+        ("network", "Edge Network WiretapCollection parse_network serialize_network "
+                    "min_cut_to_sink min_cut_to_edges c_min enumerate_topology_wiretap_sets"),
+        ("lnc", "GlobalCode construct_lnc check_code_validity enumerate_code_wiretap_sets "
+                "verify_subset_bound write_code parse_code"),
+        ("secure", "SecureCodeBundle choose_secure_basis build_secure_bundle encode_source "
+                   "decode_at_sink write_bundle parse_bundle"),
+        ("oracle", "JointDistribution SecurityReport RefutationResult observation_distribution "
+                   "mutual_information verify_security rank_security_criterion refute_key_rate "
+                   "han_profile"),
+    )
+    for name in names.split()
+]
+
+
+def test_package_root_resolves_every_public_name_lazily():
+    # `import slnc` loads no submodule (test_cli checks that in a fresh
+    # interpreter); each name resolves to its defining module's binding.
+    assert slnc.__all__ == [name for name, _ in PUBLIC]
+    for name, module in PUBLIC:
+        home = importlib.import_module(f"slnc.{module}")
+        assert getattr(slnc, name) is (home if name == module else getattr(home, name)), name
+    star: dict = {}
+    exec("from slnc import *", star)
+    assert {name: star[name] for name, _ in PUBLIC} == {name: getattr(slnc, name) for name, _ in PUBLIC}
+    assert set(star) - {"__builtins__"} == set(slnc.__all__)
+    assert not hasattr(slnc, "nope")
+    from slnc import oracle
+
+    assert oracle.DEFAULT_SEARCH_BUDGET == 10**8
+
+
+def test_no_module_imports_dataclasses():
+    # Importing `dataclasses` pulls in inspect, ast and tokenize, and each
+    # decorator builds its methods by exec at import time: start-up cost that
+    # every CLI process would pay.  Records are NamedTuples or plain classes.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
     assert found == []

@@ -16,9 +16,10 @@ are shuffled against the topological order.  The commands on each are
 `enumerate --code` and `--prop1` at every r from 0 to C_min + 1, `secure`
 for every omega up to C_min + 1, r <= 3 and every i, with `verify`, `verify --fast` and
 `simulate --seed 7` on each bundle built, and `refute` at omega <= 2,
-r <= 3 and every keydim < r with budget 200,000.  The list depends on the
-tree only through the C_min that `mincut` prints and the `secure` cases that
-succeed, and both of those are compared too.
+r <= 3 and every keydim < r with budget 200,000; on the fixtures also
+`refute --omega 1 --r 1 --keydim 0` with the default budget.  The list
+depends on the tree only through the C_min that `mincut` prints and the
+`secure` cases that succeed, and both of those are compared too.
 
 Each line is `slnc <args> <hash>`, the temporary directory masked as
 `<tmp>`.  The hash covers the exit code, stdout, stderr and the file the
@@ -84,8 +85,12 @@ def random_dag(seed: int) -> str:
     return "\n".join([f"field {q}", "source n0", *[f"sink n{t}" for t in sinks], *edges]) + "\n"
 
 
+def fixtures(root: Path) -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted((root / "fixtures").glob("*.net"))}
+
+
 def networks(root: Path) -> dict[str, str]:
-    nets = {p.stem: p.read_text(encoding="utf-8") for p in sorted((root / "fixtures").glob("*.net"))}
+    nets = fixtures(root)
     for n, k, q in COMBINATIONS:
         nets[f"c{n}_{k}_gf{q}"] = combination_network(n, k, q)
     for seed in range(RANDOM_DAGS):
@@ -119,7 +124,7 @@ class Sweep:
         print("slnc " + " ".join(args).replace(mask, "<tmp>"), digest)
         return code, out.getvalue()
 
-    def network(self, name: str, text: str) -> None:
+    def network(self, name: str, text: str, fixture: bool) -> None:
         net = str(self.tmp / f"{name}.net")
         Path(net).write_text(text, encoding="utf-8")
         q = int(text.split("field", 1)[1].split()[0])
@@ -150,13 +155,15 @@ class Sweep:
             for keydim in range(r):
                 args = ("--omega", str(omega), "--r", str(r), "--keydim", str(keydim))
                 self.run("refute", net, *args, "--budget", str(REFUTE_BUDGET))
+        if fixture:
+            self.run("refute", net, "--omega", "1", "--r", "1", "--keydim", "0")
 
 
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__, file=sys.stderr)
         return 2
-    nets = networks(Path(argv[0]))
+    nets, stems = networks(Path(argv[0])), set(fixtures(Path(argv[0])))
     chosen = argv[1:] or list(nets)
     unknown = [name for name in chosen if name not in nets]
     if unknown:
@@ -165,7 +172,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="cli_sweep_") as tmp:
         sweep = Sweep(Path(tmp))
         for name in chosen:
-            sweep.network(name, nets[name])
+            sweep.network(name, nets[name], fixture=name in stems)
     return 0
 
 
