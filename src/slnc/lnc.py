@@ -9,8 +9,9 @@ keeps every sink's frontier kernels at full rank.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .errors import (
     DimensionExceedsCapacity,
@@ -24,9 +25,10 @@ from .network import (
     Network,
     WiretapCollection,
     c_min,
+    cut_family,
+    downward_closed_prefixes,
     downward_closed_subsets,
     edge_disjoint_paths,
-    enumerate_topology_wiretap_sets,
 )
 
 IMAGINARY_PREFIX = "__s_"
@@ -192,38 +194,36 @@ def check_code_validity(code: GlobalCode) -> CodeValidityReport:
 
 def enumerate_code_wiretap_sets(code: GlobalCode, r: int) -> WiretapCollection:
     """All size-r channel sets whose kernel matrix has full rank r."""
-    return WiretapCollection(r=r, kind="rank", sets=tuple(_code_sets(code, r)))
-
-
-def _code_sets(code: GlobalCode, r: int) -> Iterator[tuple[str, ...]]:
-    """The code collection's sets as the walk lists them; r is checked at once."""
-    if not 1 <= r < code.n:
-        raise SecurityLevelTooLarge(f"need 1 <= r < n = {code.n}, got {r}")
     ids = sorted(e.id for e in code.network.edges)
-    return independent_subsets(code.field, code.n, ids, r, code.kernels.__getitem__)
+    family = span_family(code.field, code.n, r, code.kernels.__getitem__)
+    return WiretapCollection(r=r, kind="rank", sets=tuple(downward_closed_subsets(ids, r, family)))
 
 
-def independent_subsets(
-    field: FieldSpec, n: int, items: Sequence[Item], r: int, vector: Callable[[Item], tuple[int, ...]]
-) -> Iterator[tuple[Item, ...]]:
-    """The r-subsets of items whose vectors are independent, in lexicographic order.
+def span_family(field: FieldSpec, n: int, r: int, vector: Callable[[Item], tuple]) -> tuple:
+    """Root, `extend` and `accept` of the item sets whose vectors are
+    independent in GF(q)^n, for walks to size r (checked at once).
 
-    Independence is downward closed, so each prefix keeps the echelon of its
-    vectors and an item extends it when its vector reduces to nonzero.  Last
-    items often share vectors (a relay copies its kernel onto every
-    out-channel), so each (r-1)-prefix reduces each distinct vector once; a
-    zero vector reduces to zero and is never accepted.
+    Each prefix keeps the echelon of its vectors, and an item extends it when
+    its vector reduces to nonzero.  Many prefixes share a span and many last
+    items a vector (a relay copies its kernel onto every out-channel), so each
+    distinct vector is reduced, and each item decided, once per distinct span.
     """
+    if not 1 <= r < n:
+        raise SecurityLevelTooLarge(f"need 1 <= r < n = {n}, got {r}")
+    decided: dict[tuple[tuple[int, ...], ...], Callable[[Item], bool]] = {}
 
     def extend(span: Echelon, item: Item) -> Echelon | None:
         child = span.copy()
         return child if child.add(vector(item)) else None
 
     def accept(span: Echelon) -> Callable[[Item], bool]:
-        outside = cache(lambda v: any(span.reduce(v)))
-        return lambda item: outside(vector(item))
+        key = span.basis()
+        if key not in decided:
+            outside = cache(lambda v: any(span.reduce(v)))
+            decided[key] = cache(lambda item: outside(vector(item)))
+        return decided[key]
 
-    return downward_closed_subsets(items, r, Echelon(field, n), extend, accept)
+    return Echelon(field, n), extend, accept
 
 
 class SubsetBoundReport(NamedTuple):
@@ -240,22 +240,32 @@ class SubsetBoundReport(NamedTuple):
 
 
 def verify_subset_bound(code: GlobalCode, r: int) -> SubsetBoundReport:
-    """Check that the code collection sits inside the topology collection.
-
-    A false subset flag signals an implementation bug, never a property of
-    the inputs.
+    """Check that the code collection sits inside the topology collection,
+    in one walk over both families: a prefix carries its flow and its
+    echelon, each None once the prefix leaves that family, and each last
+    channel is decided in both and only counted.  A false subset flag
+    signals an implementation bug, never a property of the inputs.
     """
-    code_sets = _code_sets(code, r)
-    cut_sets = enumerate_topology_wiretap_sets(code.network, r)
-    cut_members = cut_sets.members  # both walks list each set sorted
-    code_count = outside = 0
-    for A in code_sets:
-        code_count += 1
-        outside += A not in cut_members
+    span_root, span_extend, span_accept = span_family(code.field, code.n, r, code.kernels.__getitem__)
+    flow_root, flow_extend, flow_accept = cut_family(code.network, r)
+
+    def extend(state: tuple, eid: str) -> tuple | None:
+        flow, span = state
+        flow = None if flow is None else flow_extend(flow, eid)
+        span = None if span is None else span_extend(span, eid)
+        return None if flow is None and span is None else (flow, span)
+
+    never = frozenset().__contains__  # False for every channel
+    ids = sorted(e.id for e in code.network.edges)
+    sets: Counter[tuple[bool, bool]] = Counter()  # (in the code family, in the cut family)
+    for k, _, (flow, span) in downward_closed_prefixes(ids, r, (flow_root, span_root), extend):
+        in_code = never if span is None else span_accept(span)
+        in_cut = never if flow is None else flow_accept(flow)
+        sets.update((in_code(eid), in_cut(eid)) for eid in ids[k:])
     return SubsetBoundReport(
-        subset_holds=not outside,
-        code_count=code_count,
-        cut_count=len(cut_sets),
+        subset_holds=not sets[True, False],
+        code_count=sets[True, True] + sets[True, False],
+        cut_count=sets[True, True] + sets[False, True],
         binomial=math.comb(len(code.network.edges), r),
     )
 

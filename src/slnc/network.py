@@ -379,39 +379,47 @@ State = TypeVar("State")
 Item = TypeVar("Item")
 
 
-def downward_closed_subsets(
-    items: Sequence[Item],
-    r: int,
-    root: State,
-    extend: Callable[[State, Item], State | None],
-    accept: Callable[[State], Callable[[Item], bool]],
-) -> Iterator[tuple[Item, ...]]:
-    """The r-subsets of `items` in a downward-closed family, in lexicographic order.
+def downward_closed_prefixes(
+    items: Sequence[Item], r: int, root: State, extend: Callable[[State, Item], State | None]
+) -> Iterator[tuple[int, tuple[Item, ...], State]]:
+    """(k, prefix, state) per (r-1)-prefix of a downward-closed family, in
+    lexicographic order; items[k:] are the prefix's candidate last items.
 
-    The walk is depth-first and holds one state per prefix, starting from
-    `root` for the empty one.  `extend(state, item)` gives the state of the
-    prefix plus item, or None when that set is not in the family.
-    `accept(state)` runs once per (r-1)-prefix and returns the predicate that
-    decides each last item, so their shared work is done once.  Every subset
-    of a member is a member, so a failed step skips every set that would
-    extend it.
+    The walk is depth-first on one stack.  `extend(state, item)` gives the
+    state of the prefix plus item from that of the prefix (`root` for the
+    empty one), or None when that set is not in the family: every subset of
+    a member is a member, so a failed step skips every set that extends it.
     """
-
-    def walk(start: int, prefix: tuple[Item, ...], state: State) -> Iterator[tuple[Item, ...]]:
+    stack = [(0, (), root)]
+    while stack:
+        start, prefix, state = stack.pop()
         if len(prefix) == r - 1:
-            last = accept(state)
-            yield from ((*prefix, item) for item in items[start:] if last(item))
-            return
+            yield start, prefix, state
+            continue
+        children = []
         for k in range(start, len(items) - r + len(prefix) + 1):
             child = extend(state, items[k])
             if child is not None:
-                yield from walk(k + 1, (*prefix, items[k]), child)
+                children.append((k + 1, (*prefix, items[k]), child))
+        stack += reversed(children)
 
-    return walk(0, (), root)
+
+def downward_closed_subsets(items: Sequence[Item], r: int, family: tuple) -> Iterator[tuple]:
+    """The r-subsets of `items` in the family (root, extend, accept), in
+    lexicographic order.  `accept(state)` runs once per (r-1)-prefix and
+    returns the predicate that decides each last item, so their shared work
+    is done once.
+    """
+    root, extend, accept = family
+    for k, prefix, state in downward_closed_prefixes(items, r, root, extend):
+        last = accept(state)
+        for item in items[k:]:
+            if last(item):
+                yield (*prefix, item)
 
 
-def enumerate_topology_wiretap_sets(net: Network, r: int) -> WiretapCollection:
-    """All size-r channel sets whose source min-cut equals r (topology only).
+def cut_family(net: Network, r: int) -> tuple:
+    """Root, `extend` and `accept` of the channel sets whose source min-cut is their size.
 
     The family is downward closed: sending more channels to the target adds
     no path into a prefix P, so mincut(A) <= mincut(P) + |A - P|.  A prefix's
@@ -458,7 +466,11 @@ def enumerate_topology_wiretap_sets(net: Network, r: int) -> WiretapCollection:
 
         return last
 
+    return (list(arcs.to), [1, 0] * len(net.edges)), extend, accept
+
+
+def enumerate_topology_wiretap_sets(net: Network, r: int) -> WiretapCollection:
+    """All size-r channel sets whose source min-cut equals r (topology only)."""
     ids = sorted(e.id for e in net.edges)
-    root = (list(arcs.to), [1, 0] * len(net.edges))
-    sets = tuple(downward_closed_subsets(ids, r, root, extend, accept))
+    sets = tuple(downward_closed_subsets(ids, r, cut_family(net, r)))
     return WiretapCollection(r=r, kind="cut", sets=sets)

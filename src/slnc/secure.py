@@ -28,10 +28,10 @@ from .lnc import (
     _parse_header,
     code_body_lines,
     construct_lnc,
-    independent_subsets,
     parse_code_lines,
+    span_family,
 )
-from .network import Network, c_min, parse_network, serialize_network
+from .network import Network, c_min, downward_closed_subsets, parse_network, serialize_network
 
 
 def _basis_level(omega: int, r: int, key_dim: int, n: int) -> int:
@@ -144,8 +144,6 @@ def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
     """
     n = code.n
     field = code.field
-    if not 1 <= r < n:
-        raise SecurityLevelTooLarge(f"need 1 <= r < n = {n}, got {r}")
     # cols are independent and meet no span(F_A), and F_A has rank r, so column
     # j <= n - r may be vec exactly when vec lies outside span(cols + F_A). That
     # depends on A only through span(F_A).  A code set's r independent kernels,
@@ -156,7 +154,7 @@ def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
         {row for k in code.kernels.values() for row in Echelon(field, n, [k]).basis()}
     )
     wiretap_spans: dict[tuple[tuple[int, ...], ...], Echelon] = {}
-    for A in independent_subsets(field, n, directions, r, lambda d: d):
+    for A in downward_closed_subsets(directions, r, span_family(field, n, r, lambda d: d)):
         echelon = Echelon(field, n, A)
         wiretap_spans.setdefault(echelon.basis(), echelon)
     # Index order is lexicographic with the last coordinate slowest: search over

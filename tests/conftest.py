@@ -69,6 +69,36 @@ def dag_networks(draw, q=5, max_extra=7):
     return parse_network("\n".join(lines) + "\n")
 
 
+def reachable(net, removed, start):
+    """The nodes reachable from start over the channels not in removed."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for e in net.edges:
+            if e.tail != v or e.id in removed or e.head in seen:
+                continue
+            seen.add(e.head)
+            stack.append(e.head)
+    return seen
+
+
+def brute_force_edge_set_cut(net, wiretapped):
+    """Smallest edge set S protecting every member: a is protected when a is
+    in S or its tail became unreachable."""
+    ids = [e.id for e in net.edges]
+    for size in range(len(ids) + 1):
+        for combo in itertools.combinations(ids, size):
+            removed = set(combo)
+            seen = reachable(net, removed, net.source)
+            if all(
+                a in removed or net.edge(a).tail not in seen
+                for a in wiretapped
+            ):
+                return size
+    return len(ids)
+
+
 # Small networks on which the linear-form searches are held to their
 # candidate-scan references: random DAGs, whose off-path channels and nodes
 # with several in-channels vary the search, and combination networks, whose

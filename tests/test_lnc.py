@@ -2,7 +2,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slnc.errors import DimensionExceedsCapacity, FieldTooSmallForSinks, SecurityLevelTooLarge
 from slnc.field import Echelon, combine, rank_of_rows
@@ -17,8 +17,16 @@ from slnc.lnc import (
     verify_subset_bound,
     write_code,
 )
-from slnc.network import Network, c_min, edge_disjoint_paths
-from conftest import SCAN_MAX_DIM, combination_network, kernel_matrix, outcome, small_networks
+from slnc.network import Network, c_min, edge_disjoint_paths, parse_network
+from conftest import (
+    SCAN_MAX_DIM,
+    brute_force_edge_set_cut,
+    combination_network,
+    dag_networks,
+    kernel_matrix,
+    outcome,
+    small_networks,
+)
 
 
 def sink_input_rank(code, t):
@@ -336,9 +344,11 @@ def test_subset_bound_across_fixtures(
 
 def test_subset_bound_decides_the_last_channel_per_prefix(monkeypatch):
     # Each (r-1)-prefix decides its last channels with one residual scan (an
-    # augmenting path only for a channel that carries flow) and one reduction
-    # per distinct kernel.  Deciding each candidate on its own took 40,943
-    # augmenting paths and 40,883 reductions here; per prefix, 3,006 and 11,914.
+    # augmenting path only for a channel that carries flow), and each distinct
+    # span reduces each distinct kernel once.  Deciding each candidate on its
+    # own took 40,943 augmenting paths and 40,883 reductions here; per prefix,
+    # 3,006 and 11,914; per distinct span (15 of them among 1,760 prefixes),
+    # 3,006 and 2,234, of which 2,144 extend a prefix's echelon.
     from slnc import network
 
     code = construct_lnc(combination_network(6, 4, 16), 4)
@@ -357,8 +367,55 @@ def test_subset_bound_decides_the_last_channel_per_prefix(monkeypatch):
     monkeypatch.setattr(Echelon, "reduce", counted_reduce)
     report = verify_subset_bound(code, 3)
     assert report.serialize() == "subset=true code=26620 cut=26620 binom=45760"
-    assert calls["augment"] <= 4_000
-    assert calls["reduce"] <= 15_000
+    assert 0 < calls["augment"] <= 4_000
+    assert 0 < calls["reduce"] <= 2_500
+
+
+@st.composite
+def codes_on_dags(draw):
+    """A code on a drawn DAG over GF(5): either `construct_lnc`'s, at a drawn
+    dimension, or drawn kernels with no local coefficients, so that a rank-r
+    set can fall outside the topology collection."""
+    net = draw(dag_networks())
+    if draw(st.booleans()):
+        return construct_lnc(net, draw(st.integers(1, c_min(net))))
+    n = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(0, net.field.q - 1)] * n)
+    return GlobalCode(n=n, kernels={e.id: draw(vector) for e in net.edges}, local_coeffs={}, network=net)
+
+
+# Channel c3 leaves a node with no in-channel, so its min cut is 0; a nonzero
+# kernel still puts it in the code collection at r = 1.
+UNREACHABLE_TAIL = GlobalCode(
+    n=2,
+    kernels={"c1": (1, 0), "c2": (0, 1), "c3": (1, 1)},
+    local_coeffs={},
+    network=parse_network("field 5\nsource n0\nsink n1\nedge c1 n0 n1\nedge c2 n0 n1\nedge c3 n2 n1\n"),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(codes_on_dags())
+@example(UNREACHABLE_TAIL)
+def test_subset_bound_matches_brute_force(code):
+    # The report is set inclusion of the rank-r sets in the min-cut-r sets,
+    # each collection counted from itertools.combinations; the code-side r
+    # check comes before the C_min one.
+    net, cmin = code.network, c_min(code.network)
+    ids = sorted(e.id for e in net.edges)
+    for r in range(max(code.n, cmin) + 1):
+        if not 1 <= r < code.n:
+            expected = (SecurityLevelTooLarge, f"need 1 <= r < n = {code.n}, got {r}")
+        elif r >= cmin:
+            expected = (SecurityLevelTooLarge, f"security level must satisfy 1 <= r < C_min = {cmin}, got {r}")
+        else:
+            combos = list(itertools.combinations(ids, r))
+            rank_sets = {A for A in combos if rank_of_rows(code.field, [code.kernels[e] for e in A]) == r}
+            cut_sets = {A for A in combos if brute_force_edge_set_cut(net, A) == r}
+            expected = (rank_sets <= cut_sets, len(rank_sets), len(cut_sets), len(combos))
+        assert outcome(lambda: verify_subset_bound(code, r)) == expected
+    if code is UNREACHABLE_TAIL:
+        assert verify_subset_bound(code, 1).serialize() == "subset=false code=3 cut=2 binom=3"
 
 
 def test_rank_bounded_by_cut(butterfly):

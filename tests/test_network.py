@@ -24,46 +24,17 @@ from slnc.network import (
     parse_network,
     serialize_network,
 )
-from conftest import FIXTURES, combination_network, dag_networks
+from conftest import FIXTURES, brute_force_edge_set_cut, combination_network, dag_networks, reachable
 
 
 # -- brute-force oracles -------------------------------------------------------
-
-def _reachable(net, removed, start):
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for e in net.edges:
-            if e.tail != v or e.id in removed or e.head in seen:
-                continue
-            seen.add(e.head)
-            stack.append(e.head)
-    return seen
-
 
 def brute_force_sink_cut(net, t):
     """Smallest edge set whose removal disconnects the source from t."""
     ids = [e.id for e in net.edges]
     for size in range(len(ids) + 1):
         for combo in itertools.combinations(ids, size):
-            if t not in _reachable(net, set(combo), net.source):
-                return size
-    return len(ids)
-
-
-def brute_force_edge_set_cut(net, wiretapped):
-    """Smallest edge set S protecting every member: a is protected when a is
-    in S or its tail became unreachable."""
-    ids = [e.id for e in net.edges]
-    for size in range(len(ids) + 1):
-        for combo in itertools.combinations(ids, size):
-            removed = set(combo)
-            seen = _reachable(net, removed, net.source)
-            if all(
-                a in removed or net.edge(a).tail not in seen
-                for a in wiretapped
-            ):
+            if t not in reachable(net, set(combo), net.source):
                 return size
     return len(ids)
 

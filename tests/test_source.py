@@ -134,19 +134,41 @@ def test_oracle_uses_only_public_names_of_the_code_it_checks():
 def test_wiretap_enumeration_extends_prefixes():
     # Both wiretap collections grow one state per prefix (a flow, an echelon):
     # no set may get a fresh max-flow or elimination, and the flow's arcs are
-    # built once per network, not per call.
+    # built once per network, not per call.  The subset check counts both
+    # collections in one walk: it may not list either one and look its sets up.
+    # The walk hands each prefix and set up through one generator, with no
+    # nested walk to recurse into.
     banned = {"min_cut_to_edges", "_unit_flow", "rank_of_rows", "combinations"}
     found = []
     for module, name in (
         ("network.py", "enumerate_topology_wiretap_sets"),
+        ("network.py", "cut_family"),
         ("lnc.py", "enumerate_code_wiretap_sets"),
-        ("lnc.py", "_code_sets"),
-        ("lnc.py", "independent_subsets"),
+        ("lnc.py", "span_family"),
+        ("lnc.py", "verify_subset_bound"),
     ):
         for fn in _functions(module, {name}):
             found += [f"{name}:{line}: {called}" for line, called in _calls(fn) if called in banned]
     for fn in _functions("network.py", {"_unit_flow"}):
         found += [f"_unit_flow:{line}: append" for line, called in _calls(fn) if called == "append"]
+    listing = {
+        "enumerate_topology_wiretap_sets", "enumerate_code_wiretap_sets", "members",
+        "downward_closed_subsets",
+    }
+    for fn in _functions("lnc.py", {"verify_subset_bound"}):
+        found += [
+            f"verify_subset_bound:{node.lineno}: {node.id if isinstance(node, ast.Name) else node.attr}"
+            for node in ast.walk(fn)
+            if (isinstance(node, ast.Name) and node.id in listing)
+            or (isinstance(node, ast.Attribute) and node.attr in listing)
+        ]
+    for fn in _functions("network.py", {"downward_closed_prefixes", "downward_closed_subsets"}):
+        found += [
+            f"{fn.name}:{node.lineno}: nested {getattr(node, 'name', 'lambda')}"
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not fn
+        ]
+        found += [f"{fn.name}:{line}: recursion" for line, called in _calls(fn) if called == fn.name]
     assert found == []
 
 

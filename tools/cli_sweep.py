@@ -13,13 +13,15 @@ The networks are the fixtures, six combination networks C(n,k) over GF(q),
 and 40 seeded random DAGs over GF(2..5) whose channel ids and edge lines
 are shuffled against the topological order.  The commands on each are
 `mincut` (overall and per sink), `construct` at dimension 0..5,
-`enumerate --code` and `--prop1` at every r from 0 to C_min + 1, `secure`
+`enumerate --code` and `--prop1` with the code of C_min and of every
+dimension constructed, at every r from 0 to C_min + 1 (so r also falls
+between the code's dimension and C_min), `secure`
 for every omega up to C_min + 1, r <= 3 and every i, with `verify`, `verify --fast` and
 `simulate --seed 7` on each bundle built, and `refute` at omega <= 2,
 r <= 3 and every keydim < r with budget 200,000; on the fixtures also
 `refute --omega 1 --r 1 --keydim 0` with the default budget.  The list
 depends on the tree only through the C_min that `mincut` prints and the
-`secure` cases that succeed, and both of those are compared too.
+`construct` and `secure` cases that succeed, and all of those are compared too.
 
 Each line is `slnc <args> <hash>`, the temporary directory masked as
 `<tmp>`.  The hash covers the exit code, stdout, stderr and the file the
@@ -133,11 +135,14 @@ class Sweep:
         for line in text.splitlines():
             if line.startswith("sink "):
                 self.run("mincut", net, "--sink", line.split()[1])
+        built = {cmin}
         for dim in range(6):
             path = str(self.tmp / f"{name}.d{dim}.code")
-            self.run("construct", net, "--dim", str(dim), "-o", path, output=path)
-        code_file = str(self.tmp / f"{name}.d{cmin}.code")
-        for r in range(cmin + 2):
+            code, _out = self.run("construct", net, "--dim", str(dim), "-o", path, output=path)
+            if code == 0:
+                built.add(dim)
+        for dim, r in itertools.product(sorted(built), range(cmin + 2)):
+            code_file = str(self.tmp / f"{name}.d{dim}.code")
             self.run("enumerate", net, "--r", str(r), "--code", code_file)
             self.run("enumerate", net, "--r", str(r), "--code", code_file, "--prop1")
         for omega, r in itertools.product(range(1, cmin + 2), range(1, 4)):
