@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Collection, Hashable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -75,11 +75,13 @@ def _input_columns(bundle: SecureCodeBundle) -> list[tuple[int, ...]]:
 
 
 def _symbol_columns(
-    bundle: SecureCodeBundle, inputs: Sequence[tuple[int, ...]], edge_ids: Iterable[str]
+    bundle: SecureCodeBundle, inputs: Sequence[tuple[int, ...]], edge_ids: Collection[str]
 ) -> dict[str, tuple[int, ...]]:
-    """Channel e's symbol on every input: the column sum of gain[e][j] * X_j."""
-    size = len(inputs[0])
-    return {eid: combine(bundle.field, bundle.gain[eid], inputs, size) for eid in edge_ids}
+    """Channel e's symbol on every input: the column sum of gain[e][j] * X_j,
+    built once per distinct gain and shared by every channel that carries it."""
+    size, gain = len(inputs[0]), bundle.gain
+    column = {g: combine(bundle.field, g, inputs, size) for g in {gain[eid] for eid in edge_ids}}
+    return {eid: column[gain[eid]] for eid in edge_ids}
 
 
 def _count(
@@ -210,11 +212,10 @@ def _decode_roundtrip(
     return True, ""
 
 
-def _partition(column: Sequence[int]) -> tuple[int, ...]:
-    """The column relabelled by first occurrence: two columns give the same
-    tuple exactly when they split the inputs into the same classes."""
-    labels = {x: label for label, x in enumerate(dict.fromkeys(column))}
-    return tuple(map(labels.__getitem__, column))
+def _free_gain(bundle: SecureCodeBundle, eid: str) -> tuple[int, ...]:
+    """Channel eid's gain on the message and key rows, its constant rows dropped."""
+    gain = bundle.gain[eid]
+    return gain[:bundle.omega] + gain[bundle.n - bundle.key_dim:]
 
 
 def verify_security(
@@ -227,13 +228,14 @@ def verify_security(
     With fast=True only the size-r sets are scanned, justified by
     monotonicity of leakage under set inclusion.
 
-    Each channel splits the inputs into classes of equal symbol, and a set
-    splits them into the common refinement of its channels' classes.  Sets
-    whose channels induce the same collection of partitions therefore see the
-    same partition of the inputs, so their count tables agree up to renaming
-    the observations, and mutual_information, which reads only support sizes
-    and counts, gives both the same result.  The first set with each
-    collection is counted over every input; later ones reuse its leakage.
+    A channel splits the inputs into the level sets of its free gain, a linear
+    form on the message and key coordinates (the constant rows only shift the
+    column); two forms split them alike exactly when they are proportional or
+    both zero, so the gain's line in Echelon.basis() form names the split.  A
+    set splits the inputs into the common refinement of its channels' splits,
+    so sets with the same lines have count tables equal up to renaming the
+    observations, which leaves mutual_information unchanged.  The first set
+    with each collection of lines is counted; later ones reuse its leakage.
     """
     _check_enum_budget(bundle, budget)
     inputs = _input_columns(bundle)
@@ -241,18 +243,15 @@ def verify_security(
     decode_ok, decode_detail = _decode_roundtrip(bundle, inputs, columns)
     messages = list(zip(*inputs[:bundle.omega]))
 
-    interned: dict[tuple[int, ...], int] = {}
-    partition = {
-        eid: interned.setdefault(_partition(col), len(interned)) for eid, col in columns.items()
-    }
-    leakage: dict[frozenset[int], int] = {}
+    dim = bundle.omega + bundle.key_dim
+    line = {eid: Echelon(bundle.field, dim, [_free_gain(bundle, eid)]).basis() for eid in columns}
+    leakage: dict[frozenset[tuple[tuple[int, ...], ...]], int] = {}
     ids = sorted(columns)
     top = min(bundle.r, len(ids))
-    sizes = [top] if fast else list(range(1, top + 1))
     results: list[tuple[tuple[str, ...], int, bool]] = []
-    for size in sizes:
+    for size in [top] if fast else range(1, top + 1):
         for combo in itertools.combinations(ids, size):
-            key = frozenset([partition[eid] for eid in combo])
+            key = frozenset([line[eid] for eid in combo])
             mi = leakage.get(key)
             if mi is None:
                 dist = _count(bundle, messages, [columns[eid] for eid in combo], combo)
@@ -277,11 +276,12 @@ def _leakage(field: FieldSpec, cols: Sequence[Sequence[int]], omega: int, dim: i
     """I(M; Y_A) in log-q units for a channel set whose columns over the
     (message | key) coordinates are cols: with uniform message and key,
     H(Y_A) = rank(F_A) and H(Y_A | M) = rank of its key rows, so the leakage
-    is their gap, zero exactly when the message rows lie in the key rows' span
-    (the rank form of the Cai-Yeung security condition)."""
-    seen = Echelon(field, dim, cols)
-    hidden = Echelon(field, dim - omega, [col[omega:] for col in cols])
-    return len(seen) - len(hidden)
+    is their gap (zero exactly when the message rows lie in the key rows'
+    span: the rank form of the Cai-Yeung condition).  One echelon of cols with
+    the key coordinates first has rank(key rows) pivots in the key block, so
+    the gap is its number of pivots in the message block."""
+    echelon = Echelon(field, dim, [col[omega:] + col[:omega] for col in cols])
+    return sum(p >= dim - omega for p in echelon.rows)
 
 
 def rank_security_criterion(bundle: SecureCodeBundle, edge_ids: Sequence[str]) -> bool:
@@ -290,9 +290,8 @@ def rank_security_criterion(bundle: SecureCodeBundle, edge_ids: Sequence[str]) -
     ids = sorted(edge_ids)
     for eid in ids:
         bundle.network.edge(eid)
-    omega, key_start = bundle.omega, bundle.n - bundle.key_dim
-    cols = [bundle.gain[eid][:omega] + bundle.gain[eid][key_start:] for eid in ids]
-    return not _leakage(bundle.field, cols, omega, omega + bundle.key_dim)
+    cols = [_free_gain(bundle, eid) for eid in ids]
+    return not _leakage(bundle.field, cols, bundle.omega, bundle.omega + bundle.key_dim)
 
 
 # -- key-rate refutation -------------------------------------------------------------

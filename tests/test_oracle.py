@@ -16,7 +16,7 @@ from slnc.errors import (
     InvalidKeyDim,
     NotADistribution,
 )
-from slnc.field import Matrix, combine, in_span, rank_of_rows, standard_basis
+from slnc.field import Echelon, FieldSpec, Matrix, combine, in_span, rank_of_rows, standard_basis
 from slnc.lnc import GlobalCode, construct_lnc, imaginary_ids, in_channel_ids
 from slnc.network import Network, c_min, parse_network
 from slnc.oracle import (
@@ -34,7 +34,7 @@ from slnc.oracle import (
 )
 from slnc import oracle
 from slnc.secure import SecureCodeBundle, build_secure_bundle, decode_at_sink, encode_source
-from conftest import FIXTURES, dag_networks, load_network
+from conftest import FIXTURES, combination_network, dag_networks, load_network
 
 
 def _identity_mixing_bundle(net, omega, r, i=0):
@@ -356,6 +356,77 @@ def test_partition_bundle_shares_counts_only_between_equal_partitions():
     assert by_set[("e1", "e2")] == 0
     assert by_set[("e1", "e3")] == by_set[("e2", "e3")] == 1
     assert got.worst_set == ("e1", "e3") and got.decode_ok
+
+
+def first_occurrence(column):
+    """The column relabelled by first occurrence, kept as the reference
+    partition: two columns give the same tuple exactly when they split the
+    inputs into the same classes."""
+    labels = {x: label for label, x in enumerate(dict.fromkeys(column))}
+    return tuple(map(labels.__getitem__, column))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(verify_cases())
+@example((PARTITION_BUNDLE, False))
+@example((PARTITION_BUNDLE, True))
+def test_gain_lines_group_channels_as_their_partitions_do(case):
+    """Two channels have the same gain line exactly when their columns split
+    the inputs alike, and verify_security counts one table per distinct
+    collection of partitions: that of the first set, in scan order, with it."""
+    bundle, fast = case
+    columns = oracle._symbol_columns(bundle, oracle._input_columns(bundle), bundle.gain)
+    partition = {eid: first_occurrence(col) for eid, col in columns.items()}
+    dim = bundle.omega + bundle.key_dim
+    line = {eid: Echelon(bundle.field, dim, [oracle._free_gain(bundle, eid)]).basis() for eid in columns}
+    for a, b in itertools.combinations(sorted(columns), 2):
+        assert (line[a] == line[b]) == (partition[a] == partition[b]), (a, b)
+    ids = sorted(columns)
+    top = min(bundle.r, len(ids))
+    first = {}
+    for size in [top] if fast else range(1, top + 1):
+        for combo in itertools.combinations(ids, size):
+            first.setdefault(frozenset(partition[eid] for eid in combo), combo)
+    with mock.patch.object(oracle, "_count", wraps=oracle._count) as count:
+        verify_security(bundle, fast=fast)
+    assert [call.args[3] for call in count.call_args_list] == list(first.values())
+
+
+def test_verify_builds_one_column_per_distinct_gain():
+    # The `verify` workload's bundle: relays copy their kernel, so its 35
+    # channels carry only 5 distinct gains.
+    bundle = build_secure_bundle(combination_network(5, 3, 11), omega=1, r=2)
+    columns = oracle._symbol_columns(bundle, oracle._input_columns(bundle), bundle.gain)
+    assert len(columns) == 35
+    assert len({id(col) for col in columns.values()}) == len(set(bundle.gain.values())) == 5
+    for a, b in itertools.combinations(columns, 2):
+        assert (columns[a] is columns[b]) == (bundle.gain[a] == bundle.gain[b])
+
+
+@st.composite
+def leakage_cases(draw):
+    """A field, omega >= 1, key_dim >= 0, and columns over (message | key)
+    drawn with zero and repeated vectors among them."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 8]))
+    omega, key_dim = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    vector = st.tuples(*[st.integers(0, q - 1)] * (omega + key_dim))
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    cols = draw(st.lists(st.sampled_from([(0,) * (omega + key_dim), *pool]) | vector, max_size=6))
+    return q, cols, omega, omega + key_dim
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(leakage_cases())
+@example((2, [], 1, 1))
+@example((3, [], 2, 3))
+@example((5, [(0, 0), (0, 0)], 2, 2))
+@example((4, [(1, 2, 3), (1, 2, 3), (2, 3, 1)], 1, 3))
+@example((8, [(5, 7), (7, 5)], 2, 2))
+def test_leakage_is_the_rank_gap(case):
+    q, cols, omega, dim = case
+    field = FieldSpec(q)
+    want = rank_of_rows(field, cols) - rank_of_rows(field, [col[omega:] for col in cols])
+    assert oracle._leakage(field, cols, omega, dim) == want
 
 
 # -- rank criterion ---------------------------------------------------------------------

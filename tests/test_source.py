@@ -75,7 +75,7 @@ def _functions(module: str, names: set[str]) -> list[ast.FunctionDef]:
     return found
 
 
-def _calls(fn: ast.FunctionDef) -> list[tuple[int, str]]:
+def _calls(fn: ast.AST) -> list[tuple[int, str]]:
     """(line, name) of every call in fn, nested functions included."""
     return [
         (node.lineno, getattr(node.func, "id", getattr(node.func, "attr", None)))
@@ -109,6 +109,24 @@ def test_one_leakage_rule():
     assert "_message_in_key_span" not in defined
     for fn in _functions("oracle.py", {"rank_security_criterion", "refute_key_rate"}):
         assert "_leakage" in {called for _line, called in _calls(fn)}, fn.name
+
+
+def test_one_direction_normal_form():
+    # A nonzero vector scaled to a leading 1 is `Echelon(field, n, [v]).basis()`:
+    # the basis search names kernel directions by it and the oracle names gain
+    # lines by it.  No module but field.py may scale by an inverse itself, and
+    # the oracle may not relabel whole columns to learn what a gain line says.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "field.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [f"{path.name}:{line}: inv" for line, called in _calls(tree) if called == "inv"]
+    for module, name in (("secure.py", "choose_secure_basis"), ("oracle.py", "verify_security")):
+        (fn,) = _functions(module, {name})
+        assert "basis" in {called for _line, called in _calls(fn)}, name
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    assert "_partition" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert found == []
 
 
 def test_oracle_uses_only_public_names_of_the_code_it_checks():
