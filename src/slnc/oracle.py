@@ -9,12 +9,13 @@ equality and the algebraic rank criterion are two further, independent routes
 to the zero-leakage verdict.  The rank criterion reads leakage as a rank gap,
 rank(F_A) minus the rank of F_A's key rows, and the refutation search uses the
 same rule as it exhausts every linear code of a given dimension to corroborate
-that smaller key rates cannot work.  Leakage only grows with the set, so the
-search checks, for each channel, only the largest sets that end with it.
+that smaller key rates cannot work.  Leakage depends only on the span of the
+kernels, so the search checks each new kernel direction, not each channel set.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -320,14 +321,11 @@ class RefutationResult(NamedTuple):
 
 class _SearchLevel(NamedTuple):
     """One channel of the depth-first search, in topological order, with the
-    checks it owns: the sinks whose last in-channel it is, and the largest
-    wiretap sets whose last channel it is."""
+    sinks whose last in-channel it is."""
 
     edge_id: str
     ins: list[str]
     sinks: list[list[str]]
-    before: list[str]  # the channels before it; its sets, walked as they are checked,
-    rest: int  # are (*rest, edge_id) for each `rest` of this many of those channels
     subtree: int  # full assignments that extend each of its coefficient tuples
 
 
@@ -350,11 +348,12 @@ def refute_key_rate(
     The search is depth-first over the channels in topological order, trying
     each channel's coefficient tuples in lexicographic order, so the witness
     returned is the first in lexicographic order of the full assignments.  A
-    sink is checked once its last in-channel is assigned and a wiretap set
-    once its last channel is; when either check fails, no completion of the
-    prefix can pass, and the subtree is skipped.  Only the largest sets a
-    channel owns are checked, since leakage only grows with the set and every
-    smaller owned set lies inside one of them.  `searched` counts the full
+    sink is checked once its last in-channel is assigned, and a channel whose
+    kernel adds a direction (its Echelon.basis() form) to the D before it
+    checks it with each min(r - 1, D) of them: leakage depends only on the
+    span and only grows with it, so a prefix passes exactly when every set of
+    at most r channels in it does.  When a check fails, no completion of the
+    prefix can pass, and the subtree is skipped.  `searched` counts the full
     assignments covered, each skipped subtree by its size, so a `refuted`
     search reports q^slots.
     """
@@ -377,17 +376,13 @@ def refute_key_rate(
     if space > budget:
         raise BudgetExceeded(f"search space {q}^{slots} exceeds the budget {budget}")
 
-    topo_ids = [e.id for e in topo]
     levels: list[_SearchLevel] = []
     prefixes = 1  # assignments of the channels up to this one
-    for j, edge in enumerate(topo):
+    for edge in topo:
         ins = in_channel_ids(net, dim, edge.tail)
         prefixes *= q ** len(ins)
-        # Of the sets that end with this channel, only the largest need checking.
-        levels.append(
-            _SearchLevel(edge.id, ins, [], topo_ids[:j], min(r, j + 1) - 1, space // prefixes)
-        )
-    position = {eid: j for j, eid in enumerate(topo_ids)}
+        levels.append(_SearchLevel(edge.id, ins, [], space // prefixes))
+    position = {e.id: j for j, e in enumerate(topo)}
     for t in net.sinks:
         ins = [e.id for e in net.in_edges(t)]
         levels[max(position[eid] for eid in ins)].sinks.append(ins)
@@ -396,15 +391,17 @@ def refute_key_rate(
     # A sink recovers the message iff e_1..e_omega lie in the span of its kernels;
     # otherwise two inputs differing in M share all its observations.
     message_units = [standard_basis(dim, j) for j in range(omega)]
+    direction = functools.cache(lambda kernel: Echelon(field, dim, [kernel]).basis())
     elements = field.elements()
     searched = visited = 0
-    # tries[j] yields channel j's remaining coefficient tuples; chosen[j] is its current one.
-    tries = [itertools.product(elements, repeat=len(levels[0].ins))]
+    # tries[j] = (channel j's untried coefficient tuples, the earlier channels' directions).
+    tries = [(itertools.product(elements, repeat=len(levels[0].ins)), ())]
     chosen: list[tuple[int, ...]] = []
     while tries:
         depth = len(tries) - 1
         del chosen[depth:]
-        coeffs = next(tries[depth], None)
+        options, known = tries[depth]
+        coeffs = next(options, None)
         if coeffs is None:
             tries.pop()
             continue
@@ -412,14 +409,16 @@ def refute_key_rate(
         level = levels[depth]
         kernels[level.edge_id] = combine(field, coeffs, [kernels[d] for d in level.ins], dim)
         chosen.append(coeffs)
+        new = tuple(line for line in direction(kernels[level.edge_id]) if line not in known)
         passed = all(
             in_span(field, [kernels[eid] for eid in ins], message_units) for ins in level.sinks
         ) and all(
-            _leakage(field, [kernels[eid] for eid in (*rest, level.edge_id)], omega, dim) == 0
-            for rest in itertools.combinations(level.before, level.rest)
+            _leakage(field, [*rest, *new], omega, dim) == 0
+            for rest in (itertools.combinations(known, min(r - 1, len(known))) if new else ())
         )
         if passed and depth + 1 < len(levels):
-            tries.append(itertools.product(elements, repeat=len(levels[depth + 1].ins)))
+            options = itertools.product(elements, repeat=len(levels[depth + 1].ins))
+            tries.append((options, known + new))
             continue
         searched += level.subtree
         if not passed:

@@ -688,10 +688,19 @@ def test_refute_corroborates_optimal_key_rate(
         assert (result.verdict, result.searched) == ("refuted", space)
 
 
-def test_refute_prunes_the_butterfly_search(butterfly):
-    result = refute_key_rate(butterfly, omega=1, r=1, key_dim=0)
-    assert (result.verdict, result.searched, result.visited) == ("refuted", 3**10, 3042)
-    assert result.serialize() == "searched=59049 verdict=refuted\n"
+@pytest.mark.parametrize(
+    "fixture, omega, r, key_dim, searched, visited",
+    [
+        ("butterfly", 1, 1, 0, 3**10, 3042),
+        ("butterfly_gf2", 1, 5, 3, 2**16, 47098),
+        ("butterfly_gf2", 2, 4, 2, 2**16, 29750),
+    ],
+    ids=["butterfly-1-1-0", "butterfly_gf2-1-5-3", "butterfly_gf2-2-4-2"],
+)
+def test_refute_prunes_the_butterfly_search(fixture, omega, r, key_dim, searched, visited):
+    result = refute_key_rate(load_network(f"{fixture}.net"), omega, r, key_dim)
+    assert (result.verdict, result.searched, result.visited) == ("refuted", searched, visited)
+    assert result.serialize() == f"searched={searched} verdict=refuted\n"
 
 
 def tried_tuples(net, omega, r, key_dim):
@@ -760,12 +769,20 @@ ZERO_SLOT_CHANNEL = parse_network("field 3\nsource s\nsink t\nedge c1 s t\nedge 
 # several sizes, of which the search checks only the largest.
 PARALLEL3_GF2 = load_network("parallel3_gf2.net")
 
+# b and c copy a or carry zero, so their levels add no kernel direction while
+# the security check runs.
+COPIED_CHANNELS = parse_network(
+    "field 2\nsource s\nsink t\nedge a s v\nedge b v t\nedge c v t\nedge d s t\n"
+)
+
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(refutation_cases())
 @example((ZERO_SLOT_CHANNEL, 1, 1, 0, True))
 @example((ZERO_SLOT_CHANNEL, 1, 2, 1, False))
 @example((PARALLEL3_GF2, 1, 3, 1, True))
+@example((COPIED_CHANNELS, 1, 2, 1, True))
+@example((COPIED_CHANNELS, 2, 3, 1, True))
 def test_pruned_refutation_matches_the_flat_search(case):
     net, omega, r, key_dim, check_security = case
     reference = {} if check_security else {"message_in_key_span": _always_secure}
@@ -783,17 +800,17 @@ def test_pruned_refutation_matches_the_flat_search(case):
 
 
 # s-t beside 20 channels out of u, which has no in-channel: two codes over
-# GF(2), yet at r = 10 its channels own 352,725 largest wiretap sets, the
-# last one C(20, 9) = 167,960 of them.
+# GF(2), yet at r = 10 the channel in position j is the last of C(j, 9) sets
+# of size 10, C(20, 9) = 167,960 for the last channel.
 WIDE_ZERO_SLOTS = parse_network(
     "field 2\nsource s\nsink t\nedge c s t\n" + "".join(f"edge u{k} u t\n" for k in range(20))
 )
 
 
 def test_refutation_walks_its_wiretap_sets_as_it_checks_them():
-    # With every set leaking, the first set checked fails both codes.  A
-    # search that listed each level's sets up front held 43 MiB before it
-    # started; one that walks them holds almost nothing.
+    # With every set leaking, c = 1 fails the first set it checks and c = 0
+    # fails the sink.  A search that listed each level's sets up front held
+    # 43 MiB before it started; one that walks them holds almost nothing.
     tracemalloc.start()
     try:
         with mock.patch.object(oracle, "_leakage", lambda *args: 1):
@@ -803,6 +820,21 @@ def test_refutation_walks_its_wiretap_sets_as_it_checks_them():
         tracemalloc.stop()
     assert result.serialize() == "searched=2 verdict=refuted\n"
     assert peak < 2**20
+
+
+def test_refutation_checks_only_new_kernel_directions():
+    # s-t beside 26 channels out of u, over GF(2) at r = 12.  The u channels
+    # carry zero and c = 0 does too, so only c = 1 adds a kernel direction:
+    # one wiretap check, where a search by channel sets checks C(j, min(j, 11))
+    # sets at the channel in position j, 9,657,712 in all.
+    net = parse_network(
+        "field 2\nsource s\nsink t\nedge c s t\n" + "".join(f"edge u{k} u t\n" for k in range(26))
+    )
+    leakage = mock.Mock(wraps=oracle._leakage)
+    with mock.patch.object(oracle, "_leakage", leakage):
+        result = refute_key_rate(net, 1, 12, 0, budget=10)
+    assert result.serialize() == "searched=2 verdict=refuted\n"
+    assert leakage.call_count == 1
 
 
 # -- entropy profile -----------------------------------------------------------------------

@@ -113,15 +113,20 @@ def test_one_leakage_rule():
 
 def test_one_direction_normal_form():
     # A nonzero vector scaled to a leading 1 is `Echelon(field, n, [v]).basis()`:
-    # the basis search names kernel directions by it and the oracle names gain
-    # lines by it.  No module but field.py may scale by an inverse itself, and
-    # the oracle may not relabel whole columns to learn what a gain line says.
+    # the basis search and the refutation search name kernel directions by it
+    # and the oracle names gain lines by it.  No module but field.py may scale
+    # by an inverse itself, and the oracle may not relabel whole columns to
+    # learn what a gain line says.
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "field.py":
             tree = ast.parse(path.read_text(encoding="utf-8"))
             found += [f"{path.name}:{line}: inv" for line, called in _calls(tree) if called == "inv"]
-    for module, name in (("secure.py", "choose_secure_basis"), ("oracle.py", "verify_security")):
+    for module, name in (
+        ("secure.py", "choose_secure_basis"),
+        ("oracle.py", "verify_security"),
+        ("oracle.py", "refute_key_rate"),
+    ):
         (fn,) = _functions(module, {name})
         assert "basis" in {called for _line, called in _calls(fn)}, name
     tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))

@@ -18,10 +18,11 @@ dimension constructed, at every r from 0 to C_min + 1 (so r also falls
 between the code's dimension and C_min), `secure`
 for every omega up to C_min + 1, r <= 3 and every i, with `verify`, `verify --fast` and
 `simulate --seed 7` on each bundle built, and `refute` at omega <= 2,
-r <= 3 and every keydim < r with budget 200,000; on the fixtures also
-`refute --omega 1 --r 1 --keydim 0` with the default budget.  The list
-depends on the tree only through the C_min that `mincut` prints and the
-`construct` and `secure` cases that succeed, and all of those are compared too.
+r <= 3 (r <= 5 on the fixtures) and every keydim < r with budget 200,000;
+on the fixtures also `refute --omega 1 --r 1 --keydim 0` with the default
+budget.  The list depends on the tree only through the C_min that `mincut`
+prints and the `construct` and `secure` cases that succeed, and all of those
+are compared too.
 
 Each line is `slnc <args> <hash>`, the temporary directory masked as
 `<tmp>`.  The hash covers the exit code, stdout, stderr and the file the
@@ -156,7 +157,8 @@ class Sweep:
                 self.run("verify", bundle, "--fast")
                 message = ",".join(str((j + 1) % q) for j in range(omega))
                 self.run("simulate", bundle, "--message", message, "--seed", "7")
-        for omega, r in itertools.product(range(1, 3), range(1, 4)):
+        # The fixtures are small enough to refute at higher security levels too.
+        for omega, r in itertools.product(range(1, 3), range(1, 6 if fixture else 4)):
             for keydim in range(r):
                 args = ("--omega", str(omega), "--r", str(r), "--keydim", str(keydim))
                 self.run("refute", net, *args, "--budget", str(REFUTE_BUDGET))
