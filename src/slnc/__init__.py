@@ -12,49 +12,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "FieldSpec",
-    "Matrix",
-    "ff_op",
-    "mat_rank",
-    "mat_inverse",
-    "spans_intersect_trivially",
-    "Edge",
-    "Network",
-    "WiretapCollection",
-    "parse_network",
-    "serialize_network",
-    "min_cut_to_sink",
-    "min_cut_to_edges",
-    "c_min",
-    "enumerate_topology_wiretap_sets",
-    "GlobalCode",
-    "construct_lnc",
-    "check_code_validity",
-    "enumerate_code_wiretap_sets",
-    "verify_subset_bound",
-    "write_code",
-    "parse_code",
-    "SecureCodeBundle",
-    "choose_secure_basis",
-    "build_secure_bundle",
-    "encode_source",
-    "decode_at_sink",
-    "write_bundle",
-    "parse_bundle",
-    "JointDistribution",
-    "SecurityReport",
-    "RefutationResult",
-    "observation_distribution",
-    "mutual_information",
-    "verify_security",
-    "rank_security_criterion",
-    "refute_key_rate",
-    "han_profile",
-]
-
-# The defining module of each public name.
+# The defining module of each public name, in `__all__` order.
 _HOME = {
     name: module
     for module, names in (
@@ -71,6 +29,7 @@ _HOME = {
     )
     for name in names.split()
 }
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):

@@ -99,14 +99,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     from .network import enumerate_topology_wiretap_sets
 
     net = _load_network(args.network)
+    if args.prop1 and args.code is None:
+        raise _UsageError("--prop1 needs --code")
+    code = None if args.code is None else parse_code(Path(args.code).read_text(encoding="utf-8"), net)
     if args.prop1:
-        if args.code is None:
-            raise _UsageError("--prop1 needs --code")
-        code = parse_code(Path(args.code).read_text(encoding="utf-8"), net)
         print(verify_subset_bound(code, args.r).serialize())
         return 0
-    if args.code is not None:
-        code = parse_code(Path(args.code).read_text(encoding="utf-8"), net)
+    if code is not None:
         collection = enumerate_code_wiretap_sets(code, args.r)
     else:
         collection = enumerate_topology_wiretap_sets(net, args.r)
@@ -164,11 +163,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _parse_table_file(path: str) -> dict[tuple[str, ...], float]:
+    from .network import text_lines
+
     table: dict[tuple[str, ...], float] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(Path(path).read_text(encoding="utf-8")):
         tokens = line.split()
         if len(tokens) < 2:
             raise ParseError(f"table line {lineno} needs outcomes and a probability")

@@ -410,9 +410,11 @@ class Matrix:
             raise FieldMismatch(f"mixed fields {self.field} and {other.field}")
 
     def rank(self) -> int:
+        """Rank over GF(q) by exact Gaussian elimination."""
         return rank_of_rows(self.field, [self.row(i) for i in range(self.rows)])
 
     def inverse(self) -> "Matrix":
+        """Inverse of a square matrix; raises Singular when rank < dimension."""
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices have inverses")
         n = self.rows
@@ -443,14 +445,8 @@ class Matrix:
         return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
 
 
-def mat_rank(m: Matrix) -> int:
-    """Rank over GF(q) by exact Gaussian elimination."""
-    return m.rank()
-
-
-def mat_inverse(m: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises Singular when rank < dimension."""
-    return m.inverse()
+mat_rank = Matrix.rank
+mat_inverse = Matrix.inverse
 
 
 def spans_intersect_trivially(b1: Matrix, b2: Matrix) -> bool:

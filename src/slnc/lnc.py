@@ -29,6 +29,7 @@ from .network import (
     downward_closed_prefixes,
     downward_closed_subsets,
     edge_disjoint_paths,
+    text_lines,
 )
 
 IMAGINARY_PREFIX = "__s_"
@@ -314,8 +315,13 @@ def _parse_header(line: str, keyword: str, keys: tuple[str, ...]) -> tuple[int, 
     return tuple(values[key] for key in keys)
 
 
-def parse_code_lines(net: Network, n: int, q: int, lines: list[str]) -> GlobalCode:
-    """Assemble a code from kernel/local lines; every kernel must match its local coefficients."""
+def parse_code(text: str, net: Network) -> GlobalCode:
+    """Parse a code file for a known network; every kernel must match its local coefficients."""
+    lines = [line for _, line in text_lines(text)]
+    headers = [line for line in lines if line.startswith("code")]
+    if len(headers) != 1:
+        raise ParseError("duplicate code header" if headers else "missing code header")
+    n, q = _parse_header(headers[0], "code", ("n", "q"))
     if n < 1:
         raise ParseError(f"bad code dimension {n}")
     if q != net.field.q:
@@ -349,7 +355,7 @@ def parse_code_lines(net: Network, n: int, q: int, lines: list[str]) -> GlobalCo
                 local_coeffs[(d_id, e_id)] = field.check(int(tokens[3]))
             except ValueError:
                 raise ParseError(f"non-integer coefficient: {line!r}") from None
-        else:
+        elif line not in headers:
             raise ParseError(f"unexpected line in code body: {line!r}")
     missing = [e.id for e in net.edges if e.id not in kernels]
     if missing:
@@ -365,23 +371,3 @@ def parse_code_lines(net: Network, n: int, q: int, lines: list[str]) -> GlobalCo
             f"kernels disagree with the local coefficients on: {', '.join(violations)}"
         )
     return code
-
-
-def parse_code(text: str, net: Network) -> GlobalCode:
-    """Parse a code file for a known network."""
-    body: list[str] = []
-    header: str | None = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("code"):
-            if header is not None:
-                raise ParseError("duplicate code header")
-            header = line
-        else:
-            body.append(line)
-    if header is None:
-        raise ParseError("missing code header")
-    n, q = _parse_header(header, "code", ("n", "q"))
-    return parse_code_lines(net, n, q, body)

@@ -126,16 +126,10 @@ class Network:
         return {v: i for i, v in enumerate(order)}
 
     def _check_reachability(self) -> None:
-        seen = {self.source}
-        stack = [self.source]
-        while stack:
-            v = stack.pop()
-            for e in self._out[v]:
-                if e.head not in seen:
-                    seen.add(e.head)
-                    stack.append(e.head)
+        # The zero flow's residual graph is the channel graph, with no arc to the target.
+        reached = _search(self._arcs, list(self._arcs.to), [1, 0] * len(self.edges))
         for t in self.sinks:
-            if t not in seen:
+            if reached[self.nodes.index(t)] is None:
                 raise UnreachableSink(f"sink {t} is unreachable from {self.source}")
 
     # -- access --------------------------------------------------------------
@@ -167,6 +161,13 @@ class Network:
 
 # -- text format ---------------------------------------------------------------
 
+def text_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, content) of each line that holds more than a '#' comment
+    and whitespace; the content has its comment and outer whitespace removed."""
+    lines = ((lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(text.splitlines(), 1))
+    return [(lineno, line) for lineno, line in lines if line]
+
+
 def parse_network(text: str) -> Network:
     """Parse the line-oriented network format.
 
@@ -178,10 +179,7 @@ def parse_network(text: str) -> Network:
     source: str | None = None
     sinks: list[str] = []
     edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         tokens = line.split()
         keyword = tokens[0]
         if keyword == "field":
@@ -341,20 +339,16 @@ def edge_disjoint_paths(net: Network, t: str, count: int) -> list[list[str]]:
     reached, cap = _unit_flow(net, _sink_in_ids(net, t), limit=count)
     if reached < count:
         raise ValueError(f"only {reached} edge-disjoint paths to {t}, need {count}")
-    flowing: dict[str, list[Edge]] = {}
-    for i, e in enumerate(net.edges):
-        if not cap[2 * i]:
-            flowing.setdefault(e.tail, []).append(e)
+    arcs, sink = net._arcs, net.nodes.index(t)
     paths: list[list[str]] = []
-    used: set[str] = set()
     for _ in range(count):
-        node = net.source
-        path: list[str] = []
-        while node != t:
-            step = next(e for e in flowing.get(node, ()) if e.id not in used)
-            used.add(step.id)
-            path.append(step.id)
-            node = step.head
+        node, path = arcs.source, []
+        while node != sink:
+            # The first flow-carrying out-channel; walking it returns its capacity.
+            arc = next(a for a in arcs.adj[node] if not (a & 1 or cap[a]))
+            cap[arc] = 1
+            path.append(net.edges[arc // 2].id)
+            node = arcs.to[arc]
         paths.append(path)
     return paths
 

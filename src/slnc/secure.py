@@ -23,15 +23,8 @@ from .errors import (
     UnknownSink,
 )
 from .field import Echelon, FieldSpec, Matrix, combine, dot, first_outside, standard_basis
-from .lnc import (
-    GlobalCode,
-    _parse_header,
-    code_body_lines,
-    construct_lnc,
-    parse_code_lines,
-    span_family,
-)
-from .network import Network, c_min, downward_closed_subsets, parse_network, serialize_network
+from .lnc import GlobalCode, _parse_header, code_body_lines, construct_lnc, parse_code, span_family
+from .network import Network, c_min, downward_closed_subsets, parse_network, serialize_network, text_lines
 
 
 def _basis_level(omega: int, r: int, key_dim: int, n: int) -> int:
@@ -295,70 +288,68 @@ def write_bundle(bundle: SecureCodeBundle) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _integers(tokens: Sequence[str], error: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in tokens)
+    except ValueError:
+        raise ParseError(error) from None
+
+
 def parse_bundle(text: str) -> SecureCodeBundle:
-    """Parse a bundle file written by write_bundle."""
-    secure_header: tuple[int, ...] | None = None
-    q_rows: list[list[int]] | None = None
-    constant: tuple[int, ...] | None = None
-    net_lines: list[str] = []
-    body_lines: list[str] = []
+    """Parse a bundle file written by write_bundle.
 
-    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    seen: set[str] = set()
+    The bundle's own lines are `secure`, `const` and `Q` with the n rows after
+    it, n read from the first code header.  parse_network and parse_code read
+    the network and code lines from the bundle text with every other line
+    blanked, so their errors give the bundle's own line numbers.
+    """
+    network_words, code_words = ("field", "source", "sink", "edge"), ("code", "kernel", "local")
+    lines = text_lines(text)
+    own: dict[str, tuple] = {}
     pos = 0
-    n = q = None
     while pos < len(lines):
-        line = lines[pos]
+        line = lines[pos][1]
         keyword = line.split()[0]
-        if keyword in ("code", "secure", "Q", "const"):
-            if keyword in seen:
-                raise ParseError(f"duplicate {keyword} line")
-            seen.add(keyword)
-        if keyword == "code":
-            n, q = _parse_header(line, "code", ("n", "q"))
-        elif keyword == "secure":
-            secure_header = _parse_header(line, "secure", ("omega", "r", "i", "keydim"))
-        elif keyword == "Q":
-            if n is None:
-                raise ParseError("Q block must follow the code header")
-            if pos + n >= len(lines):
-                raise ParseError("Q block is truncated")
-            q_rows = []
-            for row_line in lines[pos + 1:pos + 1 + n]:
-                try:
-                    q_rows.append([int(x) for x in row_line.split()])
-                except ValueError:
-                    raise ParseError(f"bad Q row: {row_line!r}") from None
-            pos += n
-        elif keyword == "const":
-            try:
-                constant = tuple(int(x) for x in line.split()[1:])
-            except ValueError:
-                raise ParseError(f"bad const line: {line!r}") from None
-        elif keyword in ("field", "source", "sink", "edge"):
-            net_lines.append(line)
-        elif keyword in ("kernel", "local"):
-            body_lines.append(line)
-        else:
-            raise ParseError(f"unexpected line in bundle: {line!r}")
         pos += 1
+        if keyword == "code" and keyword not in own:
+            # Its n ends the Q block, which is read in file order; parse_code checks the rest.
+            own[keyword] = _parse_header(line, "code", ("n", "q"))
+        elif keyword in network_words or keyword in code_words:
+            continue
+        elif keyword not in ("secure", "Q", "const"):
+            raise ParseError(f"unexpected line in bundle: {line!r}")
+        elif keyword in own:
+            raise ParseError(f"duplicate {keyword} line")
+        elif keyword == "secure":
+            own[keyword] = _parse_header(line, "secure", ("omega", "r", "i", "keydim"))
+        elif keyword == "const":
+            own[keyword] = _integers(line.split()[1:], f"bad const line: {line!r}")
+        elif "code" not in own:
+            raise ParseError("Q block must follow the code header")
+        else:
+            rows = lines[pos:pos + own["code"][0]]
+            if len(rows) < own["code"][0]:
+                raise ParseError("Q block is truncated")
+            pos += len(rows)
+            own[keyword] = tuple(_integers(row.split(), f"bad Q row: {row!r}") for _, row in rows)
+    for what in ("code header", "secure header", "Q block", "const line"):
+        if what.split()[0] not in own:
+            raise ParseError(f"missing {what}")
 
-    if n is None or q is None:
-        raise ParseError("missing code header")
-    if secure_header is None:
-        raise ParseError("missing secure header")
-    if q_rows is None:
-        raise ParseError("missing Q block")
-    if constant is None:
-        raise ParseError("missing const line")
-    net = parse_network("\n".join(net_lines) + "\n")
-    base = parse_code_lines(net, n, q, body_lines)
-    field = net.field
+    def only(words: tuple[str, ...]) -> str:
+        kept = [""] * len(text.splitlines())
+        for lineno, line in lines:
+            if line.split()[0] in words:
+                kept[lineno - 1] = line
+        return "\n".join(kept)
+
+    net = parse_network(only(network_words))
+    base = parse_code(only(code_words), net)
+    n, field = base.n, net.field
+    (omega, r, i, key_dim), q_rows, constant = own["secure"], own["Q"], own["const"]
     if any(len(row) != n for row in q_rows):
         raise ParseError("Q rows must all have n entries")
     mixing = Matrix.from_rows(field, q_rows, cols=n)
-    omega, r, i, key_dim = secure_header
     if key_dim != r - i:
         raise ParseError(f"keydim={key_dim} is inconsistent with r={r}, i={i}")
     if not (omega >= 1 and r >= 1 and 0 <= i <= r and omega + key_dim <= n):

@@ -146,6 +146,15 @@ def test_verify_insecure_bundle_exits_1(tmp_path, capsys):
     assert "verdict fail" in out
 
 
+def test_verify_names_the_bundle_line_of_a_broken_channel(tmp_path, capsys):
+    bundle_file = tmp_path / "b.slnc"
+    run(capsys, "secure", BUTTERFLY, "--omega", "1", "--r", "1", "-o", str(bundle_file))
+    text = bundle_file.read_text()
+    assert text.splitlines()[14] == "edge e5 n3 n4"
+    bundle_file.write_text(text.replace("edge e5 n3 n4", "edge e5 n3"))
+    assert run(capsys, "verify", str(bundle_file)) == (3, "", "error: line 15: edge takes id, tail, head\n")
+
+
 # The butterfly bundle of `secure --omega 1 --r 1`, except that e5 -> e6 has
 # coefficient 0 and e6 the zero kernel to match: sink t1 keeps rank 1 < 2.
 RANK_DEFICIENT_BUNDLE = """\

@@ -57,7 +57,8 @@ def test_bundle_round_trip(butterfly, parallel3_gf5):
 
 def test_bundle_parse_rejects_inconsistencies(butterfly):
     text = write_bundle(build_secure_bundle(butterfly, omega=1, r=1))
-    assert text.splitlines()[1:5] == ["secure omega=1 r=1 i=0 keydim=1", "Q", "2 1", "1 0"]
+    lines = text.splitlines()
+    assert lines[1:5] == ["secure omega=1 r=1 i=0 keydim=1", "Q", "2 1", "1 0"]
     bad_texts = [
         text.replace("keydim=1", "keydim=0"),
         text.replace("secure omega=1", "secure omega=9"),
@@ -69,10 +70,27 @@ def test_bundle_parse_rejects_inconsistencies(butterfly):
         text + "const\n",
         text.replace("secure omega=1", "secure omega=1 omega=1"),
         text.replace("keydim=1", "keydim=1 r=1"),
+        "\n".join(lines[1:5] + lines[:1] + lines[5:]),  # Q before the code header
+        text + "code n=2 q=3\n",
+        "\n".join(lines[1:]),  # no code line
+        text.replace("Q\n2 1\n", "Q\nsink t1\n"),
+        "\n".join(lines[:4]),  # the file ends inside the Q block
+        text + "noise 1\n",
     ]
     for bad in bad_texts:
         with pytest.raises(ParseError):
             parse_bundle(bad)
+
+
+def test_bundle_errors_give_the_bundle_line_numbers(butterfly):
+    # The network lines are parsed in place, so a broken one is named by its
+    # own line of the bundle, not by its place among the network lines.
+    text = write_bundle(build_secure_bundle(butterfly, omega=1, r=1))
+    assert text.splitlines()[14] == "edge e5 n3 n4"
+    with pytest.raises(ParseError, match=r"^line 15: edge takes id, tail, head$"):
+        parse_bundle(text.replace("edge e5 n3 n4", "edge e5 n3"))
+    with pytest.raises(ParseError, match=r"^line 16: edge takes id, tail, head$"):
+        parse_bundle("# a comment line\n" + text.replace("edge e5 n3 n4", "edge e5 n3"))
 
 
 def test_bundle_embeds_canonical_network(butterfly):

@@ -88,6 +88,34 @@ def test_parse_rejects_unreachable_sink():
         parse_network("field 2\nsource s\nsink t\nsink u\nedge a s t\n")
 
 
+@st.composite
+def sinks_anywhere(draw):
+    """(text, sinks, reached) for a dag_networks-style draw whose one to three
+    sinks are any nodes but the source, reached or not; `reached` is what
+    conftest.reachable finds from n0 on the same channels."""
+    size = draw(st.integers(2, 6))
+    pair = st.integers(0, size - 2).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, size - 1)))
+    first = draw(st.integers(1, size - 1))
+    pairs = [(0, first)] + draw(st.lists(pair, max_size=7))
+    edges = [f"edge c{i} n{a} n{b}" for i, (a, b) in enumerate(pairs, 1)]
+    sinks = draw(st.lists(st.integers(1, size - 1), min_size=1, max_size=3, unique=True))
+    probe = parse_network("\n".join(["field 5", "source n0", f"sink n{first}", *edges]))
+    text = "\n".join(["field 5", "source n0", *[f"sink n{t}" for t in sinks], *edges])
+    return text, sinks, reachable(probe, set(), "n0")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(sinks_anywhere())
+def test_parse_rejects_exactly_the_unreachable_sinks(case):
+    text, sinks, reached = case
+    missed = [f"n{t}" for t in sinks if f"n{t}" not in reached]
+    if missed:
+        with pytest.raises(UnreachableSink, match=f"sink {missed[0]} is unreachable from n0"):
+            parse_network(text)
+    else:
+        assert parse_network(text).sinks == tuple(f"n{t}" for t in sinks)
+
+
 def test_parse_rejects_incoming_source_edge():
     with pytest.raises(ParseError):
         parse_network("field 2\nsource s\nsink t\nedge a s t\nedge b t s\n")

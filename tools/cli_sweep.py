@@ -20,7 +20,12 @@ for every omega up to C_min + 1, r <= 3 and every i, with `verify`, `verify --fa
 `simulate --seed 7` on each bundle built, and `refute` at omega <= 2,
 r <= 3 (r <= 5 on the fixtures) and every keydim < r with budget 200,000;
 on the fixtures also `refute --omega 1 --r 1 --keydim 0` with the default
-budget.  The list depends on the tree only through the C_min that `mincut`
+budget.  Each fixture's C_min code and its omega=1, r=1 bundle are also
+written with one fault at a time (a dropped `kernel` line, an unknown
+keyword, a repeated `secure` line, a Q block one row short, a non-integer
+Q row, no `const` line) and passed to `enumerate --code`, and to `verify`
+and `simulate`, so the parsers' error texts are compared too.  The list
+depends on the tree only through the C_min that `mincut`
 prints and the `construct` and `secure` cases that succeed, and all of those
 are compared too.
 
@@ -164,6 +169,53 @@ class Sweep:
                 self.run("refute", net, *args, "--budget", str(REFUTE_BUDGET))
         if fixture:
             self.run("refute", net, "--omega", "1", "--r", "1", "--keydim", "0")
+            self.malformed(name, net, cmin)
+
+    def malformed(self, name: str, net: str, cmin: int) -> None:
+        """Run each single fault of the C_min code and of the omega=1, r=1 bundle."""
+        for built, commands in (
+            (f"{name}.d{cmin}.code", lambda bad: [("enumerate", net, "--r", "1", "--code", bad)]),
+            (f"{name}.w1r1i0.bundle", lambda bad: [
+                ("verify", bad), ("simulate", bad, "--message", "1", "--seed", "7"),
+            ]),
+        ):
+            path = self.tmp / built
+            if not path.exists():
+                continue
+            for fault, text in faults(path.read_text(encoding="utf-8")).items():
+                bad = self.tmp / f"{name}.{fault}{path.suffix}"
+                bad.write_text(text, encoding="utf-8")
+                for args in commands(str(bad)):
+                    self.run(*args)
+
+
+def faults(text: str) -> dict[str, str]:
+    """Copies of a written code or bundle file with one fault each, by name.
+
+    Network-line faults and a repeated code header are left out: a bundle
+    reports those with the network and code parsers' texts.  A code file
+    has no secure, Q or const line, so it gets only the first two faults.
+    """
+    lines = text.splitlines()
+    keywords = [line.split()[0] for line in lines]
+
+    def without(k: int) -> list[str]:
+        return lines[:k] + lines[k + 1:]
+
+    edits = {
+        "no-kernel": without(keywords.index("kernel")),
+        "unknown-keyword": lines[:1] + ["bogus 1"] + lines[1:],
+    }
+    if "secure" in keywords:
+        s, q = keywords.index("secure"), keywords.index("Q")
+        n = len(lines[q + 1].split())
+        edits |= {
+            "two-secure": lines[:s + 1] + lines[s:],
+            "short-q": without(q + n),  # the block then takes the line after it as its last row
+            "text-q-row": lines[:q + 1] + ["x" + lines[q + 1][1:]] + lines[q + 2:],
+            "no-const": without(keywords.index("const")),
+        }
+    return {fault: "\n".join(edited) + "\n" for fault, edited in edits.items()}
 
 
 def main(argv: list[str]) -> int:
