@@ -138,9 +138,6 @@ class FieldSpec:
             e >>= 1
         return res
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -168,7 +165,7 @@ def ff_op(field: FieldSpec, a: int, b: int, kind: str) -> int:
     if kind == "div":
         if b == 0:
             raise DivisionByZero(f"division by zero in {field}")
-        return field.div(a, b)
+        return field.mul(a, field.inv(b))
     raise ValueError(f"unknown operation kind {kind!r}")
 
 

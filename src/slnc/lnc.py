@@ -29,6 +29,7 @@ from .network import (
     downward_closed_prefixes,
     downward_closed_subsets,
     edge_disjoint_paths,
+    integers,
     text_lines,
 )
 
@@ -52,24 +53,17 @@ def in_channel_ids(net: Network, n: int, node: str) -> list[str]:
     return [e.id for e in net.in_edges(node)]
 
 
-class GlobalCode:
+class GlobalCode(NamedTuple):
     """An n-dimensional linear code: kernel f_e per channel plus local coefficients.
 
     `kernels` holds the real channels only; the imaginary input channels'
     kernels are the standard basis, which `imaginary_kernels(n)` supplies.
     """
 
-    def __init__(
-        self,
-        n: int,
-        kernels: dict[str, tuple[int, ...]],
-        local_coeffs: dict[tuple[str, str], int],
-        network: Network,
-    ):
-        self.n = n
-        self.kernels = kernels
-        self.local_coeffs = local_coeffs
-        self.network = network
+    n: int
+    kernels: dict[str, tuple[int, ...]]
+    local_coeffs: dict[tuple[str, str], int]
+    network: Network
 
     @property
     def field(self) -> FieldSpec:
@@ -133,23 +127,11 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
 
 # -- validity -------------------------------------------------------------------
 
-class CodeValidityReport:
+class CodeValidityReport(NamedTuple):
     """Every violated code invariant; empty report means the code is valid."""
 
-    def __init__(
-        self,
-        recursion_violations: dict[str, tuple[int, ...]] | None = None,
-        sink_rank_deficits: dict[str, int] | None = None,
-    ):
-        self.recursion_violations = {} if recursion_violations is None else recursion_violations
-        self.sink_rank_deficits = {} if sink_rank_deficits is None else sink_rank_deficits
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.recursion_violations, self.sink_rank_deficits) == (
-            other.recursion_violations, other.sink_rank_deficits
-        )
+    recursion_violations: dict[str, tuple[int, ...]]
+    sink_rank_deficits: dict[str, int]
 
     @property
     def ok(self) -> bool:
@@ -183,12 +165,12 @@ def check_code_validity(code: GlobalCode) -> CodeValidityReport:
     edge, and the rank deficit per undecodable sink.
     """
     net = code.network
-    report = CodeValidityReport(recursion_violations=_recursion_violations(code))
+    deficits: dict[str, int] = {}
     for t in net.sinks:
         rank = rank_of_rows(code.field, [code.kernels[e.id] for e in net.in_edges(t)])
         if rank < code.n:
-            report.sink_rank_deficits[t] = code.n - rank
-    return report
+            deficits[t] = code.n - rank
+    return CodeValidityReport(_recursion_violations(code), deficits)
 
 
 # -- wiretap collections ----------------------------------------------------------
@@ -338,10 +320,8 @@ def parse_code(text: str, net: Network) -> GlobalCode:
             net.edge(eid)
             if eid in kernels:
                 raise ParseError(f"duplicate kernel for {eid}")
-            try:
-                kernels[eid] = tuple(field.check(int(x)) for x in tokens[2:])
-            except ValueError:
-                raise ParseError(f"non-integer kernel entry: {line!r}") from None
+            entries = integers(tokens[2:], f"non-integer kernel entry: {line!r}")
+            kernels[eid] = tuple(field.check(x) for x in entries)
         elif tokens[0] == "local":
             if len(tokens) != 4:
                 raise ParseError(f"local line needs d, e, k: {line!r}")
@@ -351,10 +331,10 @@ def parse_code(text: str, net: Network) -> GlobalCode:
             d, e = net.edge(d_id), net.edge(e_id)
             if d.head != e.tail:
                 raise ParseError(f"channels {d_id} and {e_id} are not adjacent")
-            try:
-                local_coeffs[(d_id, e_id)] = field.check(int(tokens[3]))
-            except ValueError:
-                raise ParseError(f"non-integer coefficient: {line!r}") from None
+            if (d_id, e_id) in local_coeffs:
+                raise ParseError(f"duplicate local line for {d_id} {e_id}")
+            (coeff,) = integers(tokens[3:], f"non-integer coefficient: {line!r}")
+            local_coeffs[(d_id, e_id)] = field.check(coeff)
         elif line not in headers:
             raise ParseError(f"unexpected line in code body: {line!r}")
     missing = [e.id for e in net.edges if e.id not in kernels]

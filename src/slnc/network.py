@@ -55,12 +55,8 @@ class WiretapCollection:
     def __hash__(self) -> int:
         return hash((self.r, self.kind, self.sets))
 
-    @cached_property
-    def members(self) -> frozenset[tuple[str, ...]]:
-        return frozenset(self.sets)
-
     def __contains__(self, item: Sequence[str]) -> bool:
-        return tuple(sorted(item)) in self.members
+        return tuple(sorted(item)) in self.sets
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -168,6 +164,14 @@ def text_lines(text: str) -> list[tuple[int, str]]:
     return [(lineno, line) for lineno, line in lines if line]
 
 
+def integers(tokens: Sequence[str], error: str) -> tuple[int, ...]:
+    """The tokens as integers; ParseError(error) if one is not an integer."""
+    try:
+        return tuple(int(x) for x in tokens)
+    except ValueError:
+        raise ParseError(error) from None
+
+
 def parse_network(text: str) -> Network:
     """Parse the line-oriented network format.
 
@@ -187,10 +191,7 @@ def parse_network(text: str) -> Network:
                 raise ParseError(f"line {lineno}: field takes one argument")
             if field_q is not None:
                 raise ParseError(f"line {lineno}: duplicate field line")
-            try:
-                field_q = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: field size must be an integer") from None
+            (field_q,) = integers(tokens[1:], f"line {lineno}: field size must be an integer")
         elif keyword == "source":
             if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: source takes one argument")

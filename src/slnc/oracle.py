@@ -326,7 +326,6 @@ class _SearchLevel(NamedTuple):
     edge_id: str
     ins: list[str]
     sinks: list[list[str]]
-    subtree: int  # full assignments that extend each of its coefficient tuples
 
 
 def refute_key_rate(
@@ -348,14 +347,16 @@ def refute_key_rate(
     The search is depth-first over the channels in topological order, trying
     each channel's coefficient tuples in lexicographic order, so the witness
     returned is the first in lexicographic order of the full assignments.  A
-    sink is checked once its last in-channel is assigned, and a channel whose
-    kernel adds a direction (its Echelon.basis() form) to the D before it
-    checks it with each min(r - 1, D) of them: leakage depends only on the
-    span and only grows with it, so a prefix passes exactly when every set of
-    at most r channels in it does.  When a check fails, no completion of the
-    prefix can pass, and the subtree is skipped.  `searched` counts the full
-    assignments covered, each skipped subtree by its size, so a `refuted`
-    search reports q^slots.
+    sink is checked once its last in-channel is assigned, each distinct tuple
+    of its in-kernels once per search, and a channel whose kernel adds a
+    direction (its Echelon.basis() form) to the D before it checks it with
+    each min(r - 1, D) of them: leakage depends only on the span and only
+    grows with it, so a prefix passes exactly when every set of at most r
+    channels in it does.  When a check fails, no completion of the prefix can
+    pass, and the subtree is skipped.  `searched` counts the full assignments
+    covered, skipped subtrees included: q^slots when the search refutes, and
+    otherwise the witness's rank in lexicographic order, its chained
+    coefficient tuples read as a base-q number, plus 1.
     """
     if omega < 1:
         raise ValueError(f"information rate must be at least 1, got {omega}")
@@ -376,12 +377,7 @@ def refute_key_rate(
     if space > budget:
         raise BudgetExceeded(f"search space {q}^{slots} exceeds the budget {budget}")
 
-    levels: list[_SearchLevel] = []
-    prefixes = 1  # assignments of the channels up to this one
-    for edge in topo:
-        ins = in_channel_ids(net, dim, edge.tail)
-        prefixes *= q ** len(ins)
-        levels.append(_SearchLevel(edge.id, ins, [], space // prefixes))
+    levels = [_SearchLevel(e.id, in_channel_ids(net, dim, e.tail), []) for e in topo]
     position = {e.id: j for j, e in enumerate(topo)}
     for t in net.sinks:
         ins = [e.id for e in net.in_edges(t)]
@@ -392,8 +388,9 @@ def refute_key_rate(
     # otherwise two inputs differing in M share all its observations.
     message_units = [standard_basis(dim, j) for j in range(omega)]
     direction = functools.cache(lambda kernel: Echelon(field, dim, [kernel]).basis())
+    decodes = functools.cache(lambda in_kernels: in_span(field, in_kernels, message_units))
     elements = field.elements()
-    searched = visited = 0
+    visited = 0
     # tries[j] = (channel j's untried coefficient tuples, the earlier channels' directions).
     tries = [(itertools.product(elements, repeat=len(levels[0].ins)), ())]
     chosen: list[tuple[int, ...]] = []
@@ -410,9 +407,7 @@ def refute_key_rate(
         kernels[level.edge_id] = combine(field, coeffs, [kernels[d] for d in level.ins], dim)
         chosen.append(coeffs)
         new = tuple(line for line in direction(kernels[level.edge_id]) if line not in known)
-        passed = all(
-            in_span(field, [kernels[eid] for eid in ins], message_units) for ins in level.sinks
-        ) and all(
+        passed = all(decodes(tuple(kernels[eid] for eid in ins)) for ins in level.sinks) and all(
             _leakage(field, [*rest, *new], omega, dim) == 0
             for rest in (itertools.combinations(known, min(r - 1, len(known))) if new else ())
         )
@@ -420,7 +415,6 @@ def refute_key_rate(
             options = itertools.product(elements, repeat=len(levels[depth + 1].ins))
             tries.append((options, known + new))
             continue
-        searched += level.subtree
         if not passed:
             continue
 
@@ -433,8 +427,9 @@ def refute_key_rate(
         witness = GlobalCode(
             n=dim, kernels=real_kernels, local_coeffs=local_coeffs, network=net
         )
-        return RefutationResult(searched=searched, witness=witness, visited=visited)
-    return RefutationResult(searched=searched, witness=None, visited=visited)
+        rank = functools.reduce(lambda value, coeff: value * q + coeff, itertools.chain(*chosen), 0)
+        return RefutationResult(searched=rank + 1, witness=witness, visited=visited)
+    return RefutationResult(searched=space, witness=None, visited=visited)
 
 
 # -- entropy profile (conditional-entropy averages) -----------------------------------

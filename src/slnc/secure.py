@@ -24,7 +24,9 @@ from .errors import (
 )
 from .field import Echelon, FieldSpec, Matrix, combine, dot, first_outside, standard_basis
 from .lnc import GlobalCode, _parse_header, code_body_lines, construct_lnc, parse_code, span_family
-from .network import Network, c_min, downward_closed_subsets, parse_network, serialize_network, text_lines
+from .network import (
+    Network, c_min, downward_closed_subsets, integers, parse_network, serialize_network, text_lines,
+)
 
 
 def _basis_level(omega: int, r: int, key_dim: int, n: int) -> int:
@@ -40,13 +42,11 @@ class SinkDecoder(NamedTuple):
     `channels` are the first in-channels whose gain columns are independent.
     When there are n of them, `inverse` holds the columns of the inverse of
     their n x n gain matrix, so X_j = y_channels . inverse[j]; otherwise it
-    is None and the sink cannot decode.  The symbol on every other in-channel
-    in `checks` must equal X . gain[e].
+    is None and the sink cannot decode.
     """
 
     channels: tuple[str, ...]
     inverse: tuple[tuple[int, ...], ...] | None
-    checks: tuple[str, ...]
 
 
 def _sink_decoder(field: FieldSpec, n: int, gain: Mapping[str, tuple[int, ...]]) -> SinkDecoder:
@@ -56,8 +56,7 @@ def _sink_decoder(field: FieldSpec, n: int, gain: Mapping[str, tuple[int, ...]])
     if len(channels) == n:
         inv = Matrix.from_cols(field, [gain[c] for c in channels], rows=n).inverse()
         inverse = tuple(inv.col(j) for j in range(n))
-    checks = tuple(eid for eid in gain if eid not in channels)
-    return SinkDecoder(channels=tuple(channels), inverse=inverse, checks=checks)
+    return SinkDecoder(channels=tuple(channels), inverse=inverse)
 
 
 class SecureCodeBundle:
@@ -240,7 +239,7 @@ def decode_at_sink(
     """Recover (message, key) from the symbols on a sink's incoming channels.
 
     Uses the sink's cached decoder: n dot products, then a consistency check
-    on the remaining channels.  Raises InconsistentObservation when the sink's
+    on every in-channel.  Raises InconsistentObservation when the sink's
     channels have rank below n, when the symbols fit no input, or when the
     recovered constant block differs from the bundle constant (corruption).
     """
@@ -259,7 +258,8 @@ def decode_at_sink(
         raise InconsistentObservation(f"sink {t} cannot isolate the input: rank {rank} < {n}")
     basis_symbols = [y[eid] for eid in decoder.channels]
     x = tuple(dot(field, basis_symbols, col) for col in decoder.inverse)
-    if any(dot(field, x, bundle.gain[eid]) != y[eid] for eid in decoder.checks):
+    # The basis channels fit x by construction, so only the others can fail.
+    if any(dot(field, x, bundle.gain[eid]) != y[eid] for eid in in_ids):
         raise InconsistentObservation(f"symbols at sink {t} match no input")
     omega, const_len = bundle.omega, len(bundle.constant)
     m = x[:omega]
@@ -286,13 +286,6 @@ def write_bundle(bundle: SecureCodeBundle) -> str:
     lines += serialize_network(bundle.network).splitlines()
     lines += code_body_lines(bundle.base)
     return "\n".join(lines) + "\n"
-
-
-def _integers(tokens: Sequence[str], error: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in tokens)
-    except ValueError:
-        raise ParseError(error) from None
 
 
 def parse_bundle(text: str) -> SecureCodeBundle:
@@ -323,7 +316,7 @@ def parse_bundle(text: str) -> SecureCodeBundle:
         elif keyword == "secure":
             own[keyword] = _parse_header(line, "secure", ("omega", "r", "i", "keydim"))
         elif keyword == "const":
-            own[keyword] = _integers(line.split()[1:], f"bad const line: {line!r}")
+            own[keyword] = integers(line.split()[1:], f"bad const line: {line!r}")
         elif "code" not in own:
             raise ParseError("Q block must follow the code header")
         else:
@@ -331,7 +324,7 @@ def parse_bundle(text: str) -> SecureCodeBundle:
             if len(rows) < own["code"][0]:
                 raise ParseError("Q block is truncated")
             pos += len(rows)
-            own[keyword] = tuple(_integers(row.split(), f"bad Q row: {row!r}") for _, row in rows)
+            own[keyword] = tuple(integers(row.split(), f"bad Q row: {row!r}") for _, row in rows)
     for what in ("code header", "secure header", "Q block", "const line"):
         if what.split()[0] not in own:
             raise ParseError(f"missing {what}")

@@ -97,6 +97,16 @@ def test_inconsistent_code_is_input_error(tmp_path, capsys):
     assert err.startswith("error:") and "e3" in err
 
 
+def test_repeated_local_line_is_input_error(tmp_path, capsys):
+    code_file = tmp_path / "butterfly.lnc"
+    run(capsys, "construct", BUTTERFLY, "--dim", "2", "-o", str(code_file))
+    with code_file.open("a") as f:
+        f.write("local e1 e8 0\nlocal e1 e8 1\n")
+    code, out, err = run(capsys, "enumerate", BUTTERFLY, "--r", "1", "--code", str(code_file))
+    assert (code, out) == (3, "")
+    assert "duplicate local line for e1 e8" in err
+
+
 def test_enumerate_topology_only(capsys):
     code, out, _ = run(capsys, "enumerate", PARALLEL3_GF2, "--r", "2")
     assert code == 0

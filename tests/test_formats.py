@@ -36,6 +36,10 @@ def test_code_parse_rejects_garbage(butterfly):
     )
     with pytest.raises(ParseError):
         parse_code(missing, butterfly)
+    # The code already holds `local e1 e8 1`; a repeat is refused even when
+    # the last value agrees with the kernel.
+    with pytest.raises(ParseError, match="duplicate local line for e1 e8"):
+        parse_code(code_text + "local e1 e8 0\nlocal e1 e8 1\n", butterfly)
 
 
 def test_bundle_round_trip(butterfly, parallel3_gf5):

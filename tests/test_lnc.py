@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from slnc.errors import DimensionExceedsCapacity, FieldTooSmallForSinks, SecurityLevelTooLarge
 from slnc.field import Echelon, combine, rank_of_rows
 from slnc.lnc import (
+    CodeValidityReport,
     GlobalCode,
     check_code_validity,
     construct_lnc,
@@ -240,6 +241,17 @@ def test_validity_reports_sink_deficit(parallel3_gf2):
     report = check_code_validity(code)
     assert report.sink_rank_deficits == {"t": 1}
     assert not report.recursion_violations
+
+
+def test_code_and_report_are_read_only_records(butterfly):
+    code = construct_lnc(butterfly, 2)
+    report = check_code_validity(code)
+    assert report == CodeValidityReport({}, {})
+    with pytest.raises(AttributeError):
+        code.kernels = {}
+    with pytest.raises(AttributeError):
+        report.sink_rank_deficits = {"t1": 1}
+    assert code == construct_lnc(butterfly, 2)
 
 
 def test_validity_accepts_zero_kernel_edges(butterfly):

@@ -837,6 +837,17 @@ def test_refutation_checks_only_new_kernel_directions():
     assert leakage.call_count == 1
 
 
+def test_refutation_decides_each_sink_kernel_tuple_once(butterfly):
+    # The sink check depends only on the tuple of the sink's in-kernels: 25
+    # distinct tuples among the 54,675 sink checks, each of which an
+    # unmemoised search decides with a fresh echelon.
+    span = mock.Mock(wraps=oracle.in_span)
+    with mock.patch.object(oracle, "in_span", span):
+        result = refute_key_rate(butterfly, 1, 2, 1)
+    assert span.call_count == 25
+    assert (result.verdict, result.searched, result.visited) == ("refuted", 3**12, 75972)
+
+
 # -- entropy profile -----------------------------------------------------------------------
 
 def test_han_profile_two_independent_bits():

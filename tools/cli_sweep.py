@@ -22,9 +22,10 @@ r <= 3 (r <= 5 on the fixtures) and every keydim < r with budget 200,000;
 on the fixtures also `refute --omega 1 --r 1 --keydim 0` with the default
 budget.  Each fixture's C_min code and its omega=1, r=1 bundle are also
 written with one fault at a time (a dropped `kernel` line, an unknown
-keyword, a repeated `secure` line, a Q block one row short, a non-integer
-Q row, no `const` line) and passed to `enumerate --code`, and to `verify`
-and `simulate`, so the parsers' error texts are compared too.  The list
+keyword, a repeated `local` line where the file has one, a repeated
+`secure` line, a Q block one row short, a non-integer Q row, no `const`
+line) and passed to `enumerate --code`, and to `verify` and `simulate`, so
+the parsers' error texts are compared too.  The list
 depends on the tree only through the C_min that `mincut`
 prints and the `construct` and `secure` cases that succeed, and all of those
 are compared too.
@@ -194,7 +195,9 @@ def faults(text: str) -> dict[str, str]:
 
     Network-line faults and a repeated code header are left out: a bundle
     reports those with the network and code parsers' texts.  A code file
-    has no secure, Q or const line, so it gets only the first two faults.
+    has no secure, Q or const line, so it gets only the first three faults,
+    and only a network with a channel out of a relay has a `local` line
+    to repeat (among the fixtures, the butterflies).
     """
     lines = text.splitlines()
     keywords = [line.split()[0] for line in lines]
@@ -206,6 +209,9 @@ def faults(text: str) -> dict[str, str]:
         "no-kernel": without(keywords.index("kernel")),
         "unknown-keyword": lines[:1] + ["bogus 1"] + lines[1:],
     }
+    if "local" in keywords:
+        k = keywords.index("local")
+        edits["two-local"] = lines[:k + 1] + lines[k:]
     if "secure" in keywords:
         s, q = keywords.index("secure"), keywords.index("Q")
         n = len(lines[q + 1].split())
