@@ -47,11 +47,14 @@ def _load_network(path: str) -> Network:
     return parse_network(Path(path).read_text(encoding="utf-8"))
 
 
-def _parse_symbols(raw: str, what: str) -> list[int]:
+def _parse_symbols(raw: str, what: str) -> tuple[int, ...]:
+    from .network import integers
+
+    error = f"{what} must be a comma-separated list of integers"
     try:
-        return [int(tok) for tok in raw.split(",") if tok != ""]
-    except ValueError:
-        raise _UsageError(f"{what} must be a comma-separated list of integers") from None
+        return integers([tok for tok in raw.split(",") if tok], error)
+    except ParseError:
+        raise _UsageError(error) from None
 
 
 def _cmd_mincut(args: argparse.Namespace) -> int:

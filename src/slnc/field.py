@@ -128,15 +128,7 @@ class FieldSpec:
             raise DivisionByZero(f"zero has no inverse in {self}")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        # a^(q-1) = 1, so a^(q-2) is the inverse: square-and-multiply.
-        res = 1
-        e = self.q - 2
-        while e:
-            if e & 1:
-                res = self.mul(res, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return res
+        return self.mul_row(a).index(1)  # a's products hit 1 once, at a's inverse
 
     def elements(self) -> range:
         return range(self.q)
@@ -163,9 +155,7 @@ def ff_op(field: FieldSpec, a: int, b: int, kind: str) -> int:
     if kind == "mul":
         return field.mul(a, b)
     if kind == "div":
-        if b == 0:
-            raise DivisionByZero(f"division by zero in {field}")
-        return field.mul(a, field.inv(b))
+        return field.mul(a, field.inv(b))  # inv raises DivisionByZero for b = 0
     raise ValueError(f"unknown operation kind {kind!r}")
 
 

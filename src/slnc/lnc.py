@@ -110,10 +110,11 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
             for t, j in uses
         ]
         assignment = first_outside(field, tail_kernels, others)
-        if assignment is None:
-            # Unreachable for q >= |T|; the flow-path feasibility argument
-            # guarantees a valid assignment exists.
-            raise AssertionError(f"no feasible coefficients for channel {edge.id}")
+        if assignment is None:  # q >= |T| rules this out (the flow-path feasibility argument)
+            raise FieldTooSmallForSinks(
+                f"the flow-path construction found no coefficients for channel {edge.id} "
+                f"over GF({field.q}); this does not show that no code exists"
+            )
         f = combine(field, assignment, tail_kernels, n)
         for coeff, d in zip(assignment, tail_in):
             local_coeffs[(d, edge.id)] = coeff
@@ -255,24 +256,17 @@ def verify_subset_bound(code: GlobalCode, r: int) -> SubsetBoundReport:
 
 # -- text format ------------------------------------------------------------------
 
-def code_body_lines(code: GlobalCode) -> list[str]:
-    """Kernel and local lines (no header), in network declaration order."""
+def write_code(code: GlobalCode) -> str:
+    """The `code n= q=` header, then kernel and local lines in network declaration order."""
     net = code.network
-    lines = [
-        "kernel " + e.id + " " + " ".join(str(c) for c in code.kernels[e.id])
-        for e in net.edges
-    ]
+    lines = [f"code n={code.n} q={code.field.q}"]
+    lines += [" ".join(["kernel", e.id, *map(str, code.kernels[e.id])]) for e in net.edges]
     for e in net.edges:
         if e.tail == net.source:
             continue  # imaginary-channel coefficients are implied by the kernel
         for d in net.in_edges(e.tail):
             lines.append(f"local {d.id} {e.id} {code.local_coeffs.get((d.id, e.id), 0)}")
-    return lines
-
-
-def write_code(code: GlobalCode) -> str:
-    header = f"code n={code.n} q={code.field.q}"
-    return "\n".join([header] + code_body_lines(code)) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _parse_header(line: str, keyword: str, keys: tuple[str, ...]) -> tuple[int, ...]:
@@ -282,10 +276,7 @@ def _parse_header(line: str, keyword: str, keys: tuple[str, ...]) -> tuple[int, 
     values: dict[str, int] = {}
     for tok in tokens[1:]:
         key, _, val = tok.partition("=")
-        try:
-            values[key] = int(val)
-        except ValueError:
-            raise ParseError(f"bad {keyword} header token {tok!r}") from None
+        (values[key],) = integers([val], f"bad {keyword} header token {tok!r}")
     if (
         tokens[0] != keyword
         or len(tokens) != 1 + len(keys)

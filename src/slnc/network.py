@@ -165,11 +165,15 @@ def text_lines(text: str) -> list[tuple[int, str]]:
 
 
 def integers(tokens: Sequence[str], error: str) -> tuple[int, ...]:
-    """The tokens as integers; ParseError(error) if one is not an integer."""
+    """The tokens as integers; ParseError(error) unless each is the text `str`
+    writes for its integer, so `+1`, `01`, `-0`, `0_0` and non-ASCII digits fail."""
     try:
-        return tuple(int(x) for x in tokens)
+        values = tuple(map(int, tokens))
+        if tuple(map(str, values)) == tuple(tokens):
+            return values
     except ValueError:
-        raise ParseError(error) from None
+        pass
+    raise ParseError(error)
 
 
 def parse_network(text: str) -> Network:

@@ -55,10 +55,14 @@ class JointDistribution(NamedTuple):
         return sum(self.counts.values())
 
 
-def _check_enum_budget(bundle: SecureCodeBundle, budget: int) -> None:
-    space = bundle.field.q ** (bundle.omega + bundle.key_dim)
+def _exhaustive_space(what: str, q: int, exponent: int, budget: int) -> int:
+    """q^exponent, the size of an exhaustive space; BudgetExceeded if that
+    passes the budget.  budget < 2^b for b = budget.bit_length(), so every q^k
+    with k >= b passes it: at most b factors decide, however large exponent is."""
+    space = q ** min(exponent, budget.bit_length())
     if space > budget:
-        raise BudgetExceeded(f"input space {space} exceeds the budget {budget}")
+        raise BudgetExceeded(f"{what} {q}^{exponent} exceeds the budget {budget}")
+    return space
 
 
 def _input_columns(bundle: SecureCodeBundle) -> list[tuple[int, ...]]:
@@ -107,7 +111,7 @@ def observation_distribution(
     bundle: SecureCodeBundle, edge_ids: Sequence[str], budget: int = DEFAULT_ENUM_BUDGET
 ) -> JointDistribution:
     """Enumerate every (message, key) input and count wiretap observations."""
-    _check_enum_budget(bundle, budget)
+    _exhaustive_space("input space", bundle.field.q, bundle.omega + bundle.key_dim, budget)
     ids = tuple(sorted(edge_ids))
     for eid in ids:
         bundle.network.edge(eid)
@@ -238,7 +242,7 @@ def verify_security(
     observations, which leaves mutual_information unchanged.  The first set
     with each collection of lines is counted; later ones reuse its leakage.
     """
-    _check_enum_budget(bundle, budget)
+    _exhaustive_space("input space", bundle.field.q, bundle.omega + bundle.key_dim, budget)
     inputs = _input_columns(bundle)
     columns = _symbol_columns(bundle, inputs, bundle.gain)
     decode_ok, decode_detail = _decode_roundtrip(bundle, inputs, columns)
@@ -366,16 +370,10 @@ def refute_key_rate(
     q = field.q
     dim = omega + key_dim
 
-    # Count the slots, then compare q^slots with the budget one factor at a
-    # time, so a huge omega or key_dim is refused before anything is built.
+    # A huge omega or key_dim is refused before anything is built.
     topo = net.topo_edges()
     slots = sum(dim if e.tail == net.source else len(net.in_edges(e.tail)) for e in topo)
-    space, factors = 1, 0
-    while factors < slots and space <= budget:
-        space *= q
-        factors += 1
-    if space > budget:
-        raise BudgetExceeded(f"search space {q}^{slots} exceeds the budget {budget}")
+    space = _exhaustive_space("search space", q, slots, budget)
 
     levels = [_SearchLevel(e.id, in_channel_ids(net, dim, e.tail), []) for e in topo]
     position = {e.id: j for j, e in enumerate(topo)}

@@ -23,7 +23,7 @@ from .errors import (
     UnknownSink,
 )
 from .field import Echelon, FieldSpec, Matrix, combine, dot, first_outside, standard_basis
-from .lnc import GlobalCode, _parse_header, code_body_lines, construct_lnc, parse_code, span_family
+from .lnc import GlobalCode, _parse_header, construct_lnc, parse_code, span_family, write_code
 from .network import (
     Network, c_min, downward_closed_subsets, integers, parse_network, serialize_network, text_lines,
 )
@@ -31,8 +31,9 @@ from .network import (
 
 def _basis_level(omega: int, r: int, key_dim: int, n: int) -> int:
     # The span-avoidance condition is built at level r whenever omega + r fits
-    # the dimension, and at r - i otherwise, in which case the security claim
-    # rests on verification rather than on the construction.
+    # the dimension, and at r - i otherwise.  Then no set A' of at most r - i
+    # channels leaks, and the chain rule bounds any set A of at most r channels:
+    # with A' in A of size min(|A|, r - i), I(M; Y_A) <= I(M; Y_A') + |A - A'| <= i.
     return r if omega + r <= n else key_dim
 
 
@@ -176,7 +177,9 @@ def build_secure_bundle(net: Network, omega: int, r: int, i: int = 0) -> SecureC
     absorbs the slack so the key stays at exactly r - i symbols.  When
     omega + r exceeds the dimension (possible only for i > 0), the basis is
     built at level r - i and the bundle is flagged as not constructively
-    certified.
+    certified.  Its leakage is still at most i on every set of at most r
+    channels: no r - i of them leak, and by the chain rule each further
+    channel adds at most one symbol.
     """
     if omega < 1:
         raise RateTooHigh(f"information rate must be at least 1, got {omega}")
@@ -276,16 +279,11 @@ def decode_at_sink(
 
 def write_bundle(bundle: SecureCodeBundle) -> str:
     """Self-contained bundle file: code header, rates, Q, constant, network, code body."""
-    lines = [
-        f"code n={bundle.n} q={bundle.field.q}",
-        f"secure omega={bundle.omega} r={bundle.r} i={bundle.i} keydim={bundle.key_dim}",
-        "Q",
-    ]
-    lines += bundle.mixing.serialize().splitlines()
-    lines.append(("const " + " ".join(str(c) for c in bundle.constant)).rstrip())
-    lines += serialize_network(bundle.network).splitlines()
-    lines += code_body_lines(bundle.base)
-    return "\n".join(lines) + "\n"
+    header, *body = write_code(bundle.base).splitlines()
+    rates = f"secure omega={bundle.omega} r={bundle.r} i={bundle.i} keydim={bundle.key_dim}"
+    const = " ".join(["const", *map(str, bundle.constant)])
+    lines = [header, rates, "Q", *bundle.mixing.serialize().splitlines(), const]
+    return "\n".join(lines + serialize_network(bundle.network).splitlines() + body) + "\n"
 
 
 def parse_bundle(text: str) -> SecureCodeBundle:
@@ -345,7 +343,7 @@ def parse_bundle(text: str) -> SecureCodeBundle:
     mixing = Matrix.from_rows(field, q_rows, cols=n)
     if key_dim != r - i:
         raise ParseError(f"keydim={key_dim} is inconsistent with r={r}, i={i}")
-    if not (omega >= 1 and r >= 1 and 0 <= i <= r and omega + key_dim <= n):
+    if not (omega >= 1 and 1 <= r < n and 0 <= i <= r and omega + key_dim <= n):
         raise ParseError("secure header rates are out of range")
     if len(constant) != n - omega - key_dim:
         raise ParseError(

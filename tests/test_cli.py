@@ -1,8 +1,10 @@
 import contextlib
 import importlib.util
 import io
+import itertools
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -300,8 +302,8 @@ def test_refute_budget_below_one_is_a_usage_error(capsys, budget):
     ids=["omega", "keydim"],
 )
 def test_refute_huge_space_is_refused_quickly(rates):
-    # q^slots would have billions of digits: it is compared with the budget
-    # one factor at a time, and no slot list is built.
+    # q^slots would have billions of digits: at most budget.bit_length()
+    # factors decide it, and no slot list is built.
     proc = run_cli_process("refute", BUTTERFLY, *rates, timeout=10.0)
     assert proc.returncode == 4
     assert proc.stdout == ""
@@ -337,6 +339,47 @@ def test_simulate_needs_key_or_seed(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", str(bundle_file), "--message", "1")
     assert code == 2
     assert "seed" in err
+
+
+def test_simulate_symbols_are_canonical_decimals(tmp_path, capsys):
+    bundle_file = tmp_path / "b.slnc"
+    run(capsys, "secure", BUTTERFLY, "--omega", "1", "--r", "1", "-o", str(bundle_file))
+    for flag, value in (("--message", "+1"), ("--key", "01"), ("--message", "\u0661")):
+        symbols = {"--message": "1", "--key": "1", flag: value}
+        code, out, err = run(capsys, "simulate", str(bundle_file), *itertools.chain(*symbols.items()))
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {flag} must be a comma-separated list of integers\n"
+
+
+# Each edit of a written file, by the command that reads it, and the error it gives.
+NON_CANONICAL_TOKENS = [
+    ("mincut", "field 3", "field +3", "line 1: field size must be an integer"),
+    ("mincut", "field 3", "field \u0663", "line 1: field size must be an integer"),
+    ("construct", "kernel e1 1 0", "kernel e1 01 0", "non-integer kernel entry: 'kernel e1 01 0'"),
+    ("construct", "code n=2 q=3", "code n=+2 q=3", "bad code header token 'n=+2'"),
+    ("secure", "Q\n2 1\n1 0\n", "Q\n2 1\n0_1 0\n", "bad Q row: '0_1 0'"),
+    ("secure", "keydim=1", "keydim=01", "bad secure header token 'keydim=01'"),
+    # -1 is canonical, so it reaches the field's range check.
+    ("construct", "kernel e1 1 0", "kernel e1 -1 0", "-1 is not a canonical element of GF(3)"),
+]
+
+
+@pytest.mark.parametrize("writer, old, new, error", NON_CANONICAL_TOKENS)
+def test_files_hold_integers_in_canonical_form(tmp_path, capsys, writer, old, new, error):
+    path = tmp_path / "file"
+    if writer == "mincut":
+        path.write_text(Path(BUTTERFLY).read_text(encoding="utf-8"))
+        argv = ["mincut", str(path)]
+    elif writer == "construct":
+        assert run(capsys, "construct", BUTTERFLY, "--dim", "2", "-o", str(path))[0] == 0
+        argv = ["enumerate", BUTTERFLY, "--r", "1", "--code", str(path)]
+    else:
+        assert run(capsys, "secure", BUTTERFLY, "--omega", "1", "--r", "1", "-o", str(path))[0] == 0
+        argv = ["verify", str(path)]
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert run(capsys, *argv) == (3, "", f"error: {error}\n")
 
 
 def test_lcg_reference_values():

@@ -59,7 +59,7 @@ def test_bundle_round_trip(butterfly, parallel3_gf5):
         assert serialize_network(again.network) == serialize_network(bundle.network)
 
 
-def test_bundle_parse_rejects_inconsistencies(butterfly):
+def test_bundle_parse_rejects_inconsistencies(butterfly, parallel3_gf5):
     text = write_bundle(build_secure_bundle(butterfly, omega=1, r=1))
     lines = text.splitlines()
     assert lines[1:5] == ["secure omega=1 r=1 i=0 keydim=1", "Q", "2 1", "1 0"]
@@ -83,6 +83,11 @@ def test_bundle_parse_rejects_inconsistencies(butterfly):
     ]
     for bad in bad_texts:
         with pytest.raises(ParseError):
+            parse_bundle(bad)
+    # keydim = r - i still holds, but no bundle secures r >= n channels.
+    wide = write_bundle(build_secure_bundle(parallel3_gf5, omega=1, r=2, i=1))
+    for bad in (text.replace("r=1 i=0", "r=2 i=1"), wide.replace("r=2 i=1", "r=4 i=3")):
+        with pytest.raises(ParseError, match="^secure header rates are out of range$"):
             parse_bundle(bad)
 
 

@@ -20,6 +20,7 @@ from slnc.lnc import (
 )
 from slnc.network import Network, c_min, edge_disjoint_paths, parse_network
 from conftest import (
+    FIXTURES,
     SCAN_MAX_DIM,
     brute_force_edge_set_cut,
     combination_network,
@@ -78,6 +79,24 @@ def test_construct_rejects_small_field():
     )
     with pytest.raises(FieldTooSmallForSinks):
         construct_lnc(net, 1)
+
+
+def test_construct_failure_is_a_typed_error(monkeypatch, butterfly, tmp_path, capsys):
+    # q >= |T| rules the failure out, so the search is made to find nothing.
+    from slnc.cli import main
+
+    monkeypatch.setattr("slnc.lnc.first_outside", lambda *args: None)
+    message = (
+        "the flow-path construction found no coefficients for channel e1 over GF(3); "
+        "this does not show that no code exists"
+    )
+    with pytest.raises(FieldTooSmallForSinks) as excinfo:
+        construct_lnc(butterfly, 2)
+    assert str(excinfo.value) == message
+    path = tmp_path / "b.code"
+    assert main(["construct", str(FIXTURES / "butterfly.net"), "--dim", "2", "-o", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not path.exists()
 
 
 def test_construct_is_deterministic(butterfly):

@@ -19,6 +19,7 @@ from slnc.network import (
     c_min,
     edge_disjoint_paths,
     enumerate_topology_wiretap_sets,
+    integers,
     min_cut_to_edges,
     min_cut_to_sink,
     parse_network,
@@ -126,6 +127,26 @@ def test_parse_rejects_unknown_keyword_and_bad_field():
         parse_network("field 2\nsource s\nsink t\nedge a s t\nnoise x\n")
     with pytest.raises(ParseError):
         parse_network("field 6\nsource s\nsink t\nedge a s t\n")
+
+
+@pytest.mark.parametrize("token", ["+3", "03", "-0", "3_0", "\u0663", "\uff13", "3.0"])
+def test_field_size_must_be_a_canonical_decimal(token):
+    # int() reads all but the last; each would be written back differently.
+    with pytest.raises(ParseError, match=r"^line 1: field size must be an integer$"):
+        parse_network(f"field {token}\nsource s\nsink t\nedge a s t\n")
+
+
+@given(st.one_of(st.integers(-10**30, 10**30).map(str), st.text(alphabet="+-_0123456789\u0663 ", max_size=5)))
+def test_integers_accept_exactly_the_text_they_write_back(token):
+    try:
+        canonical = str(int(token)) == token
+    except ValueError:
+        canonical = False
+    if canonical:
+        assert integers([token], "bad") == (int(token),)
+    else:
+        with pytest.raises(ParseError, match="^bad$"):
+            integers(["1", token], "bad")
 
 
 def test_parse_rejects_reserved_edge_prefix():

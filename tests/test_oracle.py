@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -87,6 +88,25 @@ def test_observation_distribution_budget(parallel3_gf5):
         observation_distribution(bundle, ["e1"], budget=10)
     with pytest.raises(BudgetExceeded):
         verify_security(bundle, budget=10)
+
+
+@pytest.mark.parametrize("slack", [0, -1, -125, -200])
+def test_each_exhaustive_space_meets_the_budget_at_its_size(parallel3_gf5, parallel3_gf2, slack):
+    # 5^3 inputs for the omega=2, r=1 bundle; 2^6 codes for omega=2, keydim=0
+    # on three parallel channels.  A budget of 0 or below refuses every space.
+    bundle = build_secure_bundle(parallel3_gf5, omega=2, r=1)
+    checks = [
+        (lambda b: observation_distribution(bundle, ["e1"], budget=b), "input space 5^3", 125),
+        (lambda b: verify_security(bundle, budget=b), "input space 5^3", 125),
+        (lambda b: refute_key_rate(parallel3_gf2, omega=2, r=1, key_dim=0, budget=b), "search space 2^6", 64),
+    ]
+    for run, space, size in checks:
+        budget = size + slack
+        if slack == 0:
+            run(budget)
+        else:
+            with pytest.raises(BudgetExceeded, match=rf"^{re.escape(space)} exceeds the budget {budget}$"):
+                run(budget)
 
 
 # -- mutual information ---------------------------------------------------------------

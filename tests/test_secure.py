@@ -16,6 +16,7 @@ from slnc.errors import (
 from slnc.field import Echelon, Matrix, spans_intersect_trivially
 from slnc.lnc import GlobalCode, construct_lnc, enumerate_code_wiretap_sets
 from slnc.network import c_min, parse_network
+from slnc.oracle import verify_security
 from slnc.secure import (
     SecureCodeBundle,
     build_secure_bundle,
@@ -25,11 +26,13 @@ from slnc.secure import (
     write_bundle,
 )
 from conftest import (
+    FIXTURES,
     SCAN_MAX_DIM,
     SEARCH_FIELDS,
     combination_network,
     hstack,
     kernel_matrix,
+    load_network,
     matmul,
     outcome,
     small_networks,
@@ -255,6 +258,27 @@ def test_build_bundle_imperfect(parallel3_gf5):
     assert (bundle.key_dim, len(bundle.constant)) == (1, 0)
     assert bundle.basis_level == 1
     assert not bundle.constructively_certified
+
+
+def test_bundles_built_below_level_r_leak_at_most_i():
+    # With omega + r > n the basis is built at level r - i.  No set of r - i
+    # channels leaks, and the chain rule bounds any larger set A of at most r
+    # by its extra channels: I(M; Y_A) <= |A| - (r - i) <= i.
+    nets = [load_network(path.name) for path in sorted(FIXTURES.glob("*.net"))]
+    nets += [combination_network(4, 2, 7), combination_network(5, 3, 11)]
+    built = 0
+    for net in nets:
+        n = c_min(net)
+        for omega, r in itertools.product(range(1, n + 1), range(1, n)):
+            for i in range(max(0, omega + r - n), r + 1):
+                if omega + r <= n:
+                    continue
+                bundle = build_secure_bundle(net, omega, r, i)
+                assert (bundle.basis_level, bundle.constructively_certified) == (r - i, False)
+                report = verify_security(bundle)
+                assert report.secure and report.decode_ok and report.max_mi <= i
+                built += 1
+    assert built == 16  # 11 on the fixtures
 
 
 def test_build_bundle_validation(parallel3_gf5, butterfly):

@@ -12,20 +12,23 @@ networks after ROOT (fixture stems such as `butterfly`, `c5_3_gf8`,
 The networks are the fixtures, six combination networks C(n,k) over GF(q),
 and 40 seeded random DAGs over GF(2..5) whose channel ids and edge lines
 are shuffled against the topological order.  The commands on each are
-`mincut` (overall and per sink), `construct` at dimension 0..5,
-`enumerate --code` and `--prop1` with the code of C_min and of every
-dimension constructed, at every r from 0 to C_min + 1 (so r also falls
+`mincut` (overall, per sink, and `--edges` with the first channel and with
+all of them), `construct` at dimension 0..5, topology-only `enumerate` at
+every r from 0 to C_min + 1, `enumerate --code` and `--prop1` with the code
+of C_min and of every dimension constructed, at the same r (so r also falls
 between the code's dimension and C_min), `secure`
-for every omega up to C_min + 1, r <= 3 and every i, with `verify`, `verify --fast` and
-`simulate --seed 7` on each bundle built, and `refute` at omega <= 2,
+for every omega up to C_min + 1, r <= 3 and every i, with `verify`, `verify --fast`,
+`simulate --seed 7` and, when the key is not empty, `simulate --key` on each
+bundle built, and `refute` at omega <= 2,
 r <= 3 (r <= 5 on the fixtures) and every keydim < r with budget 200,000;
 on the fixtures also `refute --omega 1 --r 1 --keydim 0` with the default
 budget.  Each fixture's C_min code and its omega=1, r=1 bundle are also
 written with one fault at a time (a dropped `kernel` line, an unknown
-keyword, a repeated `local` line where the file has one, a repeated
-`secure` line, a Q block one row short, a non-integer Q row, no `const`
-line) and passed to `enumerate --code`, and to `verify` and `simulate`, so
-the parsers' error texts are compared too.  The list
+keyword, a `+`-signed kernel entry, a repeated `local` line where the file
+has one, a repeated `secure` line, a Q block one row short, a non-integer Q
+row, a zero-padded Q entry, no `const` line) and passed to `enumerate
+--code`, and to `verify` and `simulate`, so the parsers' error texts are
+compared too.  The list
 depends on the tree only through the C_min that `mincut`
 prints and the `construct` and `secure` cases that succeed, and all of those
 are compared too.
@@ -142,12 +145,17 @@ class Sweep:
         for line in text.splitlines():
             if line.startswith("sink "):
                 self.run("mincut", net, "--sink", line.split()[1])
+        channels = [line.split()[1] for line in text.splitlines() if line.startswith("edge ")]
+        self.run("mincut", net, "--edges", channels[0])
+        self.run("mincut", net, "--edges", ",".join(channels))
         built = {cmin}
         for dim in range(6):
             path = str(self.tmp / f"{name}.d{dim}.code")
             code, _out = self.run("construct", net, "--dim", str(dim), "-o", path, output=path)
             if code == 0:
                 built.add(dim)
+        for r in range(cmin + 2):
+            self.run("enumerate", net, "--r", str(r))
         for dim, r in itertools.product(sorted(built), range(cmin + 2)):
             code_file = str(self.tmp / f"{name}.d{dim}.code")
             self.run("enumerate", net, "--r", str(r), "--code", code_file)
@@ -163,6 +171,9 @@ class Sweep:
                 self.run("verify", bundle, "--fast")
                 message = ",".join(str((j + 1) % q) for j in range(omega))
                 self.run("simulate", bundle, "--message", message, "--seed", "7")
+                if r > i:
+                    key = ",".join(str((j + 2) % q) for j in range(r - i))
+                    self.run("simulate", bundle, "--message", message, "--key", key)
         # The fixtures are small enough to refute at higher security levels too.
         for omega, r in itertools.product(range(1, 3), range(1, 6 if fixture else 4)):
             for keydim in range(r):
@@ -195,7 +206,7 @@ def faults(text: str) -> dict[str, str]:
 
     Network-line faults and a repeated code header are left out: a bundle
     reports those with the network and code parsers' texts.  A code file
-    has no secure, Q or const line, so it gets only the first three faults,
+    has no secure, Q or const line, so it gets only the first four faults,
     and only a network with a channel out of a relay has a `local` line
     to repeat (among the fixtures, the butterflies).
     """
@@ -205,9 +216,15 @@ def faults(text: str) -> dict[str, str]:
     def without(k: int) -> list[str]:
         return lines[:k] + lines[k + 1:]
 
+    def replaced(k: int, line: str) -> list[str]:
+        return lines[:k] + [line] + lines[k + 1:]
+
+    kernel = keywords.index("kernel")
+    head, last = lines[kernel].rsplit(" ", 1)
     edits = {
-        "no-kernel": without(keywords.index("kernel")),
+        "no-kernel": without(kernel),
         "unknown-keyword": lines[:1] + ["bogus 1"] + lines[1:],
+        "plus-kernel": replaced(kernel, f"{head} +{last}"),
     }
     if "local" in keywords:
         k = keywords.index("local")
@@ -218,7 +235,8 @@ def faults(text: str) -> dict[str, str]:
         edits |= {
             "two-secure": lines[:s + 1] + lines[s:],
             "short-q": without(q + n),  # the block then takes the line after it as its last row
-            "text-q-row": lines[:q + 1] + ["x" + lines[q + 1][1:]] + lines[q + 2:],
+            "text-q-row": replaced(q + 1, "x" + lines[q + 1][1:]),
+            "padded-q": replaced(q + 1, "0" + lines[q + 1]),
             "no-const": without(keywords.index("const")),
         }
     return {fault: "\n".join(edited) + "\n" for fault, edited in edits.items()}
