@@ -52,7 +52,7 @@ def _parse_symbols(raw: str, what: str) -> tuple[int, ...]:
 
     error = f"{what} must be a comma-separated list of integers"
     try:
-        return integers([tok for tok in raw.split(",") if tok], error)
+        return integers(raw.split(",") if raw else [], error)
     except ParseError:
         raise _UsageError(error) from None
 
@@ -66,7 +66,9 @@ def _cmd_mincut(args: argparse.Namespace) -> int:
     if args.sink is not None:
         print(min_cut_to_sink(net, args.sink))
     elif args.edges is not None:
-        ids = [tok for tok in args.edges.split(",") if tok]
+        ids = args.edges.split(",") if args.edges else []
+        if "" in ids:
+            raise _UsageError("--edges must be a comma-separated list of channel ids")
         print(min_cut_to_edges(net, ids))
     else:
         print(c_min(net))

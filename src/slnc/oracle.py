@@ -305,7 +305,7 @@ class RefutationResult(NamedTuple):
     """Outcome of the exhaustive linear-code search for a smaller key.
 
     `searched` counts the full assignments covered, pruned subtrees included;
-    `visited` counts the channel coefficient tuples the search actually tried.
+    `visited` counts the channel coefficient tuples explored, one per class.
     """
 
     searched: int
@@ -330,6 +330,18 @@ class _SearchLevel(NamedTuple):
     edge_id: str
     ins: list[str]
     sinks: list[list[str]]
+    source: bool
+
+
+def _orbit_class(sources: Echelon, kernel: tuple[int, ...], omega: int) -> Hashable:
+    """The class of a source kernel f after the source kernels S, spanned key first
+    by `sources`: [S|f] and [S|f'] lie in one orbit of G = {[[A, B], [0, D]]}, the
+    stabiliser of the message subspace, exactly when f and f' have equal classes.
+    As in `_leakage`, the residue's key block is zero iff P.f lies in span(P.S)."""
+    residue = sources.reduce(kernel[omega:] + kernel[:omega])
+    if not any(residue):
+        return (0, kernel)
+    return (1, kernel[omega:]) if not any(residue[:len(kernel) - omega]) else (2,)
 
 
 def refute_key_rate(
@@ -357,10 +369,15 @@ def refute_key_rate(
     each min(r - 1, D) of them: leakage depends only on the span and only
     grows with it, so a prefix passes exactly when every set of at most r
     channels in it does.  When a check fails, no completion of the prefix can
-    pass, and the subtree is skipped.  `searched` counts the full assignments
-    covered, skipped subtrees included: q^slots when the search refutes, and
-    otherwise the witness's rank in lexicographic order, its chained
-    coefficient tuples read as a base-q number, plus 1.
+    pass, and the subtree is skipped.  Under one prefix, only the first tuple
+    of each class is explored: out of a non-source node the class is the
+    kernel, and out of the source `_orbit_class`, whose g in G fixes the
+    earlier kernels and keeps every check's outcome.  Two tuples of one class
+    have subtrees with the same outcomes, so the first passing code is never
+    skipped.  `visited` counts the tuples explored; `searched` the full
+    assignments covered, skipped subtrees included: q^slots when the search
+    refutes, and otherwise the witness's rank in lexicographic order, its
+    chained coefficient tuples read as a base-q number, plus 1.
     """
     if omega < 1:
         raise ValueError(f"information rate must be at least 1, got {omega}")
@@ -375,7 +392,7 @@ def refute_key_rate(
     slots = sum(dim if e.tail == net.source else len(net.in_edges(e.tail)) for e in topo)
     space = _exhaustive_space("search space", q, slots, budget)
 
-    levels = [_SearchLevel(e.id, in_channel_ids(net, dim, e.tail), []) for e in topo]
+    levels = [_SearchLevel(e.id, in_channel_ids(net, dim, e.tail), [], e.tail == net.source) for e in topo]
     position = {e.id: j for j, e in enumerate(topo)}
     for t in net.sinks:
         ins = [e.id for e in net.in_edges(t)]
@@ -389,29 +406,37 @@ def refute_key_rate(
     decodes = functools.cache(lambda in_kernels: in_span(field, in_kernels, message_units))
     elements = field.elements()
     visited = 0
-    # tries[j] = (channel j's untried coefficient tuples, the earlier channels' directions).
-    tries = [(itertools.product(elements, repeat=len(levels[0].ins)), ())]
+    # tries[j] = (channel j's untried tuples, classes tried, earlier directions, source echelon).
+    tries = [(itertools.product(elements, repeat=len(levels[0].ins)), set(), (), Echelon(field, dim))]
     chosen: list[tuple[int, ...]] = []
     while tries:
         depth = len(tries) - 1
         del chosen[depth:]
-        options, known = tries[depth]
+        options, seen, known, sources = tries[depth]
         coeffs = next(options, None)
         if coeffs is None:
             tries.pop()
             continue
-        visited += 1
         level = levels[depth]
-        kernels[level.edge_id] = combine(field, coeffs, [kernels[d] for d in level.ins], dim)
+        kernel = combine(field, coeffs, [kernels[d] for d in level.ins], dim)
+        cls = _orbit_class(sources, kernel, omega) if level.source else kernel
+        if cls in seen:
+            continue
+        seen.add(cls)
+        visited += 1
+        kernels[level.edge_id] = kernel
         chosen.append(coeffs)
-        new = tuple(line for line in direction(kernels[level.edge_id]) if line not in known)
+        new = tuple(line for line in direction(kernel) if line not in known)
         passed = all(decodes(tuple(kernels[eid] for eid in ins)) for ins in level.sinks) and all(
             _leakage(field, [*rest, *new], omega, dim) == 0
             for rest in (itertools.combinations(known, min(r - 1, len(known))) if new else ())
         )
         if passed and depth + 1 < len(levels):
+            if level.source:
+                sources = sources.copy()
+                sources.add(kernel[omega:] + kernel[:omega])
             options = itertools.product(elements, repeat=len(levels[depth + 1].ins))
-            tries.append((options, known + new))
+            tries.append((options, set(), known + new, sources))
             continue
         if not passed:
             continue

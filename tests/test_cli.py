@@ -351,6 +351,33 @@ def test_simulate_symbols_are_canonical_decimals(tmp_path, capsys):
         assert err == f"usage error: {flag} must be a comma-separated list of integers\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--message", ",1,"), ("--key", "1,,"), ("--message", ","), ("--key", ",1")]
+)
+def test_simulate_refuses_empty_list_items(tmp_path, capsys, flag, value):
+    bundle_file = tmp_path / "b.slnc"
+    run(capsys, "secure", BUTTERFLY, "--omega", "1", "--r", "1", "-o", str(bundle_file))
+    symbols = {"--message": "1", "--key": "1", flag: value}
+    code, out, err = run(capsys, "simulate", str(bundle_file), *itertools.chain(*symbols.items()))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {flag} must be a comma-separated list of integers\n"
+
+
+def test_simulate_takes_an_empty_key_of_dimension_zero(tmp_path, capsys):
+    bundle_file = tmp_path / "b.slnc"
+    run(capsys, "secure", BUTTERFLY, "--omega", "1", "--r", "1", "--i", "1", "-o", str(bundle_file))
+    code, out, _ = run(capsys, "simulate", str(bundle_file), "--message", "1", "--key", "")
+    assert code == 0
+    assert out.splitlines()[0] == "key"
+
+
+@pytest.mark.parametrize("edges", ["e1,,e3", ",e1", "e1,"])
+def test_mincut_refuses_empty_channel_ids(capsys, edges):
+    code, out, err = run(capsys, "mincut", BUTTERFLY, "--edges", edges)
+    assert (code, out) == (2, "")
+    assert err == "usage error: --edges must be a comma-separated list of channel ids\n"
+
+
 # Each edit of a written file, by the command that reads it, and the error it gives.
 NON_CANONICAL_TOKENS = [
     ("mincut", "field 3", "field +3", "line 1: field size must be an integer"),

@@ -1,8 +1,10 @@
 import collections
+import functools
 import itertools
 import math
 import random
 import re
+import time
 import tracemalloc
 from unittest import mock
 
@@ -17,7 +19,7 @@ from slnc.errors import (
     InvalidKeyDim,
     NotADistribution,
 )
-from slnc.field import Echelon, FieldSpec, Matrix, combine, in_span, rank_of_rows, standard_basis
+from slnc.field import Echelon, FieldSpec, Matrix, combine, dot, in_span, rank_of_rows, standard_basis
 from slnc.lnc import GlobalCode, construct_lnc, imaginary_ids, in_channel_ids
 from slnc.network import Network, c_min, parse_network
 from slnc.oracle import (
@@ -711,15 +713,18 @@ def test_refute_corroborates_optimal_key_rate(
 @pytest.mark.parametrize(
     "fixture, omega, r, key_dim, searched, visited",
     [
-        ("butterfly", 1, 1, 0, 3**10, 3042),
-        ("butterfly_gf2", 1, 5, 3, 2**16, 47098),
-        ("butterfly_gf2", 2, 4, 2, 2**16, 29750),
+        ("butterfly", 1, 1, 0, 3**10, 10),
+        ("butterfly_gf2", 1, 5, 3, 2**16, 287),
+        ("butterfly_gf2", 2, 4, 2, 2**16, 287),
     ],
     ids=["butterfly-1-1-0", "butterfly_gf2-1-5-3", "butterfly_gf2-2-4-2"],
 )
 def test_refute_prunes_the_butterfly_search(fixture, omega, r, key_dim, searched, visited):
-    result = refute_key_rate(load_network(f"{fixture}.net"), omega, r, key_dim)
+    # The flat search tried 3,042, 47,098 and 29,750 tuples here.
+    net = load_network(f"{fixture}.net")
+    result = refute_key_rate(net, omega, r, key_dim)
     assert (result.verdict, result.searched, result.visited) == ("refuted", searched, visited)
+    assert len(quotient_tuples(net, omega, r, key_dim)) == visited
     assert result.serialize() == f"searched={searched} verdict=refuted\n"
 
 
@@ -756,6 +761,66 @@ def tried_tuples(net, omega, r, key_dim):
                 for A in done_sets
             )
     return tried
+
+
+def relations(field, cols, n):
+    """Every coefficient vector v with sum_i v_i * cols[i] = 0 in GF(q)^n: the
+    kernel of the matrix whose columns are cols, found by listing."""
+    return frozenset(
+        v for v in itertools.product(field.elements(), repeat=len(cols))
+        if not any(combine(field, v, cols, n))
+    )
+
+
+def quotient_tuples(net, omega, r, key_dim):
+    """The prefixes a depth-first search explores when, dropping prefixes as
+    `tried_tuples` does, it tries under one prefix only the first tuple of
+    each class among a channel's tuples: each prefix is explored once every
+    tuple in it is the first of its class among its siblings and every check
+    inside its parent passes.
+
+    Out of a non-source node two tuples share a class when they give the same
+    kernel.  Out of the source, with F and F' the source kernels so far as
+    columns, they share one when ker F = ker F' and ker PF = ker PF', P keeping
+    the key coordinates.  Counted level by level, with no notion of which
+    channel owns a check; returns the kernels of every prefix explored."""
+    field = net.field
+    dim = omega + key_dim
+    topo = net.topo_edges()
+    tail_ins = [in_channel_ids(net, dim, e.tail) for e in topo]
+    sinks = [[e.id for e in net.in_edges(t)] for t in net.sinks]
+    ids = sorted(e.id for e in net.edges)
+    sets = [A for size in range(1, min(r, len(ids)) + 1) for A in itertools.combinations(ids, size)]
+    units = [standard_basis(dim, j) for j in range(omega)]
+    sources = [e.id for e in topo if e.tail == net.source]
+    explored = [{d: standard_basis(dim, j) for j, d in enumerate(imaginary_ids(dim))}]
+    prefixes = []
+    for depth, edge in enumerate(topo):
+        inside = {e.id for e in topo[:depth]}
+        children = []
+        for kernels in explored:
+            if not all(
+                in_span(field, [kernels[e] for e in sink_ins], units)
+                for sink_ins in sinks if inside.issuperset(sink_ins)
+            ) or not all(
+                message_in_key_span(field, [kernels[e] for e in A], range(omega), range(omega, dim))
+                for A in sets if inside.issuperset(A)
+            ):
+                continue
+            classes = set()
+            for coeffs in itertools.product(field.elements(), repeat=len(tail_ins[depth])):
+                child = {**kernels, edge.id: combine(field, coeffs, [kernels[d] for d in tail_ins[depth]], dim)}
+                cols = [child[e] for e in sources if e in child]
+                cls = (
+                    (relations(field, cols, dim), relations(field, [c[omega:] for c in cols], key_dim))
+                    if edge.id in sources else child[edge.id]
+                )
+                if cls not in classes:
+                    classes.add(cls)
+                    children.append(child)
+        prefixes += children
+        explored = children
+    return prefixes
 
 
 def _always_secure(*_args):
@@ -813,7 +878,7 @@ def test_pruned_refutation_matches_the_flat_search(case):
         assert (got.searched, got.verdict) == (want.searched, want.verdict)
         if want.witness is None:
             assert got.witness is None
-            assert got.visited == tried_tuples(net, omega, r, key_dim)
+            assert got.visited == len(quotient_tuples(net, omega, r, key_dim)) <= tried_tuples(net, omega, r, key_dim)
         else:
             assert list(got.witness.local_coeffs.items()) == list(want.witness.local_coeffs.items())
             assert got.witness.kernels == want.witness.kernels
@@ -858,14 +923,92 @@ def test_refutation_checks_only_new_kernel_directions():
 
 
 def test_refutation_decides_each_sink_kernel_tuple_once(butterfly):
-    # The sink check depends only on the tuple of the sink's in-kernels: 25
-    # distinct tuples among the 54,675 sink checks, each of which an
-    # unmemoised search decides with a fresh echelon.
+    # The sink check depends only on the tuple of the sink's in-kernels: 9
+    # distinct tuples among the sink checks of the 1,910 tuples explored, each
+    # of which an unmemoised search decides with a fresh echelon.  (The flat
+    # search tried 75,972 tuples and reached 25 distinct sink tuples.)
     span = mock.Mock(wraps=oracle.in_span)
     with mock.patch.object(oracle, "in_span", span):
         result = refute_key_rate(butterfly, 1, 2, 1)
-    assert span.call_count == 25
-    assert (result.verdict, result.searched, result.visited) == ("refuted", 3**12, 75972)
+    prefixes = quotient_tuples(butterfly, 1, 2, 1)
+    sink_ins = [[e.id for e in butterfly.in_edges(t)] for t in butterfly.sinks]
+    reached = {tuple(k[e] for e in ins) for k in prefixes for ins in sink_ins if all(e in k for e in ins)}
+    assert span.call_count == len(reached) == 9
+    assert (result.verdict, result.searched) == ("refuted", 3**12)
+    assert result.visited == len(prefixes) == 1910
+
+
+@functools.cache
+def message_stabiliser(q, omega, key_dim):
+    """Every g = [[A, B], [0, D]] over GF(q), A in GL(omega), D in GL(key_dim),
+    B any omega x key_dim block, as a tuple of rows: listed by brute force."""
+    field = FieldSpec(q)
+
+    def invertible(n):
+        squares = itertools.product(field.elements(), repeat=n * n)
+        return [rows for rows in ([e[i * n:(i + 1) * n] for i in range(n)] for e in squares)
+                if rank_of_rows(field, rows) == n]
+
+    blocks = itertools.product(field.elements(), repeat=omega * key_dim)
+    return [
+        tuple(A[i] + B[i * key_dim:(i + 1) * key_dim] for i in range(omega))
+        + tuple((0,) * omega + row for row in D)
+        for A, B, D in itertools.product(invertible(omega), list(blocks), invertible(key_dim))
+    ]
+
+
+@st.composite
+def source_prefix_pairs(draw):
+    """Source kernels S over GF(2) or GF(3) at dim <= 3, and two kernels f, f'
+    for the next source channel; f' is half the time g.f for a drawn g in G."""
+    q = draw(st.sampled_from([2, 3]))
+    omega = draw(st.integers(1, 2))
+    dim = draw(st.integers(omega, 3))
+    vector = st.tuples(*[st.integers(0, q - 1)] * dim)
+    prefix, f = draw(st.lists(vector, max_size=3)), draw(vector)
+    group = message_stabiliser(q, omega, dim - omega)
+    image = st.sampled_from(group).map(lambda g: tuple(dot(FieldSpec(q), row, f) for row in g))
+    return FieldSpec(q), omega, prefix, f, draw(st.one_of(vector, image))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(source_prefix_pairs())
+def test_source_orbit_classes_match_the_group(case):
+    # [S|f] and [S|f'] lie in one orbit of G exactly when the search's class
+    # rule puts f and f' together, and exactly when the kernel test of
+    # `quotient_tuples` does.
+    field, omega, prefix, f, g_f = case
+    dim = len(f)
+    one_orbit = any(
+        all(tuple(dot(field, row, v) for row in g) == w for v, w in zip([*prefix, f], [*prefix, g_f]))
+        for g in message_stabiliser(field.q, omega, dim - omega)
+    )
+    sources = Echelon(field, dim, [v[omega:] + v[:omega] for v in prefix])
+    same_class = oracle._orbit_class(sources, f, omega) == oracle._orbit_class(sources, g_f, omega)
+
+    def kernels(last):
+        cols = [*prefix, last]
+        return relations(field, cols, dim), relations(field, [c[omega:] for c in cols], dim - omega)
+
+    assert one_orbit == same_class == (kernels(f) == kernels(g_f))
+
+
+@pytest.mark.parametrize(
+    "net, omega, r, key_dim, budget, searched",
+    [
+        (load_network("butterfly.net"), 1, 3, 2, DEFAULT_SEARCH_BUDGET, 3**14),
+        (combination_network(5, 3, 4), 1, 1, 0, 4**35, 4**35),
+    ],
+    ids=["butterfly-1-3-2", "c5_3_gf4-1-1-0"],
+)
+def test_refute_covers_deep_spaces_quickly(net, omega, r, key_dim, budget, searched):
+    # The flat search tried 1,606,746 tuples in 8 to 10 s on the butterfly, and
+    # on C(5,3) walked identical subtrees for over 120 s: one per kernel, and
+    # one per orbit of source kernels, leave a few thousand and a few dozen.
+    start = time.perf_counter()
+    result = refute_key_rate(net, omega, r, key_dim, budget=budget)
+    assert time.perf_counter() - start < 1.0
+    assert result.serialize() == f"searched={searched} verdict=refuted\n"
 
 
 # -- entropy profile -----------------------------------------------------------------------

@@ -22,8 +22,10 @@ for every omega up to C_min + 1, r <= 3 and every i, with `verify`, `verify --fa
 bundle built, and `refute` at omega <= 2,
 r <= 3 (r <= 5 on the fixtures) and every keydim < r with budget 200,000;
 on the fixtures also `refute --omega 1 --r 1 --keydim 0` with the default
-budget.  Each fixture's C_min code and its omega=1, r=1 bundle are also
-written with one fault at a time (a dropped `kernel` line, an unknown
+budget, and on `butterfly` `refute --omega 1` at r=2, keydim=1 and at r=3,
+keydim=2 with budget 5,000,000, whose spaces the smaller budget refuses.
+Each fixture's C_min code and its omega=1, r=1 bundle are also written with
+one fault at a time (a dropped `kernel` line, an unknown
 keyword, a `+`-signed kernel entry, a repeated `local` line where the file
 has one, a repeated `secure` line, a Q block one row short, a non-integer Q
 row, a zero-padded Q entry, no `const` line) and passed to `enumerate
@@ -56,6 +58,7 @@ from slnc.cli import main as slnc_main
 COMBINATIONS = [(3, 2, 5), (4, 2, 5), (4, 3, 7), (5, 3, 8), (5, 4, 16), (6, 4, 16)]
 RANDOM_DAGS = 40
 REFUTE_BUDGET = 200_000
+DEEP_REFUTE_BUDGET = 5_000_000
 
 
 def combination_network(n: int, k: int, q: int) -> str:
@@ -182,6 +185,10 @@ class Sweep:
         if fixture:
             self.run("refute", net, "--omega", "1", "--r", "1", "--keydim", "0")
             self.malformed(name, net, cmin)
+        if name == "butterfly":
+            for r in (2, 3):
+                args = ("--omega", "1", "--r", str(r), "--keydim", str(r - 1))
+                self.run("refute", net, *args, "--budget", str(DEEP_REFUTE_BUDGET))
 
     def malformed(self, name: str, net: str, cmin: int) -> None:
         """Run each single fault of the C_min code and of the omega=1, r=1 bundle."""
