@@ -9,9 +9,7 @@ keeps every sink's frontier kernels at full rank.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     DimensionExceedsCapacity,
@@ -21,7 +19,6 @@ from .errors import (
 )
 from .field import Echelon, FieldSpec, combine, first_outside, rank_of_rows, standard_basis
 from .network import (
-    Item,
     Network,
     WiretapCollection,
     c_min,
@@ -179,35 +176,46 @@ def check_code_validity(code: GlobalCode) -> CodeValidityReport:
 def enumerate_code_wiretap_sets(code: GlobalCode, r: int) -> WiretapCollection:
     """All size-r channel sets whose kernel matrix has full rank r."""
     ids = sorted(e.id for e in code.network.edges)
-    family = span_family(code.field, code.n, r, code.kernels.__getitem__)
+    family = span_family(code.field, code.n, r, [code.kernels[eid] for eid in ids])
     return WiretapCollection(r=r, kind="rank", sets=tuple(downward_closed_subsets(ids, r, family)))
 
 
-def span_family(field: FieldSpec, n: int, r: int, vector: Callable[[Item], tuple]) -> tuple:
-    """Root, `extend` and `accept` of the item sets whose vectors are
-    independent in GF(q)^n, for walks to size r (checked at once).
+def span_family(field: FieldSpec, n: int, r: int, vectors: Sequence[tuple[int, ...]]) -> tuple:
+    """Root and `step` of the item sets whose vectors (item j's is vectors[j])
+    are independent in GF(q)^n, for walks to size r (checked at once).
 
-    Each prefix keeps the echelon of its vectors, and an item extends it when
-    its vector reduces to nonzero.  Many prefixes share a span and many last
-    items a vector (a relay copies its kernel onto every out-channel), so each
-    distinct vector is reduced, and each item decided, once per distinct span.
+    A prefix's state is the reduced basis of its span, and an item extends
+    it when its vector reduces to nonzero.  Many prefixes share a span and
+    many items a vector (a relay copies its kernel onto every out-channel),
+    so each distinct vector is reduced once per distinct span, whose mask is
+    kept; a child's basis is built only when the walk asks for it, once per
+    (span, vector).
     """
     if not 1 <= r < n:
         raise SecurityLevelTooLarge(f"need 1 <= r < n = {n}, got {r}")
-    decided: dict[tuple[tuple[int, ...], ...], Callable[[Item], bool]] = {}
+    bits_of: dict[tuple[int, ...], int] = {}  # the mask of the items whose vector is v
+    for j, v in enumerate(vectors):
+        bits_of[v] = bits_of.get(v, 0) | 1 << j
+    spans = {(): Echelon(field, n)}
+    masks: dict[tuple[tuple[int, ...], ...], int] = {}
+    grown: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
-    def extend(span: Echelon, item: Item) -> Echelon | None:
-        child = span.copy()
-        return child if child.add(vector(item)) else None
+    def step(span: tuple[tuple[int, ...], ...], k: int) -> tuple[int, Callable]:
+        if span not in masks:
+            masks[span] = sum(bits for v, bits in bits_of.items() if any(spans[span].reduce(v)))
 
-    def accept(span: Echelon) -> Callable[[Item], bool]:
-        key = span.basis()
-        if key not in decided:
-            outside = cache(lambda v: any(span.reduce(v)))
-            decided[key] = cache(lambda item: outside(vector(item)))
-        return decided[key]
+        def child(j: int) -> tuple[tuple[int, ...], ...]:
+            key = (span, vectors[j])
+            if key not in grown:
+                echelon = spans[span].copy()
+                echelon.add(vectors[j])
+                grown[key] = echelon.basis()
+                spans.setdefault(grown[key], echelon)
+            return grown[key]
 
-    return Echelon(field, n), extend, accept
+        return masks[span] & -1 << k, child
+
+    return (), step
 
 
 class SubsetBoundReport(NamedTuple):
@@ -225,31 +233,37 @@ class SubsetBoundReport(NamedTuple):
 
 def verify_subset_bound(code: GlobalCode, r: int) -> SubsetBoundReport:
     """Check that the code collection sits inside the topology collection,
-    in one walk over both families: a prefix carries its flow and its
-    echelon, each None once the prefix leaves that family, and each last
-    channel is decided in both and only counted.  A false subset flag
-    signals an implementation bug, never a property of the inputs.
+    in one walk over both families: a prefix carries its flow and its span,
+    each None once the prefix leaves that family, and at each (r-1)-prefix
+    the two families' masks of last channels are only counted.  A false
+    subset flag signals an implementation bug, never a property of the inputs.
     """
-    span_root, span_extend, span_accept = span_family(code.field, code.n, r, code.kernels.__getitem__)
-    flow_root, flow_extend, flow_accept = cut_family(code.network, r)
-
-    def extend(state: tuple, eid: str) -> tuple | None:
-        flow, span = state
-        flow = None if flow is None else flow_extend(flow, eid)
-        span = None if span is None else span_extend(span, eid)
-        return None if flow is None and span is None else (flow, span)
-
-    never = frozenset().__contains__  # False for every channel
     ids = sorted(e.id for e in code.network.edges)
-    sets: Counter[tuple[bool, bool]] = Counter()  # (in the code family, in the cut family)
-    for k, _, (flow, span) in downward_closed_prefixes(ids, r, (flow_root, span_root), extend):
-        in_code = never if span is None else span_accept(span)
-        in_cut = never if flow is None else flow_accept(flow)
-        sets.update((in_code(eid), in_cut(eid)) for eid in ids[k:])
+    span_root, span_step = span_family(code.field, code.n, r, [code.kernels[eid] for eid in ids])
+    flow_root, flow_step = cut_family(code.network, r)
+    nothing = (0, None)
+
+    def step(state: tuple, k: int) -> tuple[int, Callable]:
+        flow, span = state
+        cut, flow_child = nothing if flow is None else flow_step(flow, k)
+        rank, span_child = nothing if span is None else span_step(span, k)
+
+        def child(j: int) -> tuple:
+            return (flow_child(j) if cut >> j & 1 else None, span_child(j) if rank >> j & 1 else None)
+
+        return cut | rank, child
+
+    both = code_only = cut_only = 0
+    for k, _, (flow, span) in downward_closed_prefixes(ids, r, (flow_root, span_root), step):
+        cut = 0 if flow is None else flow_step(flow, k)[0]
+        rank = 0 if span is None else span_step(span, k)[0]
+        both += (rank & cut).bit_count()
+        code_only += (rank & ~cut).bit_count()
+        cut_only += (cut & ~rank).bit_count()
     return SubsetBoundReport(
-        subset_holds=not sets[True, False],
-        code_count=sets[True, True] + sets[True, False],
-        cut_count=sets[True, True] + sets[False, True],
+        subset_holds=not code_only,
+        code_count=both + code_only,
+        cut_count=both + cut_only,
         binomial=math.comb(len(code.network.edges), r),
     )
 

@@ -5,8 +5,8 @@ enumeration of the topology-based wiretap collection.  Every cut is one
 flow from the source into a set of channels: a sink's cut is the flow into
 its in-channels, an edge-set cut the flow into the set itself.  Flows
 explore channels in declaration order so that every derived quantity is
-deterministic, and every flow grows by one augmenting-path routine over arc
-arrays built once per network.
+deterministic, and every flow grows along a path from one residual search
+over arc arrays built once per network.
 """
 
 from __future__ import annotations
@@ -238,29 +238,33 @@ class _Arcs:
     """A network's flow arcs, built once.
 
     Nodes are their indices in `Network.nodes`, and the target that flows
-    end at is one more node after them.  Channel i is arc 2i (capacity 1,
-    in its tail's list) and reverse arc 2i + 1 (in its head's list), listed
-    in declaration order, so BFS finds the same augmenting paths on every
-    run.  A flow owns a copy of `to` in which the channels it sends to the
-    target have to[2i] set to it; their reverse arcs stay in the head's list,
-    where `_search` skips them.
+    end at is one more node after them.  Channel i is the i-th channel id in
+    sorted order, so a bit mask by channel index lists channels in
+    lexicographic order; it is arc 2i (capacity 1, in its tail's list) and
+    reverse arc 2i + 1 (in its head's list).  The lists follow declaration
+    order, so BFS finds the same augmenting paths on every run.  A flow owns
+    a copy of `to` in which the channels it sends to the target have to[2i]
+    set to it; their reverse arcs stay in the head's list, where `_search`
+    skips them.
     """
 
-    __slots__ = ("adj", "to", "source", "target", "channel")
+    __slots__ = ("adj", "to", "source", "target", "ids", "channel")
 
     def __init__(self, net: Network):
         node = {v: k for k, v in enumerate(net.nodes)}
+        self.ids = tuple(sorted(e.id for e in net.edges))
+        self.channel = {eid: i for i, eid in enumerate(self.ids)}
         adj: list[list[int]] = [[] for _ in net.nodes]
-        to: list[int] = []
-        for i, e in enumerate(net.edges):
+        to = [0] * (2 * len(self.ids))
+        for e in net.edges:
+            i = self.channel[e.id]
             adj[node[e.tail]].append(2 * i)
             adj[node[e.head]].append(2 * i + 1)
-            to += (node[e.head], node[e.tail])
+            to[2 * i : 2 * i + 2] = node[e.head], node[e.tail]
         self.adj = tuple(map(tuple, adj))
         self.to = tuple(to)
         self.source = node[net.source]
         self.target = len(net.nodes)
-        self.channel = {e.id: i for i, e in enumerate(net.edges)}
 
 
 def _search(arcs: _Arcs, to: list[int], cap: list[int]) -> list[int | None]:
@@ -286,26 +290,44 @@ def _search(arcs: _Arcs, to: list[int], cap: list[int]) -> list[int | None]:
     return parent
 
 
-def _augment(arcs: _Arcs, to: list[int], cap: list[int]) -> bool:
-    """Push one unit along the first BFS path to the target; False, changing nothing, if none."""
-    parent = _search(arcs, to, cap)
-    v = arcs.target
-    if parent[v] is None:
-        return False
-    while v != arcs.source:
-        arc = parent[v]
+def _push(to: list[int], cap: list[int], parent: list[int | None], arc: int) -> int:
+    """Send one unit along `arc` and the search-tree path to its start; the
+    channels whose flow this changes, as a bit mask by channel index."""
+    moved = 0
+    while arc != -1:
         cap[arc] -= 1
         cap[arc ^ 1] += 1
-        v = to[arc ^ 1]
-    return True
+        moved ^= 1 << (arc >> 1)
+        arc = parent[to[arc ^ 1]]
+    return moved
 
 
-def _unit_flow(net: Network, into: set[str], limit: int | None = None) -> tuple[int, list[int]]:
+def _augment(arcs: _Arcs, to: list[int], cap: list[int]) -> int:
+    """Push one unit along the first BFS path to the target; the channels
+    whose flow changed, as `_push` gives them, or 0, changing nothing, if none."""
+    parent = _search(arcs, to, cap)
+    if parent[arcs.target] is None:
+        return 0
+    return _push(to, cap, parent, parent[arcs.target])
+
+
+def _flow_path(arcs: _Arcs, to: list[int], cap: list[int], node: int) -> list[int]:
+    """The arcs of a flow-carrying path from `node` to the target, each its
+    tail's first flow-carrying out-channel (the graph is acyclic)."""
+    path = []
+    while node != arcs.target:
+        arc = next(a for a in arcs.adj[node] if not (a & 1 or cap[a]))
+        path.append(arc)
+        node = to[arc]
+    return path
+
+
+def _unit_flow(net: Network, into: set[str], limit: int | None = None) -> tuple[int, list[int], list[int]]:
     """Max-flow from the source when every channel in `into` ends at one target.
 
     The flow stops at `limit`, and at len(into), which no flow can pass.
-    Returns the flow value and the residual capacities: channel i carries
-    flow exactly when arc 2i reads 0.
+    Returns the flow value, the arc heads and the residual capacities:
+    channel i carries flow exactly when arc 2i reads 0.
     """
     arcs = net._arcs
     to = list(arcs.to)
@@ -316,7 +338,7 @@ def _unit_flow(net: Network, into: set[str], limit: int | None = None) -> tuple[
     value = 0
     while value < goal and _augment(arcs, to, cap):
         value += 1
-    return value, cap
+    return value, to, cap
 
 
 def _sink_in_ids(net: Network, t: str) -> set[str]:
@@ -341,20 +363,16 @@ def edge_disjoint_paths(net: Network, t: str, count: int) -> list[list[str]]:
     Paths are extracted by walking flow-carrying channels in declaration
     order, so repeated runs yield identical path lists.
     """
-    reached, cap = _unit_flow(net, _sink_in_ids(net, t), limit=count)
+    reached, to, cap = _unit_flow(net, _sink_in_ids(net, t), limit=count)
     if reached < count:
         raise ValueError(f"only {reached} edge-disjoint paths to {t}, need {count}")
-    arcs, sink = net._arcs, net.nodes.index(t)
+    arcs = net._arcs
     paths: list[list[str]] = []
     for _ in range(count):
-        node, path = arcs.source, []
-        while node != sink:
-            # The first flow-carrying out-channel; walking it returns its capacity.
-            arc = next(a for a in arcs.adj[node] if not (a & 1 or cap[a]))
-            cap[arc] = 1
-            path.append(net.edges[arc // 2].id)
-            node = arcs.to[arc]
-        paths.append(path)
+        path = _flow_path(arcs, to, cap, arcs.source)
+        for arc in path:
+            cap[arc] = 1  # walked: its capacity returns, so the next path takes another
+        paths.append([arcs.ids[arc >> 1] for arc in path])
     return paths
 
 
@@ -376,18 +394,31 @@ def min_cut_to_edges(net: Network, edge_ids: Iterable[str]) -> int:
 
 State = TypeVar("State")
 Item = TypeVar("Item")
+Step = Callable[[State, int], tuple[int, Callable[[int], State]]]
+
+
+def bit_indices(mask: int) -> list[int]:
+    """The indices of the set bits of a nonnegative mask, ascending."""
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
 
 
 def downward_closed_prefixes(
-    items: Sequence[Item], r: int, root: State, extend: Callable[[State, Item], State | None]
+    items: Sequence[Item], r: int, root: State, step: Step
 ) -> Iterator[tuple[int, tuple[Item, ...], State]]:
     """(k, prefix, state) per (r-1)-prefix of a downward-closed family, in
     lexicographic order; items[k:] are the prefix's candidate last items.
 
-    The walk is depth-first on one stack.  `extend(state, item)` gives the
-    state of the prefix plus item from that of the prefix (`root` for the
-    empty one), or None when that set is not in the family: every subset of
-    a member is a member, so a failed step skips every set that extends it.
+    The walk is depth-first on one stack.  `step(state, k)` runs once per
+    shorter prefix (`root` is the empty one's state) and returns (mask,
+    child): bit j of mask is set when items[j], j >= k, extends the prefix
+    inside the family, and child(j) builds that set's state.  Every subset of
+    a member is a member, so a clear bit skips every set that extends it.
+    Only children that still leave room for r - 1 items are built.
     """
     stack = [(0, (), root)]
     while stack:
@@ -395,41 +426,46 @@ def downward_closed_prefixes(
         if len(prefix) == r - 1:
             yield start, prefix, state
             continue
-        children = []
-        for k in range(start, len(items) - r + len(prefix) + 1):
-            child = extend(state, items[k])
-            if child is not None:
-                children.append((k + 1, (*prefix, items[k]), child))
+        mask, child = step(state, start)
+        room = max(len(items) - r + len(prefix) + 1, 0)
+        children = [(j + 1, (*prefix, items[j]), child(j)) for j in bit_indices(mask & ((1 << room) - 1))]
         stack += reversed(children)
 
 
 def downward_closed_subsets(items: Sequence[Item], r: int, family: tuple) -> Iterator[tuple]:
-    """The r-subsets of `items` in the family (root, extend, accept), in
-    lexicographic order.  `accept(state)` runs once per (r-1)-prefix and
-    returns the predicate that decides each last item, so their shared work
-    is done once.
+    """The r-subsets of `items` in the family (root, step), in lexicographic
+    order.  Each (r-1)-prefix's mask from `step` decides all its last items
+    at once, and their states are never built.
     """
-    root, extend, accept = family
-    for k, prefix, state in downward_closed_prefixes(items, r, root, extend):
-        last = accept(state)
-        for item in items[k:]:
-            if last(item):
-                yield (*prefix, item)
+    root, step = family
+    for k, prefix, state in downward_closed_prefixes(items, r, root, step):
+        for j in bit_indices(step(state, k)[0]):
+            yield (*prefix, items[j])
 
 
 def cut_family(net: Network, r: int) -> tuple:
-    """Root, `extend` and `accept` of the channel sets whose source min-cut is their size.
+    """Root and `step` of the channel sets whose source min-cut is their size,
+    as masks over the channel ids in sorted order.
 
     The family is downward closed: sending more channels to the target adds
     no path into a prefix P, so mincut(A) <= mincut(P) + |A - P|.  A prefix's
-    state is its max-flow, of value |P|; adding a channel leaves a flow of
-    value |P| and a cut of at most |P| + 1, so one augmenting path decides.
+    state is its max-flow of value |P|: arc heads, residual capacities and
+    the mask of channels that carry flow.  Adding a channel e leaves a flow
+    of value |P| and a cut of at most |P| + 1, so one augmenting path decides,
+    and `step` decides every e from one scan of P's residual graph.
 
-    One scan of P's residual graph decides every last channel e that carries
-    no flow: mincut(P + e) = |P| + 1 exactly when tail(e) is reachable, since
-    every P channel is saturated (an augmenting path must end with e), e's
-    reverse arc has no capacity, and a shortest path to tail(e) never uses e.
-    A last channel that carries flow is decided by `extend`.
+    If e carries no flow, mincut(P + e) = |P| + 1 exactly when tail(e) is
+    reachable, since every P channel is saturated (an augmenting path must
+    end with e), e's reverse arc has no capacity, and a shortest path to
+    tail(e) never uses e.  The scan's tree also builds that child: the BFS
+    of P + e is P's up to the expansion of tail(e), where only e reaches
+    the target, so `_augment` would push e and the tree path to tail(e).
+
+    If e carries flow, its unit now ends at the target, which frees the rest
+    of its path.  Every arc that changes starts on that rest, and from any
+    of its nodes the freed channels lead to the target, so P + e has an
+    augmenting path exactly when the scan reached one of those nodes; the
+    child drops the rest and runs `_augment`.
     """
     capacity = c_min(net)
     if not 1 <= r < capacity:
@@ -437,35 +473,33 @@ def cut_family(net: Network, r: int) -> tuple:
             f"security level must satisfy 1 <= r < C_min = {capacity}, got {r}"
         )
     arcs = net._arcs
-    adj, target = arcs.adj, arcs.target
+    target = arcs.target
+    out = [sum(1 << (arc >> 1) for arc in node if not arc & 1) for node in arcs.adj]
+    out.append(0)  # the target has no channel out
 
-    def extend(flow: tuple[list[int], list[int]], eid: str) -> tuple[list[int], list[int]] | None:
-        to, cap = flow[0][:], flow[1][:]
-        arc = 2 * arcs.channel[eid]
-        if not cap[arc]:
-            # The channel's unit now ends at the target: drop the rest of its
-            # path, following flow-carrying out-channels (the graph is acyclic).
-            node = to[arc]
-            while node != target:
-                out = next(a for a in adj[node] if not (a & 1 or cap[a]))
-                cap[out], cap[out + 1] = 1, 0
-                node = to[out]
-        to[arc] = target
-        return (to, cap) if _augment(arcs, to, cap) else None
+    def step(flow: tuple[list[int], list[int], int], k: int) -> tuple[int, Callable]:
+        to, cap, busy = flow
+        parent = _search(arcs, to, cap)
+        later = -1 << k
+        mask = sum(bits for bits, arc in zip(out, parent) if arc is not None) & ~busy & later
+        for i in bit_indices(busy & later):
+            if any(parent[to[arc ^ 1]] is not None for arc in _flow_path(arcs, to, cap, to[2 * i])):
+                mask |= 1 << i
 
-    def accept(flow: tuple[list[int], list[int]]) -> Callable[[str], bool]:
-        to, cap = flow
-        reached = _search(arcs, to, cap)
+        def child(i: int) -> tuple[list[int], list[int], int]:
+            to_i, cap_i = to[:], cap[:]
+            to_i[2 * i] = target
+            if not busy >> i & 1:
+                return to_i, cap_i, busy ^ _push(to_i, cap_i, parent, 2 * i)
+            moved = 0
+            for arc in _flow_path(arcs, to, cap, to[2 * i]):
+                cap_i[arc], cap_i[arc + 1] = 1, 0
+                moved ^= 1 << (arc >> 1)
+            return to_i, cap_i, busy ^ moved ^ _augment(arcs, to_i, cap_i)
 
-        def last(eid: str) -> bool:
-            arc = 2 * arcs.channel[eid]
-            if cap[arc]:  # no flow; the reverse arc leads to the tail
-                return reached[to[arc + 1]] is not None
-            return extend(flow, eid) is not None
+        return mask, child
 
-        return last
-
-    return (list(arcs.to), [1, 0] * len(net.edges)), extend, accept
+    return (list(arcs.to), [1, 0] * len(net.edges), 0), step
 
 
 def enumerate_topology_wiretap_sets(net: Network, r: int) -> WiretapCollection:

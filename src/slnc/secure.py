@@ -147,7 +147,7 @@ def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
         {row for k in code.kernels.values() for row in Echelon(field, n, [k]).basis()}
     )
     wiretap_spans: dict[tuple[tuple[int, ...], ...], Echelon] = {}
-    for A in downward_closed_subsets(directions, r, span_family(field, n, r, lambda d: d)):
+    for A in downward_closed_subsets(directions, r, span_family(field, n, r, directions)):
         echelon = Echelon(field, n, A)
         wiretap_spans.setdefault(echelon.basis(), echelon)
     # Index order is lexicographic with the last coordinate slowest: search over

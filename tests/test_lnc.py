@@ -374,17 +374,23 @@ def test_subset_bound_across_fixtures(
 
 
 def test_subset_bound_decides_the_last_channel_per_prefix(monkeypatch):
-    # Each (r-1)-prefix decides its last channels with one residual scan (an
-    # augmenting path only for a channel that carries flow), and each distinct
-    # span reduces each distinct kernel once.  Deciding each candidate on its
-    # own took 40,943 augmenting paths and 40,883 reductions here; per prefix,
-    # 3,006 and 11,914; per distinct span (15 of them among 1,760 prefixes),
-    # 3,006 and 2,234, of which 2,144 extend a prefix's echelon.
+    # Each prefix state runs one residual scan, which decides every channel
+    # and builds every child (a channel carrying no flow from the scan's tree,
+    # with no search of its own), and each distinct span reduces each distinct
+    # kernel once.  Deciding each candidate on its own took 40,943 augmenting
+    # paths and 40,883 reductions here; one scan per (r-1)-prefix, with a
+    # search per child, 4,766 scans, 3,006 augmenting paths and 2,234
+    # reductions; one scan per state, 1,885 scans, of which 60 are the
+    # augmenting paths of C_min, and 168 reductions.
     from slnc import network
 
     code = construct_lnc(combination_network(6, 4, 16), 4)
-    calls = {"augment": 0, "reduce": 0}
-    augment, reduce = network._augment, Echelon.reduce
+    calls = {"search": 0, "augment": 0, "reduce": 0}
+    search, augment, reduce = network._search, network._augment, Echelon.reduce
+
+    def counted_search(*args):
+        calls["search"] += 1
+        return search(*args)
 
     def counted_augment(*args):
         calls["augment"] += 1
@@ -394,12 +400,14 @@ def test_subset_bound_decides_the_last_channel_per_prefix(monkeypatch):
         calls["reduce"] += 1
         return reduce(self, v)
 
+    monkeypatch.setattr(network, "_search", counted_search)
     monkeypatch.setattr(network, "_augment", counted_augment)
     monkeypatch.setattr(Echelon, "reduce", counted_reduce)
     report = verify_subset_bound(code, 3)
     assert report.serialize() == "subset=true code=26620 cut=26620 binom=45760"
-    assert 0 < calls["augment"] <= 4_000
-    assert 0 < calls["reduce"] <= 2_500
+    assert calls["search"] <= 2_000
+    assert 0 < calls["augment"] <= 200
+    assert 0 < calls["reduce"] <= 400
 
 
 @st.composite

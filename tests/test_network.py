@@ -14,9 +14,17 @@ from slnc.errors import (
     UnknownSink,
     UnreachableSink,
 )
+from slnc.field import FieldSpec
+from slnc.lnc import span_family
 from slnc.network import (
     WiretapCollection,
+    _augment,
+    _search,
+    bit_indices,
     c_min,
+    cut_family,
+    downward_closed_prefixes,
+    downward_closed_subsets,
     edge_disjoint_paths,
     enumerate_topology_wiretap_sets,
     integers,
@@ -375,6 +383,57 @@ def test_topology_wiretap_sets_match_brute_force(net):
             combo for combo in itertools.combinations(ids, r) if brute_force_edge_set_cut(net, combo) == r
         )
         assert enumerate_topology_wiretap_sets(net, r).sets == expected
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(dag_networks())
+@example(AGAINST_TOPOLOGICAL_ORDER)  # at r = 2, {c1}'s flow runs through c4 and c7, which both extend it
+@example(TAIL_BEHIND_REVERSE_ARC)
+def test_cut_children_are_the_flows_augment_builds(net):
+    # A child that adds a channel carrying no flow is built from the prefix's
+    # search tree, with no BFS of its own: it must equal the prefix's flow
+    # redirected and pushed by `_augment`.  Every child, the ones adding a
+    # flow-carrying channel too, is a maximum flow that saturates each of its
+    # channels, and its mask names exactly the channels that carry flow.
+    arcs = net._arcs
+    ids = sorted(e.id for e in net.edges)
+    for r in range(1, c_min(net)):
+        root, step = cut_family(net, r)
+        for k, prefix, (to, cap, busy) in downward_closed_prefixes(ids, r, root, step):
+            mask, child = step((to, cap, busy), k)
+            for j in bit_indices(mask):
+                to_j, cap_j, busy_j = child(j)
+                if not busy >> j & 1:
+                    pushed_to, pushed_cap = to[:], cap[:]
+                    pushed_to[2 * j] = arcs.target
+                    assert _augment(arcs, pushed_to, pushed_cap)
+                    assert (to_j, cap_j) == (pushed_to, pushed_cap)
+                assert busy_j == sum(1 << i for i in range(len(ids)) if not cap_j[2 * i])
+                assert all(to_j[2 * arcs.channel[eid]] == arcs.target for eid in (*prefix, ids[j]))
+                assert all(busy_j >> arcs.channel[eid] & 1 for eid in (*prefix, ids[j]))
+                assert _search(arcs, to_j, cap_j)[arcs.target] is None
+
+
+def test_cut_step_extends_a_prefix_by_a_channel_that_carries_its_flow():
+    ids = sorted(e.id for e in AGAINST_TOPOLOGICAL_ORDER.edges)
+    root, step = cut_family(AGAINST_TOPOLOGICAL_ORDER, 2)
+    k, prefix, state = next(downward_closed_prefixes(ids, 2, root, step))
+    assert prefix == ("c1",)
+    flowing = [ids[j] for j in bit_indices(state[2] & step(state, k)[0])]
+    assert flowing == ["c4", "c7"]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_fewer_items_than_r_give_no_subset(r):
+    # The room left for the rest of a set goes negative here; the walk must
+    # still end with nothing, for a family that takes every set and for
+    # independent vectors (the basis search walks its directions this way).
+    for count in range(r):
+        items = list(range(count))
+        every = (None, lambda state, k: ((1 << count) - 1 & -1 << k, lambda j: state))
+        assert list(downward_closed_subsets(items, r, every)) == []
+        vectors = [tuple(int(i == j) for i in range(r + 1)) for j in items]
+        assert list(downward_closed_subsets(items, r, span_family(FieldSpec(5), r + 1, r, vectors))) == []
 
 
 def test_enumerate_topology_rejects_large_r(butterfly, parallel3_gf2):

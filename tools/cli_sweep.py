@@ -10,8 +10,11 @@ networks after ROOT (fixture stems such as `butterfly`, `c5_3_gf8`,
 `dag07`) to run only those.
 
 The networks are the fixtures, six combination networks C(n,k) over GF(q),
-and 40 seeded random DAGs over GF(2..5) whose channel ids and edge lines
-are shuffled against the topological order.  The commands on each are
+40 seeded random DAGs over GF(2..5) whose channel ids and edge lines
+are shuffled against the topological order, and 10 denser seeded DAGs
+(7 or 8 nodes, up to 14 channels, C_min >= 4) whose source channels share
+relays, so the wiretap walks reach r = 3 with prefixes whose flows carry
+the later channels.  The commands on each are
 `mincut` (overall, per sink, and `--edges` with the first channel and with
 all of them), `construct` at dimension 0..5, topology-only `enumerate` at
 every r from 0 to C_min + 1, `enumerate --code` and `--prop1` with the code
@@ -57,6 +60,7 @@ from slnc.cli import main as slnc_main
 
 COMBINATIONS = [(3, 2, 5), (4, 2, 5), (4, 3, 7), (5, 3, 8), (5, 4, 16), (6, 4, 16)]
 RANDOM_DAGS = 40
+DENSE_DAGS = 10
 REFUTE_BUDGET = 200_000
 DEEP_REFUTE_BUDGET = 5_000_000
 
@@ -100,6 +104,56 @@ def random_dag(seed: int) -> str:
     return "\n".join([f"field {q}", "source n0", *[f"sink n{t}" for t in sinks], *edges]) + "\n"
 
 
+def max_flow(pairs: list[tuple[int, int]], sink: int) -> int:
+    """Edge-disjoint paths from node 0 to sink over the channels (a, b)."""
+    flow = [0] * len(pairs)
+    value = 0
+    while True:
+        back: dict[int, tuple[int, int] | None] = {0: None}  # node -> (channel, direction)
+        queue = [0]
+        for u in queue:
+            for i, (a, b) in enumerate(pairs):
+                for start, end, way in ((a, b, 1), (b, a, -1)):
+                    if start == u and end not in back and flow[i] == (way < 0):
+                        back[end] = (i, way)
+                        queue.append(end)
+        if sink not in back:
+            return value
+        node = sink
+        while back[node] is not None:
+            i, way = back[node]
+            flow[i] += way
+            node = pairs[i][0] if way > 0 else pairs[i][1]
+        value += 1
+
+
+def dense_dag(seed: int) -> str:
+    """An acyclic network on nodes n0 (the source) .. n6 or n7 over GF(3..5).
+
+    Four channels leave n0 for the relays n1..n3 and 8 to 10 more run from a
+    lower to a higher node; draws repeat until a node past the relays has a
+    min cut of at least 4, and up to two such nodes are the sinks (for seeds
+    0..9 one qualifies each time).  Ids and edge lines are shuffled as in
+    `random_dag`.
+    """
+    rng = random.Random(1000 + seed)
+    while True:
+        q = rng.choice([3, 4, 5])
+        size = rng.randint(7, 8)
+        pairs = [(0, rng.randint(1, 3)) for _ in range(4)]
+        for _ in range(rng.randint(8, 10)):
+            a = rng.randint(1, size - 2)
+            pairs.append((a, rng.randint(a + 1, size - 1)))
+        deep = [t for t in range(4, size) if max_flow(pairs, t) >= 4]
+        if deep:
+            break
+    sinks = rng.sample(deep, min(len(deep), rng.randint(1, 2)))
+    ids = rng.sample(range(1, 100), len(pairs))
+    edges = [f"edge c{i} n{a} n{b}" for i, (a, b) in zip(ids, pairs)]
+    rng.shuffle(edges)
+    return "\n".join([f"field {q}", "source n0", *[f"sink n{t}" for t in sinks], *edges]) + "\n"
+
+
 def fixtures(root: Path) -> dict[str, str]:
     return {p.stem: p.read_text(encoding="utf-8") for p in sorted((root / "fixtures").glob("*.net"))}
 
@@ -110,6 +164,8 @@ def networks(root: Path) -> dict[str, str]:
         nets[f"c{n}_{k}_gf{q}"] = combination_network(n, k, q)
     for seed in range(RANDOM_DAGS):
         nets[f"dag{seed:02d}"] = random_dag(seed)
+    for seed in range(DENSE_DAGS):
+        nets[f"dense{seed:02d}"] = dense_dag(seed)
     return nets
 
 
