@@ -292,8 +292,7 @@ def _parse_header(line: str, keyword: str, keys: tuple[str, ...]) -> tuple[int, 
         key, _, val = tok.partition("=")
         (values[key],) = integers([val], f"bad {keyword} header token {tok!r}")
     if (
-        tokens[0] != keyword
-        or len(tokens) != 1 + len(keys)
+        len(tokens) != 1 + len(keys)
         or set(values) != set(keys)
         or min(values.values()) < 0
     ):
@@ -302,10 +301,14 @@ def _parse_header(line: str, keyword: str, keys: tuple[str, ...]) -> tuple[int, 
     return tuple(values[key] for key in keys)
 
 
+# The keywords of a code file's lines: its one header, then the body.
+CODE_KEYWORDS = ("code", "kernel", "local")
+
+
 def parse_code(text: str, net: Network) -> GlobalCode:
     """Parse a code file for a known network; every kernel must match its local coefficients."""
     lines = [line for _, line in text_lines(text)]
-    headers = [line for line in lines if line.startswith("code")]
+    headers = [line for line in lines if line.split()[0] == "code"]
     if len(headers) != 1:
         raise ParseError("duplicate code header" if headers else "missing code header")
     n, q = _parse_header(headers[0], "code", ("n", "q"))
@@ -318,6 +321,8 @@ def parse_code(text: str, net: Network) -> GlobalCode:
     local_coeffs: dict[tuple[str, str], int] = {}
     for line in lines:
         tokens = line.split()
+        if tokens[0] not in CODE_KEYWORDS:
+            raise ParseError(f"unexpected line in code body: {line!r}")
         if tokens[0] == "kernel":
             if len(tokens) != 2 + n:
                 raise ParseError(f"kernel line needs {n} entries: {line!r}")
@@ -340,8 +345,6 @@ def parse_code(text: str, net: Network) -> GlobalCode:
                 raise ParseError(f"duplicate local line for {d_id} {e_id}")
             (coeff,) = integers(tokens[3:], f"non-integer coefficient: {line!r}")
             local_coeffs[(d_id, e_id)] = field.check(coeff)
-        elif line not in headers:
-            raise ParseError(f"unexpected line in code body: {line!r}")
     missing = [e.id for e in net.edges if e.id not in kernels]
     if missing:
         raise ParseError(f"missing kernel lines for: {', '.join(missing)}")

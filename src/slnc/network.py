@@ -11,7 +11,6 @@ over arc arrays built once per network.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -70,63 +69,51 @@ class Network:
         self.edges: tuple[Edge, ...] = tuple(edges)
         self.source = source
         self.sinks: tuple[str, ...] = tuple(sinks)
-        self._validate_names()
-
         # Nodes in order of first mention: the source, edge endpoints, then sinks.
         ends = (v for e in self.edges for v in (e.tail, e.head))
         self.nodes: tuple[str, ...] = tuple(dict.fromkeys([source, *ends, *self.sinks]))
-
-        self._edge_by_id = {e.id: e for e in self.edges}
-        out_lists: dict[str, list[Edge]] = {v: [] for v in self.nodes}
-        in_lists: dict[str, list[Edge]] = {v: [] for v in self.nodes}
+        self._edge_by_id: dict[str, Edge] = {}
+        out: dict[str, list[Edge]] = {v: [] for v in self.nodes}
+        into: dict[str, list[Edge]] = {v: [] for v in self.nodes}
         for e in self.edges:
-            out_lists[e.tail].append(e)
-            in_lists[e.head].append(e)
-        self._out = {v: tuple(es) for v, es in out_lists.items()}
-        self._in = {v: tuple(es) for v, es in in_lists.items()}
-        self._topo_index = self._topological_index()
-        self._check_reachability()
-
-    # -- validation --------------------------------------------------------
-
-    def _validate_names(self) -> None:
-        seen: set[str] = set()
-        for e in self.edges:
-            if e.id in seen:
+            if e.id in self._edge_by_id:
                 raise DuplicateEdgeId(f"channel id {e.id} declared twice")
-            seen.add(e.id)
             if e.id.startswith("__"):
                 raise ParseError(f"channel id {e.id} uses the reserved '__' prefix")
-            if e.head == self.source:
+            if e.head == source:
                 raise ParseError(f"channel {e.id} enters the source node")
+            self._edge_by_id[e.id] = e
+            out[e.tail].append(e)
+            into[e.head].append(e)
         if not self.sinks:
             raise ParseError("at least one sink is required")
         if len(set(self.sinks)) != len(self.sinks):
             raise ParseError("duplicate sink declaration")
-        if self.source in self.sinks:
+        if source in self.sinks:
             raise ParseError("the source cannot be a sink")
+        self._in = {v: tuple(es) for v, es in into.items()}
 
-    def _topological_index(self) -> dict[str, int]:
-        indegree = {v: len(self._in[v]) for v in self.nodes}
-        order: list[str] = []
-        ready = deque(v for v in self.nodes if indegree[v] == 0)
-        while ready:
-            v = ready.popleft()
-            order.append(v)
-            for e in self._out[v]:
-                indegree[e.head] -= 1
-                if indegree[e.head] == 0:
+        # One Kahn walk: a node's out-channels leave, in declaration order, when
+        # the node does, after every channel into it, so whether the source
+        # reaches the node is already known.  A cycle holds channels back.
+        waiting = {v: len(es) for v, es in into.items()}
+        ready = [v for v in self.nodes if not waiting[v]]
+        reached = {source}
+        topo: list[Edge] = []
+        for v in ready:
+            for e in out[v]:
+                topo.append(e)
+                if v in reached:
+                    reached.add(e.head)
+                waiting[e.head] -= 1
+                if not waiting[e.head]:
                     ready.append(e.head)
-        if len(order) != len(self.nodes):
+        if len(topo) != len(self.edges):
             raise CycleDetected("the channel graph contains a directed cycle")
-        return {v: i for i, v in enumerate(order)}
-
-    def _check_reachability(self) -> None:
-        # The zero flow's residual graph is the channel graph, with no arc to the target.
-        reached = _search(self._arcs, list(self._arcs.to), [1, 0] * len(self.edges))
         for t in self.sinks:
-            if reached[self.nodes.index(t)] is None:
-                raise UnreachableSink(f"sink {t} is unreachable from {self.source}")
+            if t not in reached:
+                raise UnreachableSink(f"sink {t} is unreachable from {source}")
+        self._topo = tuple(topo)
 
     # -- access --------------------------------------------------------------
 
@@ -144,9 +131,8 @@ class Network:
         return _Arcs(self)
 
     def topo_edges(self) -> list[Edge]:
-        """Edges sorted by topological position of the tail, then declaration."""
-        decl = {e.id: i for i, e in enumerate(self.edges)}
-        return sorted(self.edges, key=lambda e: (self._topo_index[e.tail], decl[e.id]))
+        """Edges by topological position of the tail, then declaration."""
+        return list(self._topo)
 
     def __repr__(self) -> str:
         return (
@@ -176,6 +162,11 @@ def integers(tokens: Sequence[str], error: str) -> tuple[int, ...]:
     raise ParseError(error)
 
 
+# Each keyword of the network format: its argument count, and whether at most
+# one line may use it.
+NETWORK_KEYWORDS = {"field": (1, True), "source": (1, True), "sink": (1, False), "edge": (3, False)}
+
+
 def parse_network(text: str) -> Network:
     """Parse the line-oriented network format.
 
@@ -183,46 +174,29 @@ def parse_network(text: str) -> Network:
     one `field q` and one `source s` line are required, plus at least one
     `sink t` line and any number of `edge id tail head` lines.
     """
-    field_q: int | None = None
-    source: str | None = None
-    sinks: list[str] = []
-    edges: list[Edge] = []
+    found: dict[str, list[Sequence]] = {keyword: [] for keyword in NETWORK_KEYWORDS}
     for lineno, line in text_lines(text):
-        tokens = line.split()
-        keyword = tokens[0]
-        if keyword == "field":
-            if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: field takes one argument")
-            if field_q is not None:
-                raise ParseError(f"line {lineno}: duplicate field line")
-            (field_q,) = integers(tokens[1:], f"line {lineno}: field size must be an integer")
-        elif keyword == "source":
-            if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: source takes one argument")
-            if source is not None:
-                raise ParseError(f"line {lineno}: duplicate source line")
-            source = tokens[1]
-        elif keyword == "sink":
-            if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: sink takes one argument")
-            sinks.append(tokens[1])
-        elif keyword == "edge":
-            if len(tokens) != 4:
-                raise ParseError(f"line {lineno}: edge takes id, tail, head")
-            edges.append(Edge(id=tokens[1], tail=tokens[2], head=tokens[3]))
-        else:
+        keyword, *args = line.split()
+        if keyword not in NETWORK_KEYWORDS:
             raise ParseError(f"line {lineno}: unknown keyword {keyword!r}")
-    if field_q is None:
-        raise ParseError("missing field line")
-    if source is None:
-        raise ParseError("missing source line")
-    if not sinks:
-        raise ParseError("missing sink line")
+        count, once = NETWORK_KEYWORDS[keyword]
+        if len(args) != count:
+            takes = "id, tail, head" if keyword == "edge" else "one argument"
+            raise ParseError(f"line {lineno}: {keyword} takes {takes}")
+        if once and found[keyword]:
+            raise ParseError(f"line {lineno}: duplicate {keyword} line")
+        if keyword == "field":
+            args = integers(args, f"line {lineno}: field size must be an integer")
+        found[keyword].append(args)
+    for keyword in ("field", "source", "sink"):
+        if not found[keyword]:
+            raise ParseError(f"missing {keyword} line")
     try:
-        field = FieldSpec(field_q)
+        field = FieldSpec(found["field"][0][0])
     except ValueError as exc:
         raise ParseError(f"bad field size: {exc}") from None
-    return Network(field=field, edges=edges, source=source, sinks=sinks)
+    sinks = [t for (t,) in found["sink"]]
+    return Network(field, [Edge(*args) for args in found["edge"]], found["source"][0][0], sinks)
 
 
 def serialize_network(net: Network) -> str:

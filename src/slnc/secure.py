@@ -10,7 +10,7 @@ Channel e carries X Q^{-1} f_e.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -23,9 +23,10 @@ from .errors import (
     UnknownSink,
 )
 from .field import Echelon, FieldSpec, Matrix, combine, dot, first_outside, standard_basis
-from .lnc import GlobalCode, _parse_header, construct_lnc, parse_code, span_family, write_code
+from .lnc import CODE_KEYWORDS, GlobalCode, _parse_header, construct_lnc, parse_code, span_family, write_code
 from .network import (
-    Network, c_min, downward_closed_subsets, integers, parse_network, serialize_network, text_lines,
+    NETWORK_KEYWORDS, Network, c_min, downward_closed_subsets, integers, parse_network, serialize_network,
+    text_lines,
 )
 
 
@@ -294,7 +295,6 @@ def parse_bundle(text: str) -> SecureCodeBundle:
     the network and code lines from the bundle text with every other line
     blanked, so their errors give the bundle's own line numbers.
     """
-    network_words, code_words = ("field", "source", "sink", "edge"), ("code", "kernel", "local")
     lines = text_lines(text)
     own: dict[str, tuple] = {}
     pos = 0
@@ -305,7 +305,7 @@ def parse_bundle(text: str) -> SecureCodeBundle:
         if keyword == "code" and keyword not in own:
             # Its n ends the Q block, which is read in file order; parse_code checks the rest.
             own[keyword] = _parse_header(line, "code", ("n", "q"))
-        elif keyword in network_words or keyword in code_words:
+        elif keyword in NETWORK_KEYWORDS or keyword in CODE_KEYWORDS:
             continue
         elif keyword not in ("secure", "Q", "const"):
             raise ParseError(f"unexpected line in bundle: {line!r}")
@@ -327,15 +327,15 @@ def parse_bundle(text: str) -> SecureCodeBundle:
         if what.split()[0] not in own:
             raise ParseError(f"missing {what}")
 
-    def only(words: tuple[str, ...]) -> str:
+    def only(words: Collection[str]) -> str:
         kept = [""] * len(text.splitlines())
         for lineno, line in lines:
             if line.split()[0] in words:
                 kept[lineno - 1] = line
         return "\n".join(kept)
 
-    net = parse_network(only(network_words))
-    base = parse_code(only(code_words), net)
+    net = parse_network(only(NETWORK_KEYWORDS))
+    base = parse_code(only(CODE_KEYWORDS), net)
     n, field = base.n, net.field
     (omega, r, i, key_dim), q_rows, constant = own["secure"], own["Q"], own["const"]
     if any(len(row) != n for row in q_rows):

@@ -42,6 +42,17 @@ def test_code_parse_rejects_garbage(butterfly):
         parse_code(code_text + "local e1 e8 0\nlocal e1 e8 1\n", butterfly)
 
 
+def test_code_header_is_found_by_its_keyword(butterfly):
+    # A line whose first token only starts with "code" is no header: beside a
+    # real one it is a stray body line, and alone it leaves the header missing.
+    code_text = write_code(construct_lnc(butterfly, 2))
+    with pytest.raises(ParseError, match=r"^unexpected line in code body: 'codex 1'$"):
+        parse_code(code_text + "codex 1\n", butterfly)
+    body = "\n".join(code_text.splitlines()[1:])
+    with pytest.raises(ParseError, match=r"^missing code header$"):
+        parse_code("codex n=2 q=3\n" + body, butterfly)
+
+
 def test_bundle_round_trip(butterfly, parallel3_gf5):
     specs = [
         (butterfly, dict(omega=1, r=1)),

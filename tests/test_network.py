@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +15,7 @@ from slnc.errors import (
     UnknownSink,
     UnreachableSink,
 )
+from slnc import network
 from slnc.field import FieldSpec
 from slnc.lnc import span_family
 from slnc.network import (
@@ -33,6 +35,8 @@ from slnc.network import (
     parse_network,
     serialize_network,
 )
+from slnc.oracle import refute_key_rate, verify_security
+from slnc.secure import build_secure_bundle, parse_bundle, write_bundle
 from conftest import FIXTURES, brute_force_edge_set_cut, combination_network, dag_networks, reachable
 
 
@@ -160,6 +164,44 @@ def test_integers_accept_exactly_the_text_they_write_back(token):
 def test_parse_rejects_reserved_edge_prefix():
     with pytest.raises(ParseError):
         parse_network("field 2\nsource s\nsink t\nedge __s_1 s t\n")
+
+
+@st.composite
+def shuffled_dag_texts(draw):
+    """A dag_networks draw written out with its sink and edge lines shuffled,
+    so neither the node order of first mention nor the declaration order
+    follows the topological order."""
+    lines = serialize_network(draw(dag_networks())).splitlines()
+    return "\n".join(lines[:2] + draw(st.permutations(lines[2:])))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(shuffled_dag_texts())
+def test_construction_walk_orders_the_channels_and_builds_no_flow_arcs(text):
+    net = parse_network(text)
+    # Reference: Kahn's node order, ready nodes first in order of first
+    # mention, then channels by (tail's position, declaration index).
+    waiting = {v: sum(e.head == v for e in net.edges) for v in net.nodes}
+    order = [v for v in net.nodes if not waiting[v]]
+    for v in order:
+        for e in net.edges:
+            if e.tail == v:
+                waiting[e.head] -= 1
+                if not waiting[e.head]:
+                    order.append(e.head)
+    decl = {e.id: i for i, e in enumerate(net.edges)}
+    assert net.topo_edges() == sorted(net.edges, key=lambda e: (order.index(e.tail), decl[e.id]))
+    # Only a flow builds the arcs: parsing, refuting and verifying run none.
+    assert "_arcs" not in net.__dict__
+    refute_key_rate(net, omega=1, r=1, key_dim=0, budget=10**40)
+    assert "_arcs" not in net.__dict__
+    with mock.patch.object(network, "_Arcs", wraps=network._Arcs) as built:
+        capacity = c_min(net)
+        assert c_min(net) == capacity and built.call_count == 1
+    if capacity >= 2:
+        bundle = parse_bundle(write_bundle(build_secure_bundle(net, omega=1, r=1)))
+        verify_security(bundle)
+        assert "_arcs" not in bundle.network.__dict__
 
 
 # -- min cuts ---------------------------------------------------------------------

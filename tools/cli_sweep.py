@@ -31,9 +31,11 @@ Each fixture's C_min code and its omega=1, r=1 bundle are also written with
 one fault at a time (a dropped `kernel` line, an unknown
 keyword, a `+`-signed kernel entry, a repeated `local` line where the file
 has one, a repeated `secure` line, a Q block one row short, a non-integer Q
-row, a zero-padded Q entry, no `const` line) and passed to `enumerate
---code`, and to `verify` and `simulate`, so the parsers' error texts are
-compared too.  The list
+row, a zero-padded Q entry, no `const` line, a stray `codex` line) and
+passed to `enumerate --code`, and to `verify` and `simulate`, and each
+fixture network is written with one fault per error that `parse_network`
+and `Network` raise (see `network_faults`) and passed to `mincut`, so the
+parsers' error texts are compared too.  The list
 depends on the tree only through the C_min that `mincut`
 prints and the `construct` and `secure` cases that succeed, and all of those
 are compared too.
@@ -247,7 +249,8 @@ class Sweep:
                 self.run("refute", net, *args, "--budget", str(DEEP_REFUTE_BUDGET))
 
     def malformed(self, name: str, net: str, cmin: int) -> None:
-        """Run each single fault of the C_min code and of the omega=1, r=1 bundle."""
+        """Run each single fault of the C_min code, of the omega=1, r=1 bundle
+    and of the network."""
         for built, commands in (
             (f"{name}.d{cmin}.code", lambda bad: [("enumerate", net, "--r", "1", "--code", bad)]),
             (f"{name}.w1r1i0.bundle", lambda bad: [
@@ -262,14 +265,19 @@ class Sweep:
                 bad.write_text(text, encoding="utf-8")
                 for args in commands(str(bad)):
                     self.run(*args)
+        for fault, text in network_faults(Path(net).read_text(encoding="utf-8")).items():
+            bad = self.tmp / f"{name}.{fault}.net"
+            bad.write_text(text, encoding="utf-8")
+            self.run("mincut", str(bad))
 
 
 def faults(text: str) -> dict[str, str]:
     """Copies of a written code or bundle file with one fault each, by name.
 
     Network-line faults and a repeated code header are left out: a bundle
-    reports those with the network and code parsers' texts.  A code file
-    has no secure, Q or const line, so it gets only the first four faults,
+    reports those with the network and code parsers' texts, and
+    `network_faults` covers the network parser.  A code file has no secure,
+    Q or const line, so it gets only the first five faults,
     and only a network with a channel out of a relay has a `local` line
     to repeat (among the fixtures, the butterflies).
     """
@@ -288,6 +296,7 @@ def faults(text: str) -> dict[str, str]:
         "no-kernel": without(kernel),
         "unknown-keyword": lines[:1] + ["bogus 1"] + lines[1:],
         "plus-kernel": replaced(kernel, f"{head} +{last}"),
+        "codex-line": lines + ["codex 1"],
     }
     if "local" in keywords:
         k = keywords.index("local")
@@ -302,6 +311,48 @@ def faults(text: str) -> dict[str, str]:
             "padded-q": replaced(q + 1, "0" + lines[q + 1]),
             "no-const": without(keywords.index("const")),
         }
+    return {fault: "\n".join(edited) + "\n" for fault, edited in edits.items()}
+
+
+def network_faults(text: str) -> dict[str, str]:
+    """Copies of a network file with one fault each, by name: an unknown
+    keyword, each keyword with one argument too many or too few, a repeated
+    `field`, `source` or `sink` line, a signed and a non-field size, each
+    required line left out, the source as a sink, a repeated and a reserved
+    channel id, a channel into the source, a two-cycle, an unreachable sink."""
+    lines = text.splitlines()
+    keywords = [line.split()[0] for line in lines]
+    field, source, sink, edge = (keywords.index(k) for k in ("field", "source", "sink", "edge"))
+    src = lines[source].split()[1]
+    eid, tail, head = lines[edge].split()[1:]
+
+    def replaced(k: int, line: str) -> list[str]:
+        return lines[:k] + [line] + lines[k + 1:]
+
+    def dropped(keyword: str) -> list[str]:
+        return [line for line, word in zip(lines, keywords) if word != keyword]
+
+    edits = {
+        "unknown-keyword": lines + ["bogus 1"],
+        "field-arity": replaced(field, lines[field] + " 1"),
+        "source-arity": replaced(source, "source"),
+        "sink-arity": replaced(sink, lines[sink] + " x"),
+        "edge-arity": replaced(edge, f"edge {eid} {tail}"),
+        "two-field": lines + [lines[field]],
+        "two-source": lines + [lines[source]],
+        "two-sink": lines + [lines[sink]],
+        "plus-field": replaced(field, "field +3"),
+        "field-6": replaced(field, "field 6"),
+        "no-field": dropped("field"),
+        "no-source": dropped("source"),
+        "no-sink": dropped("sink"),
+        "source-sink": lines + [f"sink {src}"],
+        "two-id": lines + [lines[edge]],
+        "reserved-id": replaced(edge, f"edge __{eid} {tail} {head}"),
+        "into-source": lines + [f"edge x1 {head} {src}"],
+        "two-cycle": lines + [f"edge x1 {head} x", f"edge x2 x {head}"],
+        "unreachable-sink": lines + ["sink lost"],
+    }
     return {fault: "\n".join(edited) + "\n" for fault, edited in edits.items()}
 
 
