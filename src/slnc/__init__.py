@@ -19,9 +19,9 @@ _HOME = {
         ("errors", "errors"),
         ("field", "FieldSpec Matrix ff_op mat_rank mat_inverse spans_intersect_trivially"),
         ("network", "Edge Network WiretapCollection parse_network serialize_network min_cut_to_sink "
-                    "min_cut_to_edges c_min enumerate_topology_wiretap_sets"),
-        ("lnc", "GlobalCode construct_lnc check_code_validity enumerate_code_wiretap_sets "
-                "verify_subset_bound write_code parse_code"),
+                    "min_cut_to_edges c_min"),
+        ("lnc", "GlobalCode construct_lnc check_code_validity write_code parse_code"),
+        ("walk", "enumerate_topology_wiretap_sets enumerate_code_wiretap_sets verify_subset_bound"),
         ("secure", "SecureCodeBundle choose_secure_basis build_secure_bundle encode_source "
                    "decode_at_sink write_bundle parse_bundle"),
         ("oracle", "JointDistribution SecurityReport RefutationResult observation_distribution "

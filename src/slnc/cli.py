@@ -100,8 +100,8 @@ def _cmd_secure(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    from .lnc import enumerate_code_wiretap_sets, parse_code, verify_subset_bound
-    from .network import enumerate_topology_wiretap_sets
+    from .lnc import parse_code
+    from .walk import enumerate_code_wiretap_sets, enumerate_topology_wiretap_sets, verify_subset_bound
 
     net = _load_network(args.network)
     if args.prop1 and args.code is None:

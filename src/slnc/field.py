@@ -5,6 +5,12 @@ pack polynomial coefficient vectors into integers (constant term in the
 least significant bit) and reduce by a fixed irreducible modulus, so every
 serialized symbol is reproducible across runs and implementations.
 
+A column (one entry per input, as the oracle holds a channel's symbols) is
+`bytes` when every element and every GF(p) sum of two fits in a byte: over
+every GF(2^m) and over GF(p) for p <= 127.  `combine` then works on whole
+columns in C, a product as one `bytes.translate` and a sum as one big-integer
+XOR or add; larger primes keep tuple columns.
+
 All values are immutable after construction and every operation is pure.
 """
 
@@ -61,17 +67,19 @@ class FieldSpec:
     """GF(q) with elements represented as canonical integers in [0, q).
 
     Supported: prime q below 2^16, and GF(2^m) for m <= 8 with the fixed
-    built-in moduli.
+    built-in moduli.  `lanes` says whether columns are byte lanes.
     """
 
-    __slots__ = ("q", "p", "m", "modulus", "_mod_mask", "_mul_rows")
+    __slots__ = ("q", "p", "m", "modulus", "lanes", "_mod_mask", "_mul_rows", "_lane_tables")
 
     def __init__(self, q: int):
         p, m = _factor_prime_power(q)
         self.q = q
         self.p = p
         self.m = m
+        self.lanes = m > 1 or 2 * (p - 1) < 256
         self._mul_rows: dict[int, tuple[int, ...]] = {}
+        self._lane_tables: dict[int, bytes] = {}
         if m == 1:
             self.modulus = ()
             self._mod_mask = 0
@@ -123,6 +131,19 @@ class FieldSpec:
             row = self._mul_rows[c] = tuple(self.mul(c, x) for x in self.elements())
         return row
 
+    def lane_table(self, c: int) -> bytes:
+        """The `bytes.translate` table of x -> c * x, built once per c.  Over
+        GF(p) it maps every byte x to c * x mod p, so c = 1 reduces a lane sum."""
+        table = self._lane_tables.get(c)
+        if table is None:
+            row = (c * x % self.p for x in range(256)) if self.m == 1 else self.mul_row(c)
+            table = self._lane_tables[c] = bytes(row).ljust(256, b"\0")
+        return table
+
+    def column(self, values: Iterable[int]) -> Sequence[int]:
+        """The canonical elements as a column: bytes over a byte-lane field, else a tuple."""
+        return bytes(values) if self.lanes else tuple(values)
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"zero has no inverse in {self}")
@@ -163,13 +184,17 @@ def ff_op(field: FieldSpec, a: int, b: int, kind: str) -> int:
 
 def combine(
     field: FieldSpec, coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int
-) -> tuple[int, ...]:
+) -> Sequence[int]:
     """The length-n vector sum of c_i * v_i; zero coefficients are skipped.
 
-    Over GF(2^m) each term is a lookup in the cached row of c_i's products;
-    over GF(p) each term is added as an integer and reduced mod p at once.
-    The vectors may be kernels or whole symbol columns, one entry per input.
+    The vectors are tuples (kernels, or columns over a field without byte
+    lanes) or all bytes (`FieldSpec.column` over a byte-lane field), and the
+    sum is of their type.  On tuples, over GF(2^m) each term is a lookup in
+    the cached row of c_i's products; over GF(p) each term is added as an
+    integer and reduced mod p at once.
     """
+    if vectors and isinstance(vectors[0], bytes):
+        return _combine_lanes(field, coeffs, vectors, n)
     # The first nonzero term starts the sum; with none, the sum is the zero
     # vector.  No pass is spent on zeros or on a closing reduction, which
     # matters to the thousands of one-entry kernels a refutation combines.
@@ -191,6 +216,24 @@ def combine(
             else:
                 acc = [a ^ row[x] for a, x in zip(acc, v)]
     return (0,) * n if acc is None else tuple(acc)
+
+
+def _combine_lanes(field: FieldSpec, coeffs: Sequence[int], vectors: Sequence[bytes], n: int) -> bytes:
+    """`combine` on byte lanes: each term is one translate, and each sum one
+    big-integer XOR (GF(2^m)) or one add, whose lanes stay below 2p - 1 and
+    so carry into no neighbour, reduced mod p by one translate."""
+    acc: bytes | None = None
+    for c, v in zip(coeffs, vectors):
+        if c:
+            term = v.translate(field.lane_table(c))
+            if acc is None:
+                acc = term
+            elif field.m == 1:
+                total = int.from_bytes(acc, "little") + int.from_bytes(term, "little")
+                acc = total.to_bytes(n, "little").translate(field.lane_table(1))
+            else:
+                acc = (int.from_bytes(acc, "little") ^ int.from_bytes(term, "little")).to_bytes(n, "little")
+    return bytes(n) if acc is None else acc
 
 
 def standard_basis(n: int, j: int) -> tuple[int, ...]:

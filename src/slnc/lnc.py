@@ -8,27 +8,15 @@ keeps every sink's frontier kernels at full rank.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import (
     DimensionExceedsCapacity,
     FieldTooSmallForSinks,
     ParseError,
-    SecurityLevelTooLarge,
 )
 from .field import Echelon, FieldSpec, combine, first_outside, rank_of_rows, standard_basis
-from .network import (
-    Network,
-    WiretapCollection,
-    c_min,
-    cut_family,
-    downward_closed_prefixes,
-    downward_closed_subsets,
-    edge_disjoint_paths,
-    integers,
-    text_lines,
-)
+from .network import Network, c_min, edge_disjoint_paths, integers, text_lines
 
 IMAGINARY_PREFIX = "__s_"
 
@@ -169,103 +157,6 @@ def check_code_validity(code: GlobalCode) -> CodeValidityReport:
         if rank < code.n:
             deficits[t] = code.n - rank
     return CodeValidityReport(_recursion_violations(code), deficits)
-
-
-# -- wiretap collections ----------------------------------------------------------
-
-def enumerate_code_wiretap_sets(code: GlobalCode, r: int) -> WiretapCollection:
-    """All size-r channel sets whose kernel matrix has full rank r."""
-    ids = sorted(e.id for e in code.network.edges)
-    family = span_family(code.field, code.n, r, [code.kernels[eid] for eid in ids])
-    return WiretapCollection(r=r, kind="rank", sets=tuple(downward_closed_subsets(ids, r, family)))
-
-
-def span_family(field: FieldSpec, n: int, r: int, vectors: Sequence[tuple[int, ...]]) -> tuple:
-    """Root and `step` of the item sets whose vectors (item j's is vectors[j])
-    are independent in GF(q)^n, for walks to size r (checked at once).
-
-    A prefix's state is the reduced basis of its span, and an item extends
-    it when its vector reduces to nonzero.  Many prefixes share a span and
-    many items a vector (a relay copies its kernel onto every out-channel),
-    so each distinct vector is reduced once per distinct span, whose mask is
-    kept; a child's basis is built only when the walk asks for it, once per
-    (span, vector).
-    """
-    if not 1 <= r < n:
-        raise SecurityLevelTooLarge(f"need 1 <= r < n = {n}, got {r}")
-    bits_of: dict[tuple[int, ...], int] = {}  # the mask of the items whose vector is v
-    for j, v in enumerate(vectors):
-        bits_of[v] = bits_of.get(v, 0) | 1 << j
-    spans = {(): Echelon(field, n)}
-    masks: dict[tuple[tuple[int, ...], ...], int] = {}
-    grown: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-
-    def step(span: tuple[tuple[int, ...], ...], k: int) -> tuple[int, Callable]:
-        if span not in masks:
-            masks[span] = sum(bits for v, bits in bits_of.items() if any(spans[span].reduce(v)))
-
-        def child(j: int) -> tuple[tuple[int, ...], ...]:
-            key = (span, vectors[j])
-            if key not in grown:
-                echelon = spans[span].copy()
-                echelon.add(vectors[j])
-                grown[key] = echelon.basis()
-                spans.setdefault(grown[key], echelon)
-            return grown[key]
-
-        return masks[span] & -1 << k, child
-
-    return (), step
-
-
-class SubsetBoundReport(NamedTuple):
-    """Cross-check of the code collection against the topology collection."""
-
-    subset_holds: bool
-    code_count: int
-    cut_count: int
-    binomial: int
-
-    def serialize(self) -> str:
-        flag = "true" if self.subset_holds else "false"
-        return f"subset={flag} code={self.code_count} cut={self.cut_count} binom={self.binomial}"
-
-
-def verify_subset_bound(code: GlobalCode, r: int) -> SubsetBoundReport:
-    """Check that the code collection sits inside the topology collection,
-    in one walk over both families: a prefix carries its flow and its span,
-    each None once the prefix leaves that family, and at each (r-1)-prefix
-    the two families' masks of last channels are only counted.  A false
-    subset flag signals an implementation bug, never a property of the inputs.
-    """
-    ids = sorted(e.id for e in code.network.edges)
-    span_root, span_step = span_family(code.field, code.n, r, [code.kernels[eid] for eid in ids])
-    flow_root, flow_step = cut_family(code.network, r)
-    nothing = (0, None)
-
-    def step(state: tuple, k: int) -> tuple[int, Callable]:
-        flow, span = state
-        cut, flow_child = nothing if flow is None else flow_step(flow, k)
-        rank, span_child = nothing if span is None else span_step(span, k)
-
-        def child(j: int) -> tuple:
-            return (flow_child(j) if cut >> j & 1 else None, span_child(j) if rank >> j & 1 else None)
-
-        return cut | rank, child
-
-    both = code_only = cut_only = 0
-    for k, _, (flow, span) in downward_closed_prefixes(ids, r, (flow_root, span_root), step):
-        cut = 0 if flow is None else flow_step(flow, k)[0]
-        rank = 0 if span is None else span_step(span, k)[0]
-        both += (rank & cut).bit_count()
-        code_only += (rank & ~cut).bit_count()
-        cut_only += (cut & ~rank).bit_count()
-    return SubsetBoundReport(
-        subset_holds=not code_only,
-        code_count=both + code_only,
-        cut_count=both + cut_only,
-        binomial=math.comb(len(code.network.edges), r),
-    )
 
 
 # -- text format ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Acyclic single-source multicast multigraphs with named channels.
 
-Covers the line-oriented text format, unit-capacity max-flow, and
-enumeration of the topology-based wiretap collection.  Every cut is one
+Covers the line-oriented text format and unit-capacity max-flow, whose
+residual search `walk` reuses for the topology wiretap collection.  Every cut is one
 flow from the source into a set of channels: a sink's cut is the flow into
 its in-channels, an edge-set cut the flow into the set itself.  Flows
 explore channels in declaration order so that every derived quantity is
@@ -12,14 +12,13 @@ over arc arrays built once per network.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     CycleDetected,
     DuplicateEdgeId,
     EmptySet,
     ParseError,
-    SecurityLevelTooLarge,
     UnknownEdge,
     UnknownSink,
     UnreachableSink,
@@ -364,120 +363,3 @@ def min_cut_to_edges(net: Network, edge_ids: Iterable[str]) -> int:
     for eid in ids:
         net.edge(eid)  # raises UnknownEdge
     return _unit_flow(net, set(ids))[0]
-
-
-State = TypeVar("State")
-Item = TypeVar("Item")
-Step = Callable[[State, int], tuple[int, Callable[[int], State]]]
-
-
-def bit_indices(mask: int) -> list[int]:
-    """The indices of the set bits of a nonnegative mask, ascending."""
-    indices = []
-    while mask:
-        low = mask & -mask
-        indices.append(low.bit_length() - 1)
-        mask ^= low
-    return indices
-
-
-def downward_closed_prefixes(
-    items: Sequence[Item], r: int, root: State, step: Step
-) -> Iterator[tuple[int, tuple[Item, ...], State]]:
-    """(k, prefix, state) per (r-1)-prefix of a downward-closed family, in
-    lexicographic order; items[k:] are the prefix's candidate last items.
-
-    The walk is depth-first on one stack.  `step(state, k)` runs once per
-    shorter prefix (`root` is the empty one's state) and returns (mask,
-    child): bit j of mask is set when items[j], j >= k, extends the prefix
-    inside the family, and child(j) builds that set's state.  Every subset of
-    a member is a member, so a clear bit skips every set that extends it.
-    Only children that still leave room for r - 1 items are built.
-    """
-    stack = [(0, (), root)]
-    while stack:
-        start, prefix, state = stack.pop()
-        if len(prefix) == r - 1:
-            yield start, prefix, state
-            continue
-        mask, child = step(state, start)
-        room = max(len(items) - r + len(prefix) + 1, 0)
-        children = [(j + 1, (*prefix, items[j]), child(j)) for j in bit_indices(mask & ((1 << room) - 1))]
-        stack += reversed(children)
-
-
-def downward_closed_subsets(items: Sequence[Item], r: int, family: tuple) -> Iterator[tuple]:
-    """The r-subsets of `items` in the family (root, step), in lexicographic
-    order.  Each (r-1)-prefix's mask from `step` decides all its last items
-    at once, and their states are never built.
-    """
-    root, step = family
-    for k, prefix, state in downward_closed_prefixes(items, r, root, step):
-        for j in bit_indices(step(state, k)[0]):
-            yield (*prefix, items[j])
-
-
-def cut_family(net: Network, r: int) -> tuple:
-    """Root and `step` of the channel sets whose source min-cut is their size,
-    as masks over the channel ids in sorted order.
-
-    The family is downward closed: sending more channels to the target adds
-    no path into a prefix P, so mincut(A) <= mincut(P) + |A - P|.  A prefix's
-    state is its max-flow of value |P|: arc heads, residual capacities and
-    the mask of channels that carry flow.  Adding a channel e leaves a flow
-    of value |P| and a cut of at most |P| + 1, so one augmenting path decides,
-    and `step` decides every e from one scan of P's residual graph.
-
-    If e carries no flow, mincut(P + e) = |P| + 1 exactly when tail(e) is
-    reachable, since every P channel is saturated (an augmenting path must
-    end with e), e's reverse arc has no capacity, and a shortest path to
-    tail(e) never uses e.  The scan's tree also builds that child: the BFS
-    of P + e is P's up to the expansion of tail(e), where only e reaches
-    the target, so `_augment` would push e and the tree path to tail(e).
-
-    If e carries flow, its unit now ends at the target, which frees the rest
-    of its path.  Every arc that changes starts on that rest, and from any
-    of its nodes the freed channels lead to the target, so P + e has an
-    augmenting path exactly when the scan reached one of those nodes; the
-    child drops the rest and runs `_augment`.
-    """
-    capacity = c_min(net)
-    if not 1 <= r < capacity:
-        raise SecurityLevelTooLarge(
-            f"security level must satisfy 1 <= r < C_min = {capacity}, got {r}"
-        )
-    arcs = net._arcs
-    target = arcs.target
-    out = [sum(1 << (arc >> 1) for arc in node if not arc & 1) for node in arcs.adj]
-    out.append(0)  # the target has no channel out
-
-    def step(flow: tuple[list[int], list[int], int], k: int) -> tuple[int, Callable]:
-        to, cap, busy = flow
-        parent = _search(arcs, to, cap)
-        later = -1 << k
-        mask = sum(bits for bits, arc in zip(out, parent) if arc is not None) & ~busy & later
-        for i in bit_indices(busy & later):
-            if any(parent[to[arc ^ 1]] is not None for arc in _flow_path(arcs, to, cap, to[2 * i])):
-                mask |= 1 << i
-
-        def child(i: int) -> tuple[list[int], list[int], int]:
-            to_i, cap_i = to[:], cap[:]
-            to_i[2 * i] = target
-            if not busy >> i & 1:
-                return to_i, cap_i, busy ^ _push(to_i, cap_i, parent, 2 * i)
-            moved = 0
-            for arc in _flow_path(arcs, to, cap, to[2 * i]):
-                cap_i[arc], cap_i[arc + 1] = 1, 0
-                moved ^= 1 << (arc >> 1)
-            return to_i, cap_i, busy ^ moved ^ _augment(arcs, to_i, cap_i)
-
-        return mask, child
-
-    return (list(arcs.to), [1, 0] * len(net.edges), 0), step
-
-
-def enumerate_topology_wiretap_sets(net: Network, r: int) -> WiretapCollection:
-    """All size-r channel sets whose source min-cut equals r (topology only)."""
-    ids = sorted(e.id for e in net.edges)
-    sets = tuple(downward_closed_subsets(ids, r, cut_family(net, r)))
-    return WiretapCollection(r=r, kind="cut", sets=sets)

@@ -65,23 +65,26 @@ def _exhaustive_space(what: str, q: int, exponent: int, budget: int) -> int:
     return space
 
 
-def _input_columns(bundle: SecureCodeBundle) -> list[tuple[int, ...]]:
-    """Each coordinate X_j of X = [message, constant, key] as a column over every
-    input, the (message, key) inputs listed as itertools.product lists them."""
-    q, free = bundle.field.q, bundle.omega + bundle.key_dim
+def _input_columns(bundle: SecureCodeBundle) -> list[Sequence[int]]:
+    """Each coordinate X_j of X = [message, constant, key] as a column
+    (`FieldSpec.column`) over every input, the (message, key) inputs listed
+    as itertools.product lists them."""
+    field, free = bundle.field, bundle.omega + bundle.key_dim
+    q = field.q
     # Free coordinate d repeats each element q^(free-1-d) times, q^d times over:
     # the last coordinate varies fastest, as in itertools.product.
     digits = [
-        tuple([x for x in range(q) for _ in range(q ** (free - 1 - d))]) * q**d
+        field.column(itertools.chain.from_iterable(itertools.repeat(x, q ** (free - 1 - d)) for x in range(q)))
+        * q**d
         for d in range(free)
     ]
-    constants = [(c,) * q**free for c in bundle.constant]
+    constants = [field.column([c]) * q**free for c in bundle.constant]
     return digits[:bundle.omega] + constants + digits[bundle.omega:]
 
 
 def _symbol_columns(
-    bundle: SecureCodeBundle, inputs: Sequence[tuple[int, ...]], edge_ids: Collection[str]
-) -> dict[str, tuple[int, ...]]:
+    bundle: SecureCodeBundle, inputs: Sequence[Sequence[int]], edge_ids: Collection[str]
+) -> dict[str, Sequence[int]]:
     """Channel e's symbol on every input: the column sum of gain[e][j] * X_j,
     built once per distinct gain and shared by every channel that carries it."""
     size, gain = len(inputs[0]), bundle.gain
@@ -134,16 +137,36 @@ def mutual_information(dist: JointDistribution) -> int:
         raise NotADistribution("empty count table")
     per_m = Counter(m for m, _y in dist.counts)
     per_y = Counter(y for _m, y in dist.counts)
-    if any(len(set(table.values())) != 1 for table in (dist.counts, per_m, per_y)):
+    return _support_leakage(dist.q, dist.counts, per_m, per_y)
+
+
+def _support_leakage(q: int, joint: Mapping, per_m: Mapping, per_y: Mapping) -> int:
+    """log_q(|supp M| |supp Y| / |supp (M, Y)|) from a count table of (m, y)
+    and its support pairs counted per m and per y; NotADistribution unless
+    all three are uniform and the ratio is a power of q."""
+    if any(len(set(table.values())) != 1 for table in (joint, per_m, per_y)):
         raise NotADistribution("counts are not uniform on their support, as a linear code's are")
-    ratio, rest = divmod(len(per_m) * len(per_y), len(dist.counts))
+    ratio, rest = divmod(len(per_m) * len(per_y), len(joint))
     leak, power = 0, 1
     while power < ratio:
-        power *= dist.q
+        power *= q
         leak += 1
     if rest or power != ratio:
-        raise NotADistribution(f"the support ratio is not a power of q = {dist.q}")
+        raise NotADistribution(f"the support ratio is not a power of q = {q}")
     return leak
+
+
+def _coded_leakage(q: int, size: int, codes: Sequence[int]) -> int:
+    """mutual_information of a set of `size` channels whose inputs are coded
+    m * q^size + y, the observation y read as a base-q number."""
+    joint = Counter(codes)
+    shift = q**size
+    return _support_leakage(q, joint, Counter(k // shift for k in joint), Counter(k % shift for k in joint))
+
+
+def _append_digits(codes: Sequence[int], column: Sequence[int], q: int) -> list[int]:
+    """Each input's code with its entry in the column appended as a base-q digit."""
+    return [c * q + y for c, y in zip(codes, column)]
 
 
 def perfectly_secure(dist: JointDistribution) -> bool:
@@ -186,8 +209,8 @@ class SecurityReport(NamedTuple):
 
 def _decode_roundtrip(
     bundle: SecureCodeBundle,
-    inputs: list[tuple[int, ...]],
-    columns: Mapping[str, tuple[int, ...]],
+    inputs: list[Sequence[int]],
+    columns: Mapping[str, Sequence[int]],
 ) -> tuple[bool, str]:
     """Every sink recovers every input.  A sink passes when its decoder, applied
     to whole symbol columns, gives back every input column (message, constant
@@ -241,29 +264,47 @@ def verify_security(
     so sets with the same lines have count tables equal up to renaming the
     observations, which leaves mutual_information unchanged.  The first set
     with each collection of lines is counted; later ones reuse its leakage.
+
+    A counted set A codes each input's (m, y_A) as the integer m * q^|A| + y_A,
+    its observation read as a base-q number, and `_coded_leakage` counts the
+    codes.  The counted sets are taken in lexicographic order, so each shares
+    its longest common prefix with the one before: a set's codes extend its
+    prefix's by one digit, and only the codes along that prefix are kept.
     """
     _exhaustive_space("input space", bundle.field.q, bundle.omega + bundle.key_dim, budget)
     inputs = _input_columns(bundle)
     columns = _symbol_columns(bundle, inputs, bundle.gain)
     decode_ok, decode_detail = _decode_roundtrip(bundle, inputs, columns)
-    messages = list(zip(*inputs[:bundle.omega]))
 
-    dim = bundle.omega + bundle.key_dim
+    q, dim = bundle.field.q, bundle.omega + bundle.key_dim
     line = {eid: Echelon(bundle.field, dim, [_free_gain(bundle, eid)]).basis() for eid in columns}
-    leakage: dict[frozenset[tuple[tuple[int, ...], ...]], int] = {}
     ids = sorted(columns)
     top = min(bundle.r, len(ids))
-    results: list[tuple[tuple[str, ...], int, bool]] = []
-    for size in [top] if fast else range(1, top + 1):
-        for combo in itertools.combinations(ids, size):
-            key = frozenset([line[eid] for eid in combo])
-            mi = leakage.get(key)
-            if mi is None:
-                dist = _count(bundle, messages, [columns[eid] for eid in combo], combo)
-                mi = leakage[key] = mutual_information(dist)
-            results.append((combo, mi, mi <= bundle.i))
-    if not results:
+    # Each scanned set with the first set of its collection of lines.
+    first: dict[frozenset[tuple[tuple[int, ...], ...]], tuple[str, ...]] = {}
+    scanned = [
+        (combo, first.setdefault(frozenset([line[eid] for eid in combo]), combo))
+        for size in ([top] if fast else range(1, top + 1))
+        for combo in itertools.combinations(ids, size)
+    ]
+    if not scanned:
         raise EmptySet("the bundle has no channel set of size up to r to scan")
+    # chain[j] holds the codes of prefix[:j]; chain[0] codes the message alone.
+    prefix: tuple[str, ...] = ()
+    chain = [[0] * len(inputs[0])]
+    for col in inputs[:bundle.omega]:
+        chain[0] = _append_digits(chain[0], col, q)
+    leakage: dict[tuple[str, ...], int] = {}
+    for combo in sorted(first.values()):
+        keep = 0
+        while keep < min(len(prefix), len(combo)) and prefix[keep] == combo[keep]:
+            keep += 1
+        del chain[keep + 1:]
+        for eid in combo[keep:]:
+            chain.append(_append_digits(chain[-1], columns[eid], q))
+        prefix = combo
+        leakage[combo] = _coded_leakage(q, len(combo), chain[-1])
+    results = [(combo, leakage[counted], leakage[counted] <= bundle.i) for combo, counted in scanned]
     worst, max_mi, _ok = max(results, key=lambda res: res[1])
     return SecurityReport(
         r=bundle.r,

@@ -23,11 +23,8 @@ from .errors import (
     UnknownSink,
 )
 from .field import Echelon, FieldSpec, Matrix, combine, dot, first_outside, standard_basis
-from .lnc import CODE_KEYWORDS, GlobalCode, _parse_header, construct_lnc, parse_code, span_family, write_code
-from .network import (
-    NETWORK_KEYWORDS, Network, c_min, downward_closed_subsets, integers, parse_network, serialize_network,
-    text_lines,
-)
+from .lnc import CODE_KEYWORDS, GlobalCode, _parse_header, construct_lnc, parse_code, write_code
+from .network import NETWORK_KEYWORDS, Network, c_min, integers, parse_network, serialize_network, text_lines
 
 
 def _basis_level(omega: int, r: int, key_dim: int, n: int) -> int:
@@ -136,6 +133,8 @@ def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
     from every wiretappable kernel span; the remaining columns just extend
     independence.  Raises FieldTooSmall if no vector qualifies for a column.
     """
+    from .walk import downward_closed_subsets, span_family
+
     n = code.n
     field = code.field
     # cols are independent and meet no span(F_A), and F_A has rank r, so column

@@ -16,7 +16,7 @@ import pytest
 from slnc.cli import main
 from slnc.errors import RateTooHigh
 from slnc.field import Matrix
-from slnc.lnc import construct_lnc, verify_subset_bound
+from slnc.lnc import construct_lnc
 from slnc.network import c_min
 from slnc.oracle import (
     han_profile,
@@ -28,6 +28,7 @@ from slnc.oracle import (
     verify_security,
 )
 from slnc.secure import SecureCodeBundle, build_secure_bundle, decode_at_sink, encode_source
+from slnc.walk import verify_subset_bound
 from conftest import FIXTURES
 
 

@@ -556,6 +556,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert [name for name, modules in loaded.items() if "slnc.oracle" in modules] == ["refute", "verify"]
     assert [name for name, modules in loaded.items() if {"slnc.oracle", "slnc.secure"} <= modules] == ["verify"]
     assert "slnc.secure" not in loaded["refute"]
+    # The wiretap walk is loaded by the commands that walk and by no other.
+    assert [name for name, modules in loaded.items() if "slnc.walk" in modules] == ["secure", "enumerate"]
     assert loaded["mincut"] == {"slnc", "slnc.cli", "slnc.errors", "slnc.field", "slnc.network"}
     bare = run_python("-c", "import sys, slnc; print(*sorted(m for m in sys.modules if m.startswith('slnc')))")
     assert bare.stdout.split() == ["slnc"]

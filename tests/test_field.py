@@ -130,6 +130,17 @@ def test_cached_product_rows_match_the_bit_loop(m):
         assert field.mul(c, field.inv(c)) == 1
 
 
+def entrywise(field, coeffs, vectors):
+    """The reference sum of c_i * v_i, one entry at a time with mul and add."""
+    want = []
+    for entries in zip(*vectors):
+        acc = 0
+        for c, x in zip(coeffs, entries):
+            acc = field.add(acc, field.mul(c, x))
+        want.append(acc)
+    return want
+
+
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=lambda f: f"q{f.q}")
 def test_combine_matches_entrywise_products(field):
     # Columns as long as the oracle's, and kernels as short as construction's.
@@ -137,14 +148,38 @@ def test_combine_matches_entrywise_products(field):
     for n, terms in ((1, 1), (3, 2), (4, 4), (500, 5)):
         coeffs = [rng.randrange(field.q) for _ in range(terms - 1)] + [0]
         vectors = [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(terms)]
-        want = []
-        for entries in zip(*vectors):
-            acc = 0
-            for c, x in zip(coeffs, entries):
-                acc = field.add(acc, field.mul(c, x))
-            want.append(acc)
-        assert combine(field, coeffs, vectors, n) == tuple(want)
+        assert combine(field, coeffs, vectors, n) == tuple(entrywise(field, coeffs, vectors))
     assert combine(field, [], [], 3) == (0, 0, 0)
+
+
+LANE_FIELDS = [FieldSpec(2**m) for m in range(1, 9)] + [FieldSpec(p) for p in (3, 11, 127)]
+
+
+@pytest.mark.parametrize("field", [*LANE_FIELDS, FieldSpec(131), FieldSpec(65521)], ids=lambda f: f"q{f.q}")
+def test_column_combine_matches_entrywise_products(field):
+    # Columns are bytes over every GF(2^m) and GF(p) up to p = 127, where a
+    # lane sum stays below 256, and tuples from GF(131) up; combining them
+    # gives the entry-by-entry sum on either path, in the columns' type.
+    # An all-(q-1) column with all-(q-1) coefficients drives every GF(p)
+    # lane sum to its largest value, 2(p - 1).
+    kind = bytes if field in LANE_FIELDS else tuple
+    assert field.lanes == (kind is bytes)
+    rng = random.Random(field.q)
+    n, top = 700, field.q - 1
+    vectors = [field.column(rng.randrange(field.q) for _ in range(n)) for _ in range(5)]
+    vectors.append(field.column([top] * n))
+    assert {type(v) for v in vectors} == {kind}
+    nonzero = [rng.randrange(1, field.q) for _ in vectors]
+    for coeffs in (
+        [rng.randrange(field.q) for _ in vectors],
+        [0, nonzero[1], 0, 0, nonzero[4], 0],
+        [0, 0, 0, 0, 0, nonzero[5]],
+        [0] * len(vectors),
+        [top] * len(vectors),
+    ):
+        got = combine(field, coeffs, vectors, n)
+        assert type(got) is kind
+        assert list(got) == entrywise(field, coeffs, vectors)
 
 
 # -- matrices -----------------------------------------------------------------

@@ -11,14 +11,13 @@ from slnc.lnc import (
     GlobalCode,
     check_code_validity,
     construct_lnc,
-    enumerate_code_wiretap_sets,
     imaginary_ids,
     in_channel_ids,
     standard_basis,
-    verify_subset_bound,
     write_code,
 )
 from slnc.network import Network, c_min, edge_disjoint_paths, parse_network
+from slnc.walk import enumerate_code_wiretap_sets, verify_subset_bound
 from conftest import (
     FIXTURES,
     SCAN_MAX_DIM,
@@ -382,7 +381,7 @@ def test_subset_bound_decides_the_last_channel_per_prefix(monkeypatch):
     # search per child, 4,766 scans, 3,006 augmenting paths and 2,234
     # reductions; one scan per state, 1,885 scans, of which 60 are the
     # augmenting paths of C_min, and 168 reductions.
-    from slnc import network
+    from slnc import network, walk
 
     code = construct_lnc(combination_network(6, 4, 16), 4)
     calls = {"search": 0, "augment": 0, "reduce": 0}
@@ -400,8 +399,9 @@ def test_subset_bound_decides_the_last_channel_per_prefix(monkeypatch):
         calls["reduce"] += 1
         return reduce(self, v)
 
-    monkeypatch.setattr(network, "_search", counted_search)
-    monkeypatch.setattr(network, "_augment", counted_augment)
+    for module in (network, walk):  # walk's bindings are its own
+        monkeypatch.setattr(module, "_search", counted_search)
+        monkeypatch.setattr(module, "_augment", counted_augment)
     monkeypatch.setattr(Echelon, "reduce", counted_reduce)
     report = verify_subset_bound(code, 3)
     assert report.serialize() == "subset=true code=26620 cut=26620 binom=45760"

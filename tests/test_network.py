@@ -17,18 +17,12 @@ from slnc.errors import (
 )
 from slnc import network
 from slnc.field import FieldSpec
-from slnc.lnc import span_family
 from slnc.network import (
     WiretapCollection,
     _augment,
     _search,
-    bit_indices,
     c_min,
-    cut_family,
-    downward_closed_prefixes,
-    downward_closed_subsets,
     edge_disjoint_paths,
-    enumerate_topology_wiretap_sets,
     integers,
     min_cut_to_edges,
     min_cut_to_sink,
@@ -37,6 +31,14 @@ from slnc.network import (
 )
 from slnc.oracle import refute_key_rate, verify_security
 from slnc.secure import build_secure_bundle, parse_bundle, write_bundle
+from slnc.walk import (
+    bit_indices,
+    cut_family,
+    downward_closed_prefixes,
+    downward_closed_subsets,
+    enumerate_topology_wiretap_sets,
+    span_family,
+)
 from conftest import FIXTURES, brute_force_edge_set_cut, combination_network, dag_networks, reachable
 
 

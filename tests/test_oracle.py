@@ -395,9 +395,13 @@ def first_occurrence(column):
 def test_gain_lines_group_channels_as_their_partitions_do(case):
     """Two channels have the same gain line exactly when their columns split
     the inputs alike, and verify_security counts one table per distinct
-    collection of partitions: that of the first set, in scan order, with it."""
+    collection of partitions: that of the first set, in scan order, with it,
+    the counted sets taken in lexicographic order.  Each count gets the set's
+    size and every input's (m, y) as the digits of one base-q integer, the
+    message first."""
     bundle, fast = case
-    columns = oracle._symbol_columns(bundle, oracle._input_columns(bundle), bundle.gain)
+    inputs = oracle._input_columns(bundle)
+    columns = oracle._symbol_columns(bundle, inputs, bundle.gain)
     partition = {eid: first_occurrence(col) for eid, col in columns.items()}
     dim = bundle.omega + bundle.key_dim
     line = {eid: Echelon(bundle.field, dim, [oracle._free_gain(bundle, eid)]).basis() for eid in columns}
@@ -409,9 +413,80 @@ def test_gain_lines_group_channels_as_their_partitions_do(case):
     for size in [top] if fast else range(1, top + 1):
         for combo in itertools.combinations(ids, size):
             first.setdefault(frozenset(partition[eid] for eid in combo), combo)
-    with mock.patch.object(oracle, "_count", wraps=oracle._count) as count:
+
+    def codes(combo):
+        digits = zip(*inputs[:bundle.omega], *[columns[eid] for eid in combo])
+        return [functools.reduce(lambda code, x: code * bundle.field.q + x, row, 0) for row in digits]
+
+    with mock.patch.object(oracle, "_coded_leakage", wraps=oracle._coded_leakage) as count:
         verify_security(bundle, fast=fast)
-    assert [call.args[3] for call in count.call_args_list] == list(first.values())
+    assert [call.args[1:] for call in count.call_args_list] == [(len(A), codes(A)) for A in sorted(first.values())]
+
+
+def counted_sets(bundle):
+    """The sets verify_security counts, in the order it counts them: the
+    first with each collection of gain lines, sorted."""
+    dim = bundle.omega + bundle.key_dim
+    line = {eid: Echelon(bundle.field, dim, [oracle._free_gain(bundle, eid)]).basis() for eid in bundle.gain}
+    ids = sorted(line)
+    first = {}
+    for size in range(1, min(bundle.r, len(ids)) + 1):
+        for combo in itertools.combinations(ids, size):
+            first.setdefault(frozenset(line[eid] for eid in combo), combo)
+    return sorted(first.values())
+
+
+PARALLEL3_GF131 = "field 131\nsource s\nsink t\nedge e1 s t\nedge e2 s t\nedge e3 s t\n"
+
+
+@pytest.mark.parametrize(
+    "net, omega, r, i",
+    [
+        (combination_network(5, 3, 11), 1, 2, 0),  # perfect, on byte lanes
+        (combination_network(5, 3, 11), 2, 2, 1),  # bounded: some pairs leak one symbol
+        (parse_network(PARALLEL3_GF131), 1, 2, 1),  # bounded, on tuple columns
+    ],
+    ids=["perfect", "bounded", "gf131"],
+)
+def test_coded_leakage_is_the_mutual_information_of_each_counted_set(monkeypatch, net, omega, r, i):
+    # Each leakage verify_security reads off integer codes is the one
+    # mutual_information reads off the set's tuple-keyed count table.
+    bundle = build_secure_bundle(net, omega, r, i)
+    coded, got = oracle._coded_leakage, []
+
+    def recorded(*args):
+        got.append(coded(*args))
+        return got[-1]
+
+    monkeypatch.setattr(oracle, "_coded_leakage", recorded)
+    report = verify_security(bundle)
+    sets = counted_sets(bundle)
+    assert got == [mutual_information(observation_distribution(bundle, A)) for A in sets]
+    assert set(got) == ({0, 1} if i else {0})
+    by_set = {A: mi for A, mi, _ok in report.results}
+    assert [by_set[A] for A in sets] == got
+
+
+@pytest.mark.parametrize(
+    "field, sink, detail",
+    [
+        (7, "t3", "sink t3 failed on input (0,), (0,): sink t3 cannot isolate the input: rank 1 < 2"),
+        (131, "t", "sink t failed on input (0,), (0,): sink t cannot isolate the input: rank 2 < 3"),
+    ],
+    ids=["gf7", "gf131"],
+)
+def test_a_sink_that_loses_rank_fails_the_round_trip_by_name(field, sink, detail):
+    # Over GF(7) (byte lanes) sinks t1 and t2 pass on whole columns first;
+    # over GF(131) (tuple columns) the only sink fails.
+    if field == 7:
+        bundle = build_secure_bundle(combination_network(4, 2, 7), omega=1, r=1)
+        bundle.base.kernels["e10"] = bundle.base.kernels["e9"]  # both of t3's channels alike
+    else:
+        bundle = build_secure_bundle(parse_network(PARALLEL3_GF131), omega=1, r=1)
+        bundle.base.kernels["e3"] = (5, 7, 0)  # in the span of e1 and e2
+    report = verify_security(bundle)
+    assert (report.decode_ok, report.decode_detail) == (False, detail)
+    assert report.decode_detail.startswith(f"sink {sink} ")
 
 
 def test_verify_builds_one_column_per_distinct_gain():

@@ -14,7 +14,7 @@ from slnc.errors import (
     UnknownSink,
 )
 from slnc.field import Echelon, Matrix, spans_intersect_trivially
-from slnc.lnc import GlobalCode, construct_lnc, enumerate_code_wiretap_sets
+from slnc.lnc import GlobalCode, construct_lnc
 from slnc.network import c_min, parse_network
 from slnc.oracle import verify_security
 from slnc.secure import (
@@ -25,6 +25,7 @@ from slnc.secure import (
     encode_source,
     write_bundle,
 )
+from slnc.walk import enumerate_code_wiretap_sets
 from conftest import (
     FIXTURES,
     SCAN_MAX_DIM,

@@ -164,11 +164,11 @@ def test_wiretap_enumeration_extends_prefixes():
     banned = {"min_cut_to_edges", "_unit_flow", "rank_of_rows", "combinations"}
     found = []
     for module, name in (
-        ("network.py", "enumerate_topology_wiretap_sets"),
-        ("network.py", "cut_family"),
-        ("lnc.py", "enumerate_code_wiretap_sets"),
-        ("lnc.py", "span_family"),
-        ("lnc.py", "verify_subset_bound"),
+        ("walk.py", "enumerate_topology_wiretap_sets"),
+        ("walk.py", "cut_family"),
+        ("walk.py", "enumerate_code_wiretap_sets"),
+        ("walk.py", "span_family"),
+        ("walk.py", "verify_subset_bound"),
     ):
         for fn in _functions(module, {name}):
             found += [f"{name}:{line}: {called}" for line, called in _calls(fn) if called in banned]
@@ -178,14 +178,14 @@ def test_wiretap_enumeration_extends_prefixes():
         "enumerate_topology_wiretap_sets", "enumerate_code_wiretap_sets", "members",
         "downward_closed_subsets",
     }
-    for fn in _functions("lnc.py", {"verify_subset_bound"}):
+    for fn in _functions("walk.py", {"verify_subset_bound"}):
         found += [
             f"verify_subset_bound:{node.lineno}: {node.id if isinstance(node, ast.Name) else node.attr}"
             for node in ast.walk(fn)
             if (isinstance(node, ast.Name) and node.id in listing)
             or (isinstance(node, ast.Attribute) and node.attr in listing)
         ]
-    for fn in _functions("network.py", {"downward_closed_prefixes", "downward_closed_subsets"}):
+    for fn in _functions("walk.py", {"downward_closed_prefixes", "downward_closed_subsets"}):
         found += [
             f"{fn.name}:{node.lineno}: nested {getattr(node, 'name', 'lambda')}"
             for node in ast.walk(fn)
@@ -242,9 +242,9 @@ PUBLIC = [
         ("errors", "errors"),
         ("field", "FieldSpec Matrix ff_op mat_rank mat_inverse spans_intersect_trivially"),
         ("network", "Edge Network WiretapCollection parse_network serialize_network "
-                    "min_cut_to_sink min_cut_to_edges c_min enumerate_topology_wiretap_sets"),
-        ("lnc", "GlobalCode construct_lnc check_code_validity enumerate_code_wiretap_sets "
-                "verify_subset_bound write_code parse_code"),
+                    "min_cut_to_sink min_cut_to_edges c_min"),
+        ("lnc", "GlobalCode construct_lnc check_code_validity write_code parse_code"),
+        ("walk", "enumerate_topology_wiretap_sets enumerate_code_wiretap_sets verify_subset_bound"),
         ("secure", "SecureCodeBundle choose_secure_basis build_secure_bundle encode_source "
                    "decode_at_sink write_bundle parse_bundle"),
         ("oracle", "JointDistribution SecurityReport RefutationResult observation_distribution "

@@ -9,8 +9,9 @@ networks; the package under test is whichever `slnc` is importable.  Name
 networks after ROOT (fixture stems such as `butterfly`, `c5_3_gf8`,
 `dag07`) to run only those.
 
-The networks are the fixtures, six combination networks C(n,k) over GF(q),
-40 seeded random DAGs over GF(2..5) whose channel ids and edge lines
+The networks are the fixtures, eight combination networks C(n,k) over GF(q)
+(C(3,2)/GF(131) keeps the oracle's tuple columns, and C(4,2)/GF(256) takes
+its widest byte lanes), 40 seeded random DAGs over GF(2..5) whose channel ids and edge lines
 are shuffled against the topological order, and 10 denser seeded DAGs
 (7 or 8 nodes, up to 14 channels, C_min >= 4) whose source channels share
 relays, so the wiretap walks reach r = 3 with prefixes whose flows carry
@@ -60,7 +61,7 @@ from pathlib import Path
 
 from slnc.cli import main as slnc_main
 
-COMBINATIONS = [(3, 2, 5), (4, 2, 5), (4, 3, 7), (5, 3, 8), (5, 4, 16), (6, 4, 16)]
+COMBINATIONS = [(3, 2, 5), (4, 2, 5), (4, 3, 7), (5, 3, 8), (5, 4, 16), (6, 4, 16), (3, 2, 131), (4, 2, 256)]
 RANDOM_DAGS = 40
 DENSE_DAGS = 10
 REFUTE_BUDGET = 200_000
