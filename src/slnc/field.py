@@ -435,10 +435,6 @@ class Matrix:
 
     # -- operations ------------------------------------------------------
 
-    def _require_same_field(self, other: "Matrix") -> None:
-        if self.field != other.field:
-            raise FieldMismatch(f"mixed fields {self.field} and {other.field}")
-
     def rank(self) -> int:
         """Rank over GF(q) by exact Gaussian elimination."""
         return rank_of_rows(self.field, [self.row(i) for i in range(self.rows)])
@@ -484,7 +480,8 @@ def spans_intersect_trivially(b1: Matrix, b2: Matrix) -> bool:
 
     Uses rank additivity: rank([b1 | b2]) == rank(b1) + rank(b2).
     """
-    b1._require_same_field(b2)
+    if b1.field != b2.field:
+        raise FieldMismatch(f"mixed fields {b1.field} and {b2.field}")
     if b1.rows != b2.rows:
         raise DimensionMismatch("span test needs equal ambient dimensions")
     cols = [b.col(j) for b in (b1, b2) for j in range(b.cols)]

@@ -92,28 +92,10 @@ def _symbol_columns(
     return {eid: column[gain[eid]] for eid in edge_ids}
 
 
-def _count(
-    bundle: SecureCodeBundle,
-    messages: Sequence[tuple[int, ...]],
-    columns: Sequence[Sequence[int]],
-    ids: tuple[str, ...],
-) -> JointDistribution:
-    """The count table of (message, observation) over every input, where the
-    observation is the input's entry in each of the channel set's columns."""
-    observations = zip(*columns) if columns else itertools.repeat((), len(messages))
-    return JointDistribution(
-        q=bundle.field.q,
-        omega=bundle.omega,
-        key_dim=bundle.key_dim,
-        edge_ids=ids,
-        counts=Counter(zip(messages, observations)),
-    )
-
-
 def observation_distribution(
     bundle: SecureCodeBundle, edge_ids: Sequence[str], budget: int = DEFAULT_ENUM_BUDGET
 ) -> JointDistribution:
-    """Enumerate every (message, key) input and count wiretap observations."""
+    """Enumerate every (message, key) input and count its (message, observation) pair."""
     _exhaustive_space("input space", bundle.field.q, bundle.omega + bundle.key_dim, budget)
     ids = tuple(sorted(edge_ids))
     for eid in ids:
@@ -121,7 +103,14 @@ def observation_distribution(
     inputs = _input_columns(bundle)
     columns = _symbol_columns(bundle, inputs, ids)
     messages = list(zip(*inputs[:bundle.omega]))
-    return _count(bundle, messages, [columns[eid] for eid in ids], ids)
+    observations = zip(*(columns[eid] for eid in ids)) if ids else itertools.repeat((), len(messages))
+    return JointDistribution(
+        q=bundle.field.q,
+        omega=bundle.omega,
+        key_dim=bundle.key_dim,
+        edge_ids=ids,
+        counts=Counter(zip(messages, observations)),
+    )
 
 
 def mutual_information(dist: JointDistribution) -> int:

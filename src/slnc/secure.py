@@ -10,6 +10,7 @@ Channel e carries X Q^{-1} f_e.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -133,10 +134,9 @@ def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
     from every wiretappable kernel span; the remaining columns just extend
     independence.  Raises FieldTooSmall if no vector qualifies for a column.
     """
-    from .walk import downward_closed_subsets, span_family
-
-    n = code.n
-    field = code.field
+    n, field = code.n, code.field
+    if not 1 <= r < n:
+        raise SecurityLevelTooLarge(f"need 1 <= r < n = {n}, got {r}")
     # cols are independent and meet no span(F_A), and F_A has rank r, so column
     # j <= n - r may be vec exactly when vec lies outside span(cols + F_A). That
     # depends on A only through span(F_A).  A code set's r independent kernels,
@@ -147,9 +147,10 @@ def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
         {row for k in code.kernels.values() for row in Echelon(field, n, [k]).basis()}
     )
     wiretap_spans: dict[tuple[tuple[int, ...], ...], Echelon] = {}
-    for A in downward_closed_subsets(directions, r, span_family(field, n, r, directions)):
+    for A in combinations(directions, r):
         echelon = Echelon(field, n, A)
-        wiretap_spans.setdefault(echelon.basis(), echelon)
+        if len(echelon) == r:
+            wiretap_spans.setdefault(echelon.basis(), echelon)
     # Index order is lexicographic with the last coordinate slowest: search over
     # the unit vectors, last first, and reverse.  The zero vector (index 0) lies
     # in every space, so the search never returns it.

@@ -3,9 +3,8 @@
 Both wiretap families are downward closed, so their r-sets are walked one
 prefix at a time: a prefix of the topology family (sets whose source
 min-cut is their size) carries a max-flow, one of the code family (sets
-whose kernels are independent) a reduced span.  `choose_secure_basis`
-imports this module when it runs, so `verify`, `refute` and `simulate`
-never load it.
+whose kernels are independent) a reduced span.  Of the CLI commands,
+only `enumerate` loads this module.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from slnc.errors import SlncError
+from slnc.errors import FieldMismatch, SlncError
 from slnc.field import Matrix, dot
 from slnc.network import Network, parse_network
 
@@ -141,7 +141,8 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """The product a b, entry by entry; mixed fields raise FieldMismatch."""
-    a._require_same_field(b)
+    if a.field != b.field:
+        raise FieldMismatch(f"mixed fields {a.field} and {b.field}")
     rows = [[dot(a.field, a.row(i), b.col(j)) for j in range(b.cols)] for i in range(a.rows)]
     return Matrix.from_rows(a.field, rows, cols=b.cols)
 

@@ -295,6 +295,12 @@ def test_refute_budget_below_one_is_a_usage_error(capsys, budget):
     assert err == f"usage error: --budget must be at least 1, got {budget}\n"
 
 
+def test_refute_zero_rate_is_an_input_error(capsys):
+    code, out, err = run(capsys, "refute", BUTTERFLY, "--omega", "0", "--r", "1", "--keydim", "0")
+    assert (code, out) == (3, "")
+    assert err == "error: information rate must be at least 1, got 0\n"
+
+
 @pytest.mark.parametrize(
     "rates",
     [("--omega", "1000000000", "--r", "1", "--keydim", "0"),
@@ -517,10 +523,12 @@ def test_cli_sweep_prints_one_hashed_line_per_case(capsys):
     commands = [line.rsplit(" ", 1)[0] for line in lines]
     assert len(set(commands)) == len(lines) > 40
     assert commands[0] == "slnc mincut <tmp>/butterfly.net"
-    pattern = re.compile(r"slnc (mincut|construct|enumerate|secure|verify|simulate|refute) <tmp>/\S+( \S+)* [0-9a-f]{16}")
+    pattern = re.compile(
+        r"slnc ((mincut|construct|enumerate|secure|verify|simulate|refute)|hancheck --table) <tmp>/\S+( \S+)* [0-9a-f]{16}"
+    )
     assert [line for line in lines if not pattern.fullmatch(line)] == []
     assert {command.split()[1] for command in commands} == {
-        "mincut", "construct", "enumerate", "secure", "verify", "simulate", "refute"
+        "mincut", "construct", "enumerate", "secure", "verify", "simulate", "refute", "hancheck"
     }
 
 
@@ -556,8 +564,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert [name for name, modules in loaded.items() if "slnc.oracle" in modules] == ["refute", "verify"]
     assert [name for name, modules in loaded.items() if {"slnc.oracle", "slnc.secure"} <= modules] == ["verify"]
     assert "slnc.secure" not in loaded["refute"]
-    # The wiretap walk is loaded by the commands that walk and by no other.
-    assert [name for name, modules in loaded.items() if "slnc.walk" in modules] == ["secure", "enumerate"]
+    # The wiretap walk is loaded by `enumerate`, the one command that walks.
+    assert [name for name, modules in loaded.items() if "slnc.walk" in modules] == ["enumerate"]
     assert loaded["mincut"] == {"slnc", "slnc.cli", "slnc.errors", "slnc.field", "slnc.network"}
     bare = run_python("-c", "import sys, slnc; print(*sorted(m for m in sys.modules if m.startswith('slnc')))")
     assert bare.stdout.split() == ["slnc"]

@@ -53,6 +53,34 @@ def test_code_header_is_found_by_its_keyword(butterfly):
         parse_code("codex n=2 q=3\n" + body, butterfly)
 
 
+def test_code_local_line_needs_adjacent_channels(butterfly):
+    # e1 ends at n1 and e4 leaves n2: no local coefficient can link them.
+    code_text = write_code(construct_lnc(butterfly, 2))
+    with pytest.raises(ParseError, match=r"^channels e1 and e4 are not adjacent$"):
+        parse_code(code_text + "local e1 e4 0\n", butterfly)
+
+
+def test_code_dimension_zero_is_refused(butterfly):
+    code_text = write_code(construct_lnc(butterfly, 2))
+    with pytest.raises(ParseError, match=r"^bad code dimension 0$"):
+        parse_code(code_text.replace("code n=2 q=3", "code n=0 q=3"), butterfly)
+
+
+def test_bundle_q_rows_need_n_entries(butterfly):
+    text = write_bundle(build_secure_bundle(butterfly, omega=1, r=1))
+    with pytest.raises(ParseError, match=r"^Q rows must all have n entries$"):
+        parse_bundle(text.replace("Q\n2 1\n", "Q\n2\n"))
+
+
+def test_bundle_constant_block_length_is_checked(parallel3_gf5):
+    # n = 3 at omega = 1 and keydim = 1 leaves one constant symbol.
+    text = write_bundle(build_secure_bundle(parallel3_gf5, omega=1, r=1))
+    assert "\nconst 0\n" in text
+    for const, size in (("const", 0), ("const 0 0", 2)):
+        with pytest.raises(ParseError, match=rf"^constant block must have 1 symbols, got {size}$"):
+            parse_bundle(text.replace("\nconst 0\n", f"\n{const}\n"))
+
+
 def test_bundle_round_trip(butterfly, parallel3_gf5):
     specs = [
         (butterfly, dict(omega=1, r=1)),

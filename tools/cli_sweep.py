@@ -26,17 +26,24 @@ for every omega up to C_min + 1, r <= 3 and every i, with `verify`, `verify --fa
 bundle built, and `refute` at omega <= 2,
 r <= 3 (r <= 5 on the fixtures) and every keydim < r with budget 200,000;
 on the fixtures also `refute --omega 1 --r 1 --keydim 0` with the default
-budget, and on `butterfly` `refute --omega 1` at r=2, keydim=1 and at r=3,
-keydim=2 with budget 5,000,000, whose spaces the smaller budget refuses.
+budget, `refute --omega 0`, and the usage errors (`mincut --sink` with
+`--edges`, `enumerate --prop1` without `--code`, `refute --budget 0`,
+`simulate` with neither `--key` nor `--seed`), and on `butterfly`
+`refute --omega 1` at r=2, keydim=1 and at r=3, keydim=2 with budget
+5,000,000, whose spaces the smaller budget refuses.
 Each fixture's C_min code and its omega=1, r=1 bundle are also written with
 one fault at a time (a dropped `kernel` line, an unknown
-keyword, a `+`-signed kernel entry, a repeated `local` line where the file
+keyword, a `+`-signed kernel entry, a stray `codex` line, a `local` line
+from a channel to itself, `code n=0`, a repeated `local` line where the file
 has one, a repeated `secure` line, a Q block one row short, a non-integer Q
-row, a zero-padded Q entry, no `const` line, a stray `codex` line) and
-passed to `enumerate --code`, and to `verify` and `simulate`, and each
-fixture network is written with one fault per error that `parse_network`
+row, a zero-padded Q entry, no `const` line, a Q row one entry short, a
+`const` line one symbol long, a sink whose last in-channel carries the zero
+kernel) and passed to `enumerate --code`, and to `verify` and `simulate`,
+and each fixture network is written with one fault per error that `parse_network`
 and `Network` raise (see `network_faults`) and passed to `mincut`, so the
-parsers' error texts are compared too.  The list
+parsers' error texts are compared too.  Once per sweep, `hancheck` runs on
+two valid tables at bases 2 and 3 and on five faulty ones (see
+`Sweep.hancheck`).  The list
 depends on the tree only through the C_min that `mincut`
 prints and the `construct` and `secure` cases that succeed, and all of those
 are compared too.
@@ -243,11 +250,41 @@ class Sweep:
                 self.run("refute", net, *args, "--budget", str(REFUTE_BUDGET))
         if fixture:
             self.run("refute", net, "--omega", "1", "--r", "1", "--keydim", "0")
+            self.misused(name, net, text)
             self.malformed(name, net, cmin)
         if name == "butterfly":
             for r in (2, 3):
                 args = ("--omega", "1", "--r", str(r), "--keydim", str(r - 1))
                 self.run("refute", net, *args, "--budget", str(DEEP_REFUTE_BUDGET))
+
+    def misused(self, name: str, net: str, text: str) -> None:
+        """Run the usage errors, and `refute` at a zero information rate."""
+        sink = next(line.split()[1] for line in text.splitlines() if line.startswith("sink "))
+        channel = next(line.split()[1] for line in text.splitlines() if line.startswith("edge "))
+        self.run("mincut", net, "--sink", sink, "--edges", channel)
+        self.run("enumerate", net, "--r", "1", "--prop1")
+        self.run("refute", net, "--omega", "1", "--r", "1", "--keydim", "0", "--budget", "0")
+        self.run("refute", net, "--omega", "0", "--r", "1", "--keydim", "0")
+        bundle = self.tmp / f"{name}.w1r1i0.bundle"
+        if bundle.exists():
+            self.run("simulate", str(bundle), "--message", "1")
+
+    def hancheck(self) -> None:
+        """Run `hancheck` on two valid tables at two bases and on each table fault."""
+        tables = {
+            "xor": "0 0 0 0.25\n0 1 1 0.25\n1 0 1 0.25\n1 1 0 0.25\n",
+            "skew": "a x 0.5\nb x 0.125\nb y 0.375\n",
+            "bad-probability": "0 0 half\n",
+            "one-token": "0 0.5\n0.5\n",
+            "sum-0.9": "0 0.5\n1 0.4\n",
+            "empty": "# no outcomes\n",
+            "13-variables": " ".join(["0"] * 13) + " 1.0\n",
+        }
+        for name, text in tables.items():
+            table = self.tmp / f"{name}.table"
+            table.write_text(text, encoding="utf-8")
+            for base in ("2", "3") if name in ("xor", "skew") else ("2",):
+                self.run("hancheck", "--table", str(table), "--base", base)
 
     def malformed(self, name: str, net: str, cmin: int) -> None:
         """Run each single fault of the C_min code, of the omega=1, r=1 bundle
@@ -278,9 +315,11 @@ def faults(text: str) -> dict[str, str]:
     Network-line faults and a repeated code header are left out: a bundle
     reports those with the network and code parsers' texts, and
     `network_faults` covers the network parser.  A code file has no secure,
-    Q or const line, so it gets only the first five faults,
+    Q, const or network line, so it gets only the first seven faults,
     and only a network with a channel out of a relay has a `local` line
-    to repeat (among the fixtures, the butterflies).
+    to repeat (among the fixtures, the butterflies).  The last bundle fault
+    still parses: the first sink's last in-channel carries the zero kernel,
+    with zero `local` coefficients, so the sink cannot decode.
     """
     lines = text.splitlines()
     keywords = [line.split()[0] for line in lines]
@@ -291,13 +330,16 @@ def faults(text: str) -> dict[str, str]:
     def replaced(k: int, line: str) -> list[str]:
         return lines[:k] + [line] + lines[k + 1:]
 
-    kernel = keywords.index("kernel")
+    kernel, header = keywords.index("kernel"), keywords.index("code")
     head, last = lines[kernel].rsplit(" ", 1)
+    channel = lines[kernel].split()[1]
     edits = {
         "no-kernel": without(kernel),
         "unknown-keyword": lines[:1] + ["bogus 1"] + lines[1:],
         "plus-kernel": replaced(kernel, f"{head} +{last}"),
         "codex-line": lines + ["codex 1"],
+        "self-local": lines + [f"local {channel} {channel} 0"],  # no channel feeds itself
+        "code-n0": replaced(header, " ".join("n=0" if t.startswith("n=") else t for t in lines[header].split())),
     }
     if "local" in keywords:
         k = keywords.index("local")
@@ -311,7 +353,20 @@ def faults(text: str) -> dict[str, str]:
             "text-q-row": replaced(q + 1, "x" + lines[q + 1][1:]),
             "padded-q": replaced(q + 1, "0" + lines[q + 1]),
             "no-const": without(keywords.index("const")),
+            "short-q-row": replaced(q + 1, lines[q + 1].rsplit(" ", 1)[0]),
+            "long-const": replaced(keywords.index("const"), lines[keywords.index("const")] + " 0"),
         }
+        sink = lines[keywords.index("sink")].split()[1]
+        dead = [line.split()[1] for line in lines if line.startswith("edge ") and line.split()[3] == sink][-1]
+
+        def silenced(tokens: list[str]) -> list[str]:
+            if tokens[:2] == ["kernel", dead]:
+                return tokens[:2] + ["0"] * n
+            if tokens[0] == "local" and tokens[2] == dead:
+                return tokens[:3] + ["0"]
+            return tokens
+
+        edits["dead-sink-channel"] = [" ".join(silenced(line.split())) for line in lines]
     return {fault: "\n".join(edited) + "\n" for fault, edited in edits.items()}
 
 
@@ -371,6 +426,7 @@ def main(argv: list[str]) -> int:
         sweep = Sweep(Path(tmp))
         for name in chosen:
             sweep.network(name, nets[name], fixture=name in stems)
+        sweep.hancheck()
     return 0
 
 
