@@ -192,6 +192,14 @@ def _parse_header(line: str, keyword: str, keys: tuple[str, ...]) -> tuple[int, 
     return tuple(values[key] for key in keys)
 
 
+def _code_header(line: str) -> tuple[int, int]:
+    """The n and q of a `code n= q=` line; n must be at least 1."""
+    n, q = _parse_header(line, "code", ("n", "q"))
+    if n < 1:
+        raise ParseError(f"bad code dimension {n}")
+    return n, q
+
+
 # The keywords of a code file's lines: its one header, then the body.
 CODE_KEYWORDS = ("code", "kernel", "local")
 
@@ -202,9 +210,7 @@ def parse_code(text: str, net: Network) -> GlobalCode:
     headers = [line for line in lines if line.split()[0] == "code"]
     if len(headers) != 1:
         raise ParseError("duplicate code header" if headers else "missing code header")
-    n, q = _parse_header(headers[0], "code", ("n", "q"))
-    if n < 1:
-        raise ParseError(f"bad code dimension {n}")
+    n, q = _code_header(headers[0])
     if q != net.field.q:
         raise ParseError(f"code field q={q} does not match network field q={net.field.q}")
     field = net.field

@@ -126,16 +126,16 @@ def mutual_information(dist: JointDistribution) -> int:
         raise NotADistribution("empty count table")
     per_m = Counter(m for m, _y in dist.counts)
     per_y = Counter(y for _m, y in dist.counts)
-    return _support_leakage(dist.q, dist.counts, per_m, per_y)
+    return _support_leakage(dist.q, len(per_m), dist.counts, per_y, per_m)
 
 
-def _support_leakage(q: int, joint: Mapping, per_m: Mapping, per_y: Mapping) -> int:
-    """log_q(|supp M| |supp Y| / |supp (M, Y)|) from a count table of (m, y)
-    and its support pairs counted per m and per y; NotADistribution unless
-    all three are uniform and the ratio is a power of q."""
-    if any(len(set(table.values())) != 1 for table in (joint, per_m, per_y)):
+def _support_leakage(q: int, supp_m: int, joint: Mapping, per_y: Mapping, *more: Mapping) -> int:
+    """log_q(supp_m |supp Y| / |supp (M, Y)|) from a count table of (m, y)
+    and its support pairs counted per y; NotADistribution unless these and
+    any `more` tables are uniform and the ratio is a power of q."""
+    if any(len(set(table.values())) != 1 for table in (joint, per_y, *more)):
         raise NotADistribution("counts are not uniform on their support, as a linear code's are")
-    ratio, rest = divmod(len(per_m) * len(per_y), len(joint))
+    ratio, rest = divmod(supp_m * len(per_y), len(joint))
     leak, power = 0, 1
     while power < ratio:
         power *= q
@@ -145,17 +145,14 @@ def _support_leakage(q: int, joint: Mapping, per_m: Mapping, per_y: Mapping) -> 
     return leak
 
 
-def _coded_leakage(q: int, size: int, codes: Sequence[int]) -> int:
+def _coded_leakage(q: int, size: int, codes: Sequence[int], messages: int) -> int:
     """mutual_information of a set of `size` channels whose inputs are coded
-    m * q^size + y, the observation y read as a base-q number."""
+    m * q^size + y, the observation y read as a base-q number, where each of
+    the `messages` messages codes equally many inputs: a uniform joint table
+    then makes the per-message table uniform with `messages` keys."""
     joint = Counter(codes)
     shift = q**size
-    return _support_leakage(q, joint, Counter(k // shift for k in joint), Counter(k % shift for k in joint))
-
-
-def _append_digits(codes: Sequence[int], column: Sequence[int], q: int) -> list[int]:
-    """Each input's code with its entry in the column appended as a base-q digit."""
-    return [c * q + y for c, y in zip(codes, column)]
+    return _support_leakage(q, messages, joint, Counter(k % shift for k in joint))
 
 
 def perfectly_secure(dist: JointDistribution) -> bool:
@@ -173,7 +170,8 @@ def perfectly_secure(dist: JointDistribution) -> bool:
 # -- security reports --------------------------------------------------------------
 
 class SecurityReport(NamedTuple):
-    """Per-wiretap-set leakage results plus the decode round-trip outcome."""
+    """Per-wiretap-set leakage results plus the decode round-trip outcome.
+    `secure` is the leakage verdict; the serialized verdict also needs decode_ok."""
 
     r: int
     i: int
@@ -185,14 +183,9 @@ class SecurityReport(NamedTuple):
     decode_detail: str = ""
 
     def serialize(self) -> str:
-        lines = [
-            f"set {','.join(A)} mi={mi:.9f} {'pass' if ok else 'fail'}"
-            for A, mi, ok in self.results
-        ]
-        verdict = "pass" if self.secure else "fail"
-        lines.append(
-            f"verdict {verdict} worst={','.join(self.worst_set)} maxmi={self.max_mi:.9f}"
-        )
+        lines = [f"set {','.join(A)} mi={mi:.9f} {'pass' if ok else 'fail'}" for A, mi, ok in self.results]
+        verdict = "pass" if self.secure and self.decode_ok else "fail"
+        lines.append(f"verdict {verdict} worst={','.join(self.worst_set)} maxmi={self.max_mi:.9f}")
         return "\n".join(lines) + "\n"
 
 
@@ -255,10 +248,11 @@ def verify_security(
     with each collection of lines is counted; later ones reuse its leakage.
 
     A counted set A codes each input's (m, y_A) as the integer m * q^|A| + y_A,
-    its observation read as a base-q number, and `_coded_leakage` counts the
-    codes.  The counted sets are taken in lexicographic order, so each shares
-    its longest common prefix with the one before: a set's codes extend its
-    prefix's by one digit, and only the codes along that prefix are kept.
+    and `_coded_leakage` counts the codes; input j's m is j // q^keydim, as the
+    inputs come message first.  The counted sets are taken in lexicographic
+    order, so each shares its longest common prefix with the one before: a
+    set's codes extend its prefix's by one digit, and only the codes along
+    that prefix are kept.
     """
     _exhaustive_space("input space", bundle.field.q, bundle.omega + bundle.key_dim, budget)
     inputs = _input_columns(bundle)
@@ -278,11 +272,9 @@ def verify_security(
     ]
     if not scanned:
         raise EmptySet("the bundle has no channel set of size up to r to scan")
-    # chain[j] holds the codes of prefix[:j]; chain[0] codes the message alone.
+    # chain[k] holds the codes of prefix[:k]; chain[0] codes input j's message, j // q^keydim.
     prefix: tuple[str, ...] = ()
-    chain = [[0] * len(inputs[0])]
-    for col in inputs[:bundle.omega]:
-        chain[0] = _append_digits(chain[0], col, q)
+    chain = [[m for m in range(q**bundle.omega) for _ in range(q**bundle.key_dim)]]
     leakage: dict[tuple[str, ...], int] = {}
     for combo in sorted(first.values()):
         keep = 0
@@ -290,9 +282,9 @@ def verify_security(
             keep += 1
         del chain[keep + 1:]
         for eid in combo[keep:]:
-            chain.append(_append_digits(chain[-1], columns[eid], q))
+            chain.append([c * q + y for c, y in zip(chain[-1], columns[eid])])
         prefix = combo
-        leakage[combo] = _coded_leakage(q, len(combo), chain[-1])
+        leakage[combo] = _coded_leakage(q, len(combo), chain[-1], q**bundle.omega)
     results = [(combo, leakage[counted], leakage[counted] <= bundle.i) for combo, counted in scanned]
     worst, max_mi, _ok = max(results, key=lambda res: res[1])
     return SecurityReport(

@@ -24,7 +24,7 @@ from .errors import (
     UnknownSink,
 )
 from .field import Echelon, FieldSpec, Matrix, combine, dot, first_outside, standard_basis
-from .lnc import CODE_KEYWORDS, GlobalCode, _parse_header, construct_lnc, parse_code, write_code
+from .lnc import CODE_KEYWORDS, GlobalCode, _code_header, _parse_header, construct_lnc, parse_code, write_code
 from .network import NETWORK_KEYWORDS, Network, c_min, integers, parse_network, serialize_network, text_lines
 
 
@@ -304,7 +304,7 @@ def parse_bundle(text: str) -> SecureCodeBundle:
         pos += 1
         if keyword == "code" and keyword not in own:
             # Its n ends the Q block, which is read in file order; parse_code checks the rest.
-            own[keyword] = _parse_header(line, "code", ("n", "q"))
+            own[keyword] = _code_header(line)
         elif keyword in NETWORK_KEYWORDS or keyword in CODE_KEYWORDS:
             continue
         elif keyword not in ("secure", "Q", "const"):

@@ -221,7 +221,8 @@ def test_verify_reports_a_sink_that_cannot_decode(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(bundle_file))
     assert code == 1
     assert out == report.serialize()
-    assert out.splitlines()[-1] == "verdict pass worst=e1 maxmi=0.000000000"
+    # The leakage scan passes, but a bundle that a sink cannot decode fails.
+    assert out.splitlines()[-1] == "verdict fail worst=e1 maxmi=0.000000000"
     assert err == f"decode check failed: {detail}\n"
 
 

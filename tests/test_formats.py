@@ -64,6 +64,10 @@ def test_code_dimension_zero_is_refused(butterfly):
     code_text = write_code(construct_lnc(butterfly, 2))
     with pytest.raises(ParseError, match=r"^bad code dimension 0$"):
         parse_code(code_text.replace("code n=2 q=3", "code n=0 q=3"), butterfly)
+    # A bundle reads the same header first, before the Q block that n ends.
+    bundle_text = write_bundle(build_secure_bundle(butterfly, omega=1, r=1))
+    with pytest.raises(ParseError, match=r"^bad code dimension 0$"):
+        parse_bundle(bundle_text.replace("code n=2 q=3", "code n=0 q=3"))
 
 
 def test_bundle_q_rows_need_n_entries(butterfly):

@@ -156,6 +156,21 @@ def test_mutual_information_rejects_tables_no_linear_code_gives():
             mutual_information(dist)
 
 
+@pytest.mark.parametrize(
+    "q, codes, error",
+    [
+        (2, [0, 0, 2, 3], "not uniform"),  # (0, 0) twice, (1, 0) and (1, 1) once
+        (3, [0, 1, 3, 5], "not uniform"),  # y = 0 under both messages, y = 1 and y = 2 under one
+        (3, [0, 4], "not a power of q = 3"),  # |supp M| |supp Y| / |supp (M, Y)| = 2 * 2 / 2
+    ],
+    ids=["joint", "per-observation", "ratio"],
+)
+def test_coded_leakage_rejects_code_lists_no_linear_code_gives(q, codes, error):
+    # One channel, two messages with equally many inputs each, (m, y) coded m * q + y.
+    with pytest.raises(NotADistribution, match=error):
+        oracle._coded_leakage(q, 1, codes, 2)
+
+
 def test_mutual_information_bounds_on_random_bundles(parallel3_gf5):
     bundle = build_secure_bundle(parallel3_gf5, omega=2, r=2, i=1)
     ids = [e.id for e in parallel3_gf5.edges]
@@ -397,8 +412,8 @@ def test_gain_lines_group_channels_as_their_partitions_do(case):
     the inputs alike, and verify_security counts one table per distinct
     collection of partitions: that of the first set, in scan order, with it,
     the counted sets taken in lexicographic order.  Each count gets the set's
-    size and every input's (m, y) as the digits of one base-q integer, the
-    message first."""
+    size, every input's (m, y) as the digits of one base-q integer, the
+    message first, and the number of messages, q^omega."""
     bundle, fast = case
     inputs = oracle._input_columns(bundle)
     columns = oracle._symbol_columns(bundle, inputs, bundle.gain)
@@ -420,7 +435,35 @@ def test_gain_lines_group_channels_as_their_partitions_do(case):
 
     with mock.patch.object(oracle, "_coded_leakage", wraps=oracle._coded_leakage) as count:
         verify_security(bundle, fast=fast)
-    assert [call.args[1:] for call in count.call_args_list] == [(len(A), codes(A)) for A in sorted(first.values())]
+    messages = bundle.field.q**bundle.omega
+    assert [call.args[1:] for call in count.call_args_list] == [
+        (len(A), codes(A), messages) for A in sorted(first.values())
+    ]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(verify_cases())
+@example((PARTITION_BUNDLE, False))
+def test_each_message_codes_q_to_the_keydim_inputs(case):
+    """The rule _coded_leakage rests on.  Inputs come message first, so input
+    j's message, read off the input columns as a base-q number, is
+    j // q^keydim; every counted set's codes carry it; and the joint keys of
+    each counted set give every one of the q^omega messages equally many
+    observations, so the per-message table is uniform with q^omega keys."""
+    bundle, fast = case
+    q, omega, key_dim = bundle.field.q, bundle.omega, bundle.key_dim
+    inputs = oracle._input_columns(bundle)
+    messages = [functools.reduce(lambda code, x: code * q + x, m, 0) for m in zip(*inputs[:omega])]
+    assert messages == [j // q**key_dim for j in range(q ** (omega + key_dim))]
+    with mock.patch.object(oracle, "_coded_leakage", wraps=oracle._coded_leakage) as count:
+        verify_security(bundle, fast=fast)
+    assert count.call_args_list
+    for call in count.call_args_list:
+        _q, size, codes, supp_m = call.args
+        assert supp_m == q**omega
+        assert [code // q**size for code in codes] == messages
+        per_m = collections.Counter(code // q**size for code in set(codes))
+        assert len(per_m) == q**omega and len(set(per_m.values())) == 1
 
 
 def counted_sets(bundle):
