@@ -128,7 +128,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     sys.stdout.write(report.serialize())
     if not report.decode_ok:
         print(f"decode check failed: {report.decode_detail}", file=sys.stderr)
-    return 0 if report.secure and report.decode_ok else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_refute(args: argparse.Namespace) -> int:

@@ -70,7 +70,7 @@ class FieldSpec:
     built-in moduli.  `lanes` says whether columns are byte lanes.
     """
 
-    __slots__ = ("q", "p", "m", "modulus", "lanes", "_mod_mask", "_mul_rows", "_lane_tables")
+    __slots__ = ("q", "p", "m", "modulus", "lanes", "_mod_mask", "_lane_tables")
 
     def __init__(self, q: int):
         p, m = _factor_prime_power(q)
@@ -78,7 +78,6 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.lanes = m > 1 or 2 * (p - 1) < 256
-        self._mul_rows: dict[int, tuple[int, ...]] = {}
         self._lane_tables: dict[int, bytes] = {}
         if m == 1:
             self.modulus = ()
@@ -124,20 +123,13 @@ class FieldSpec:
                 x ^= self._mod_mask
         return res
 
-    def mul_row(self, c: int) -> tuple[int, ...]:
-        """The products c * x for every element x in element order, built once per c."""
-        row = self._mul_rows.get(c)
-        if row is None:
-            row = self._mul_rows[c] = tuple(self.mul(c, x) for x in self.elements())
-        return row
-
     def lane_table(self, c: int) -> bytes:
-        """The `bytes.translate` table of x -> c * x, built once per c.  Over
-        GF(p) it maps every byte x to c * x mod p, so c = 1 reduces a lane sum."""
+        """The `bytes.translate` table of x -> c * x, built once per c: c's products
+        in element order in its first q bytes, and over GF(p) c * x mod p at every byte x."""
         table = self._lane_tables.get(c)
         if table is None:
-            row = (c * x % self.p for x in range(256)) if self.m == 1 else self.mul_row(c)
-            table = self._lane_tables[c] = bytes(row).ljust(256, b"\0")
+            row = range(256) if self.m == 1 else self.elements()
+            table = self._lane_tables[c] = bytes(self.mul(c, x) for x in row).ljust(256, b"\0")
         return table
 
     def column(self, values: Iterable[int]) -> Sequence[int]:
@@ -149,7 +141,7 @@ class FieldSpec:
             raise DivisionByZero(f"zero has no inverse in {self}")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        return self.mul_row(a).index(1)  # a's products hit 1 once, at a's inverse
+        return self.lane_table(a).index(1)  # a's products hit 1 once, at a's inverse
 
     def elements(self) -> range:
         return range(self.q)
@@ -190,8 +182,8 @@ def combine(
     The vectors are tuples (kernels, or columns over a field without byte
     lanes) or all bytes (`FieldSpec.column` over a byte-lane field), and the
     sum is of their type.  On tuples, over GF(2^m) each term is a lookup in
-    the cached row of c_i's products; over GF(p) each term is added as an
-    integer and reduced mod p at once.
+    c_i's cached product table (`lane_table`); over GF(p) each term is added
+    as an integer and reduced mod p at once.
     """
     if vectors and isinstance(vectors[0], bytes):
         return _combine_lanes(field, coeffs, vectors, n)
@@ -210,7 +202,7 @@ def combine(
         return (0,) * n if acc is None else tuple(acc)
     for c, v in zip(coeffs, vectors):
         if c:
-            row = field.mul_row(c)
+            row = field.lane_table(c)
             if acc is None:
                 acc = [row[x] for x in v]
             else:

@@ -28,6 +28,7 @@ from .errors import (
     InvalidKeyDim,
     MonotonicityViolated,
     NotADistribution,
+    RateTooHigh,
 )
 from .field import Echelon, FieldSpec, combine, in_span, standard_basis
 from .lnc import GlobalCode, imaginary_kernels, in_channel_ids, write_code
@@ -170,21 +171,34 @@ def perfectly_secure(dist: JointDistribution) -> bool:
 # -- security reports --------------------------------------------------------------
 
 class SecurityReport(NamedTuple):
-    """Per-wiretap-set leakage results plus the decode round-trip outcome.
-    `secure` is the leakage verdict; the serialized verdict also needs decode_ok."""
+    """Per-wiretap-set leakage results plus the decode round-trip outcome.  `secure`
+    (every set passes), `passed` (also decode_ok) and the worst set are read off them."""
 
     r: int
     i: int
     results: list[tuple[tuple[str, ...], int, bool]]
-    worst_set: tuple[str, ...]
-    max_mi: int
-    secure: bool
     decode_ok: bool
     decode_detail: str = ""
 
+    @property
+    def secure(self) -> bool:
+        return all(ok for _A, _mi, ok in self.results)
+
+    @property
+    def passed(self) -> bool:
+        return self.secure and self.decode_ok
+
+    @property
+    def worst_set(self) -> tuple[str, ...]:
+        return max(self.results, key=lambda res: res[1])[0]
+
+    @property
+    def max_mi(self) -> int:
+        return max(mi for _A, mi, _ok in self.results)
+
     def serialize(self) -> str:
         lines = [f"set {','.join(A)} mi={mi:.9f} {'pass' if ok else 'fail'}" for A, mi, ok in self.results]
-        verdict = "pass" if self.secure and self.decode_ok else "fail"
+        verdict = "pass" if self.passed else "fail"
         lines.append(f"verdict {verdict} worst={','.join(self.worst_set)} maxmi={self.max_mi:.9f}")
         return "\n".join(lines) + "\n"
 
@@ -286,17 +300,7 @@ def verify_security(
         prefix = combo
         leakage[combo] = _coded_leakage(q, len(combo), chain[-1], q**bundle.omega)
     results = [(combo, leakage[counted], leakage[counted] <= bundle.i) for combo, counted in scanned]
-    worst, max_mi, _ok = max(results, key=lambda res: res[1])
-    return SecurityReport(
-        r=bundle.r,
-        i=bundle.i,
-        results=results,
-        worst_set=worst,
-        max_mi=max_mi,
-        secure=all(ok for _A, _mi, ok in results),
-        decode_ok=decode_ok,
-        decode_detail=decode_detail,
-    )
+    return SecurityReport(bundle.r, bundle.i, results, decode_ok, decode_detail)
 
 
 def _leakage(field: FieldSpec, cols: Sequence[Sequence[int]], omega: int, dim: int) -> int:
@@ -402,7 +406,7 @@ def refute_key_rate(
     chained coefficient tuples read as a base-q number, plus 1.
     """
     if omega < 1:
-        raise ValueError(f"information rate must be at least 1, got {omega}")
+        raise RateTooHigh(f"information rate must be at least 1, got {omega}")
     if key_dim < 0 or key_dim >= r:
         raise InvalidKeyDim(f"need 0 <= key_dim < r = {r}, got {key_dim}")
     field = net.field
@@ -428,18 +432,16 @@ def refute_key_rate(
     decodes = functools.cache(lambda in_kernels: in_span(field, in_kernels, message_units))
     elements = field.elements()
     visited = 0
-    # tries[j] = (channel j's untried tuples, classes tried, earlier directions, source echelon).
-    tries = [(itertools.product(elements, repeat=len(levels[0].ins)), set(), (), Echelon(field, dim))]
-    chosen: list[tuple[int, ...]] = []
+    # tries[j] = (channel j's untried tuples, classes tried, earlier directions, source echelon,
+    # path: the tuples chosen for channels 0..j-1).
+    tries = [(itertools.product(elements, repeat=len(levels[0].ins)), set(), (), Echelon(field, dim), ())]
     while tries:
-        depth = len(tries) - 1
-        del chosen[depth:]
-        options, seen, known, sources = tries[depth]
+        options, seen, known, sources, path = tries[-1]
         coeffs = next(options, None)
         if coeffs is None:
             tries.pop()
             continue
-        level = levels[depth]
+        level = levels[len(path)]
         kernel = combine(field, coeffs, [kernels[d] for d in level.ins], dim)
         cls = _orbit_class(sources, kernel, omega) if level.source else kernel
         if cls in seen:
@@ -447,32 +449,32 @@ def refute_key_rate(
         seen.add(cls)
         visited += 1
         kernels[level.edge_id] = kernel
-        chosen.append(coeffs)
         new = tuple(line for line in direction(kernel) if line not in known)
         passed = all(decodes(tuple(kernels[eid] for eid in ins)) for ins in level.sinks) and all(
             _leakage(field, [*rest, *new], omega, dim) == 0
             for rest in (itertools.combinations(known, min(r - 1, len(known))) if new else ())
         )
-        if passed and depth + 1 < len(levels):
+        if not passed:
+            continue
+        path += (coeffs,)
+        if len(path) < len(levels):
             if level.source:
                 sources = sources.copy()
                 sources.add(kernel[omega:] + kernel[:omega])
-            options = itertools.product(elements, repeat=len(levels[depth + 1].ins))
-            tries.append((options, set(), known + new, sources))
-            continue
-        if not passed:
+            options = itertools.product(elements, repeat=len(levels[len(path)].ins))
+            tries.append((options, set(), known + new, sources, path))
             continue
 
         real_kernels = {e.id: kernels[e.id] for e in net.edges}
         local_coeffs = {
             (d, lv.edge_id): coeff
-            for lv, tup in zip(levels, chosen)
+            for lv, tup in zip(levels, path)
             for d, coeff in zip(lv.ins, tup)
         }
         witness = GlobalCode(
             n=dim, kernels=real_kernels, local_coeffs=local_coeffs, network=net
         )
-        rank = functools.reduce(lambda value, coeff: value * q + coeff, itertools.chain(*chosen), 0)
+        rank = functools.reduce(lambda value, coeff: value * q + coeff, itertools.chain(*path), 0)
         return RefutationResult(searched=rank + 1, witness=witness, visited=visited)
     return RefutationResult(searched=space, witness=None, visited=visited)
 

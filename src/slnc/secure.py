@@ -62,7 +62,6 @@ def _sink_decoder(field: FieldSpec, n: int, gain: Mapping[str, tuple[int, ...]])
 class SecureCodeBundle:
     """A base code plus mixing matrix and rate bookkeeping.
 
-    key_dim = r - i uniform key symbols, which is exactly the key rate.
     basis_level is the level at which the span-avoidance condition was built.
     """
 
@@ -73,7 +72,6 @@ class SecureCodeBundle:
         omega: int,
         r: int,
         i: int,
-        key_dim: int,
         constant: tuple[int, ...],
     ):
         self.base = base
@@ -81,8 +79,12 @@ class SecureCodeBundle:
         self.omega = omega
         self.r = r
         self.i = i
-        self.key_dim = key_dim
         self.constant = constant
+
+    @property
+    def key_dim(self) -> int:
+        """r - i uniform key symbols, which is exactly the key rate."""
+        return self.r - self.i
 
     @property
     def n(self) -> int:
@@ -211,7 +213,6 @@ def build_secure_bundle(net: Network, omega: int, r: int, i: int = 0) -> SecureC
         omega=omega,
         r=r,
         i=i,
-        key_dim=key_dim,
         constant=constant,
     )
 
@@ -356,7 +357,6 @@ def parse_bundle(text: str) -> SecureCodeBundle:
         omega=omega,
         r=r,
         i=i,
-        key_dim=key_dim,
         constant=constant,
     )
     try:

@@ -186,7 +186,6 @@ def test_criterion_6_oracle_cross_validation(
                     omega=omega,
                     r=r,
                     i=i,
-                    key_dim=key_dim,
                     constant=(0,) * (n - omega - key_dim),
                 )
                 bundles += 1

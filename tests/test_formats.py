@@ -76,6 +76,15 @@ def test_bundle_q_rows_need_n_entries(butterfly):
         parse_bundle(text.replace("Q\n2 1\n", "Q\n2\n"))
 
 
+def test_bundle_keydim_must_be_r_minus_i(butterfly):
+    # A bundle's key size is r - i, so the header's keydim only restates it.
+    text = write_bundle(build_secure_bundle(butterfly, omega=1, r=1))
+    assert "\nsecure omega=1 r=1 i=0 keydim=1\n" in text
+    for keydim in (0, 2):
+        with pytest.raises(ParseError, match=rf"^keydim={keydim} is inconsistent with r=1, i=0$"):
+            parse_bundle(text.replace("keydim=1", f"keydim={keydim}"))
+
+
 def test_bundle_constant_block_length_is_checked(parallel3_gf5):
     # n = 3 at omega = 1 and keydim = 1 leaves one constant symbol.
     text = write_bundle(build_secure_bundle(parallel3_gf5, omega=1, r=1))

@@ -18,6 +18,7 @@ from slnc.errors import (
     InconsistentObservation,
     InvalidKeyDim,
     NotADistribution,
+    RateTooHigh,
 )
 from slnc.field import Echelon, FieldSpec, Matrix, combine, dot, in_span, rank_of_rows, standard_basis
 from slnc.lnc import GlobalCode, construct_lnc, imaginary_ids, in_channel_ids
@@ -50,7 +51,6 @@ def _identity_mixing_bundle(net, omega, r, i=0):
         omega=omega,
         r=r,
         i=i,
-        key_dim=r - i,
         constant=(0,) * (n - omega - r + i),
     )
 
@@ -236,6 +236,19 @@ def test_verify_report_serialization(butterfly):
     assert lines[-1] == "verdict pass worst=e1 maxmi=0.000000000"
 
 
+def test_report_verdict_is_read_off_its_results():
+    """A report stores no verdict, so one with a failing set cannot pass,
+    whatever decode_ok says; the worst set is the first of largest leakage."""
+    assert SecurityReport._fields == ("r", "i", "results", "decode_ok", "decode_detail")
+    results = [(("e1",), 0, True), (("e2",), 1, False), (("e3",), 0, True)]
+    report = SecurityReport(r=1, i=0, results=results, decode_ok=True)
+    assert not report.secure and not report.passed
+    assert (report.worst_set, report.max_mi) == (("e2",), 1)
+    assert report.serialize().splitlines()[-1] == "verdict fail worst=e2 maxmi=1.000000000"
+    assert report._replace(results=results[:1]).passed
+    assert not report._replace(results=results[:1], decode_ok=False).passed
+
+
 def _leakage_by_rank(bundle, combo):
     """rank(message and key rows of G_A) - rank(key rows of G_A), from gain."""
     cols = [bundle.gain[eid] for eid in combo]
@@ -309,14 +322,10 @@ def reference_verify(bundle, fast=False):
                 JointDistribution(bundle.field.q, bundle.omega, bundle.key_dim, combo, counts)
             )
             results.append((combo, mi, mi <= bundle.i))
-    worst, max_mi, _ok = max(results, key=lambda res: res[1])
     report = SecurityReport(
         r=bundle.r,
         i=bundle.i,
         results=results,
-        worst_set=worst,
-        max_mi=max_mi,
-        secure=all(ok for _A, _mi, ok in results),
         decode_ok=not detail,
         decode_detail=detail,
     )
@@ -333,7 +342,7 @@ def _partition_bundle():
         e1=(1, 0, 1, 0), e2=(2, 0, 2, 0), e3=(0, 0, 1, 0), e4=(0, 1, 0, 0), e5=(0, 0, 0, 1)
     )
     mixing = Matrix.identity(net.field, 4)
-    return SecureCodeBundle(base=base, mixing=mixing, omega=1, r=2, i=0, key_dim=2, constant=(3,))
+    return SecureCodeBundle(base=base, mixing=mixing, omega=1, r=2, i=0, constant=(3,))
 
 
 PARTITION_BUNDLE = _partition_bundle()
@@ -581,7 +590,6 @@ def _manual_bundle(net, kernels, mixing_rows, omega, r, key_dim, const_len):
         omega=omega,
         r=r,
         i=0,
-        key_dim=key_dim,
         constant=(0,) * const_len,
     )
 
@@ -654,7 +662,6 @@ def test_rank_criterion_agrees_with_enumeration(butterfly, parallel3_gf5, parall
                 omega=omega,
                 r=r,
                 i=i,
-                key_dim=key_dim,
                 constant=(0,) * (n - omega - key_dim),
             )
             ids = sorted(e.id for e in net.edges)
@@ -766,6 +773,8 @@ def test_refute_parallel3_both_rates(parallel3_gf2):
 
 
 def test_refute_validation(parallel3_gf2):
+    with pytest.raises(RateTooHigh, match=r"^information rate must be at least 1, got 0$"):
+        refute_key_rate(parallel3_gf2, omega=0, r=1, key_dim=0)
     with pytest.raises(InvalidKeyDim):
         refute_key_rate(parallel3_gf2, omega=1, r=1, key_dim=1)
     with pytest.raises(InvalidKeyDim):

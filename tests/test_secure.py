@@ -415,7 +415,6 @@ def test_decode_rank_deficient_sink_is_inconsistent(parallel3_gf2):
         omega=1,
         r=1,
         i=0,
-        key_dim=1,
         constant=(0,),
     )
     assert bundle.decoders["t"].channels == ("e1", "e2")

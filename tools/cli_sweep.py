@@ -37,9 +37,9 @@ keyword, a `+`-signed kernel entry, a stray `codex` line, a `local` line
 from a channel to itself, `code n=0`, a repeated `local` line where the file
 has one, a repeated `secure` line, a Q block one row short, a non-integer Q
 row, a zero-padded Q entry, no `const` line, a Q row one entry short, a
-`const` line one symbol long, a sink whose last in-channel carries the zero
-kernel) and passed to `enumerate --code`, and to `verify` and `simulate`,
-and each fixture network is written with one fault per error that `parse_network`
+`const` line one symbol long, a `keydim` one above r - i, a sink whose last
+in-channel carries the zero kernel) and passed to `enumerate --code`, and to
+`verify` and `simulate`, and each fixture network is written with one fault per error that `parse_network`
 and `Network` raise (see `network_faults`) and passed to `mincut`, so the
 parsers' error texts are compared too.  Once per sweep, `hancheck` runs on
 two valid tables at bases 2 and 3 and on five faulty ones (see
@@ -355,6 +355,9 @@ def faults(text: str) -> dict[str, str]:
             "no-const": without(keywords.index("const")),
             "short-q-row": replaced(q + 1, lines[q + 1].rsplit(" ", 1)[0]),
             "long-const": replaced(keywords.index("const"), lines[keywords.index("const")] + " 0"),
+            "keydim-plus-1": replaced(s, " ".join(
+                f"keydim={int(t[7:]) + 1}" if t.startswith("keydim=") else t for t in lines[s].split()
+            )),
         }
         sink = lines[keywords.index("sink")].split()[1]
         dead = [line.split()[1] for line in lines if line.startswith("edge ") and line.split()[3] == sink][-1]
