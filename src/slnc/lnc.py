@@ -119,10 +119,6 @@ class CodeValidityReport(NamedTuple):
     recursion_violations: dict[str, tuple[int, ...]]
     sink_rank_deficits: dict[str, int]
 
-    @property
-    def ok(self) -> bool:
-        return not self.recursion_violations and not self.sink_rank_deficits
-
 
 def _recursion_violations(code: GlobalCode) -> dict[str, tuple[int, ...]]:
     """Stored kernel minus the local-coefficient combination, per offending edge."""

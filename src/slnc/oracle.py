@@ -47,8 +47,6 @@ class JointDistribution(NamedTuple):
     """Exact joint counts of (message, wiretap observation) over all inputs."""
 
     q: int
-    omega: int
-    key_dim: int
     edge_ids: tuple[str, ...]
     counts: Mapping[tuple[tuple[int, ...], tuple[int, ...]], int]
 
@@ -107,8 +105,6 @@ def observation_distribution(
     observations = zip(*(columns[eid] for eid in ids)) if ids else itertools.repeat((), len(messages))
     return JointDistribution(
         q=bundle.field.q,
-        omega=bundle.omega,
-        key_dim=bundle.key_dim,
         edge_ids=ids,
         counts=Counter(zip(messages, observations)),
     )
@@ -171,18 +167,21 @@ def perfectly_secure(dist: JointDistribution) -> bool:
 # -- security reports --------------------------------------------------------------
 
 class SecurityReport(NamedTuple):
-    """Per-wiretap-set leakage results plus the decode round-trip outcome.  `secure`
-    (every set passes), `passed` (also decode_ok) and the worst set are read off them."""
+    """Each scanned set's exact leakage, the level i and the decode round-trip's failure
+    text ("" when every sink decodes).  A set passes when its leakage is at most i:
+    that one rule decides each set's line, `secure` and, with decode_ok, `passed`."""
 
-    r: int
     i: int
-    results: list[tuple[tuple[str, ...], int, bool]]
-    decode_ok: bool
+    results: list[tuple[tuple[str, ...], int]]
     decode_detail: str = ""
 
     @property
     def secure(self) -> bool:
-        return all(ok for _A, _mi, ok in self.results)
+        return all(mi <= self.i for _A, mi in self.results)
+
+    @property
+    def decode_ok(self) -> bool:
+        return not self.decode_detail
 
     @property
     def passed(self) -> bool:
@@ -194,10 +193,10 @@ class SecurityReport(NamedTuple):
 
     @property
     def max_mi(self) -> int:
-        return max(mi for _A, mi, _ok in self.results)
+        return max(mi for _A, mi in self.results)
 
     def serialize(self) -> str:
-        lines = [f"set {','.join(A)} mi={mi:.9f} {'pass' if ok else 'fail'}" for A, mi, ok in self.results]
+        lines = [f"set {','.join(A)} mi={mi:.9f} {'pass' if mi <= self.i else 'fail'}" for A, mi in self.results]
         verdict = "pass" if self.passed else "fail"
         lines.append(f"verdict {verdict} worst={','.join(self.worst_set)} maxmi={self.max_mi:.9f}")
         return "\n".join(lines) + "\n"
@@ -207,11 +206,11 @@ def _decode_roundtrip(
     bundle: SecureCodeBundle,
     inputs: list[Sequence[int]],
     columns: Mapping[str, Sequence[int]],
-) -> tuple[bool, str]:
-    """Every sink recovers every input.  A sink passes when its decoder, applied
-    to whole symbol columns, gives back every input column (message, constant
-    and key); any other sink is walked input by input with decode_at_sink,
-    which names the first failure."""
+) -> str:
+    """The empty text when every sink recovers every input.  A sink passes when
+    its decoder, applied to whole symbol columns, gives back every input column
+    (message, constant and key); any other sink is walked input by input with
+    decode_at_sink, and the text naming its first failure is returned."""
     from .secure import decode_at_sink
 
     field, size = bundle.field, len(inputs[0])
@@ -230,10 +229,10 @@ def _decode_roundtrip(
             try:
                 got = decode_at_sink(bundle, t, dict(zip(ids, row)))
             except InconsistentObservation as exc:
-                return False, f"sink {t} failed on input {m}, {k}: {exc}"
+                return f"sink {t} failed on input {m}, {k}: {exc}"
             if got != (m, k):
-                return False, f"sink {t} decoded {got} instead of {(m, k)}"
-    return True, ""
+                return f"sink {t} decoded {got} instead of {(m, k)}"
+    return ""
 
 
 def _free_gain(bundle: SecureCodeBundle, eid: str) -> tuple[int, ...]:
@@ -245,10 +244,11 @@ def _free_gain(bundle: SecureCodeBundle, eid: str) -> tuple[int, ...]:
 def verify_security(
     bundle: SecureCodeBundle, fast: bool = False, budget: int = DEFAULT_ENUM_BUDGET
 ) -> SecurityReport:
-    """Scan every wiretap set of size up to r and decide the leakage verdict.
+    """Scan every wiretap set of size up to r and report its exact leakage.
 
-    A set passes when its exact integer leakage I(M; Y_A) in log-q units is
-    at most i.  The decode round-trip over all inputs is checked as well.
+    Each set's leakage is the integer I(M; Y_A) in log-q units, which the
+    report compares with i.  The decode round-trip over all inputs is checked
+    as well.
     With fast=True only the size-r sets are scanned, justified by
     monotonicity of leakage under set inclusion.
 
@@ -271,7 +271,7 @@ def verify_security(
     _exhaustive_space("input space", bundle.field.q, bundle.omega + bundle.key_dim, budget)
     inputs = _input_columns(bundle)
     columns = _symbol_columns(bundle, inputs, bundle.gain)
-    decode_ok, decode_detail = _decode_roundtrip(bundle, inputs, columns)
+    decode_detail = _decode_roundtrip(bundle, inputs, columns)
 
     q, dim = bundle.field.q, bundle.omega + bundle.key_dim
     line = {eid: Echelon(bundle.field, dim, [_free_gain(bundle, eid)]).basis() for eid in columns}
@@ -299,8 +299,7 @@ def verify_security(
             chain.append([c * q + y for c, y in zip(chain[-1], columns[eid])])
         prefix = combo
         leakage[combo] = _coded_leakage(q, len(combo), chain[-1], q**bundle.omega)
-    results = [(combo, leakage[counted], leakage[counted] <= bundle.i) for combo, counted in scanned]
-    return SecurityReport(bundle.r, bundle.i, results, decode_ok, decode_detail)
+    return SecurityReport(bundle.i, [(combo, leakage[counted]) for combo, counted in scanned], decode_detail)
 
 
 def _leakage(field: FieldSpec, cols: Sequence[Sequence[int]], omega: int, dim: int) -> int:

@@ -500,6 +500,84 @@ def test_hancheck_rejects_bad_base(tmp_path, capsys, base):
     assert err.startswith("error: logarithm base")
 
 
+# -- integer flags ---------------------------------------------------------------
+
+# Small values, zero and negatives near it, and values far past any network's size.
+_FLAG_INTS = st.one_of(st.integers(-3, 6), st.sampled_from([-(2**63), -(10**30), 2**31 - 1, 2**63, 10**30]))
+_FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.net"))
+
+
+def _flags(*names, values=_FLAG_INTS):
+    return st.tuples(*[st.tuples(st.just(name), values) for name in names])
+
+
+def _symbols(name):
+    """A symbol-list flag, often one symbol of GF(2) or GF(3) as the fixtures' bundles take."""
+    values = st.one_of(st.integers(0, 2), _FLAG_INTS)
+    return st.lists(values, max_size=2).map(lambda xs: (name, ",".join(map(str, xs))))
+
+
+# (command, extra switches, ((flag, value), ...)) for every integer flag of the
+# commands that take one.  No fixture has q + 2 parallel channels, so `secure`
+# never meets the step-budget hang of that case.
+_FLAG_CASES = st.one_of(
+    st.tuples(st.just("construct"), st.just(()), _flags("--dim")),
+    st.tuples(st.just("secure"), st.just(()), _flags("--omega", "--r", "--i")),
+    st.tuples(
+        st.just("enumerate"), st.sampled_from([(), ("--code",), ("--code", "--prop1")]), _flags("--r")
+    ),
+    st.tuples(
+        st.just("refute"),
+        st.just(()),
+        st.tuples(_flags("--omega", "--r", "--keydim"), _flags("--budget", values=st.integers(-3, 10**5)))
+        .map(lambda pair: pair[0] + pair[1]),
+    ),
+    st.tuples(
+        st.just("simulate"),
+        st.just(()),
+        st.tuples(
+            _symbols("--message"), st.one_of(_symbols("--key"), st.tuples(st.just("--seed"), _FLAG_INTS))
+        ),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def built_files(tmp_path_factory):
+    """Each fixture's C_min code and, where `secure` builds one, its omega=1, r=1 bundle."""
+    tmp = tmp_path_factory.mktemp("flags")
+    for name in _FIXTURE_NAMES:
+        net = str(FIXTURES / f"{name}.net")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["mincut", net]) == 0
+        assert main(["construct", net, "--dim", out.getvalue().strip(), "-o", str(tmp / f"{name}.code")]) == 0
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(["secure", net, "--omega", "1", "--r", "1", "-o", str(tmp / f"{name}.bundle")])
+    return tmp
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(_FIXTURE_NAMES), _FLAG_CASES)
+def test_integer_flags_end_with_an_exit_code(built_files, name, case):
+    # Huge, negative and zero values of every integer flag end quickly with
+    # one of the documented exit codes; no exception escapes main.
+    command, switches, flags = case
+    target = str(FIXTURES / f"{name}.net")
+    if command == "simulate":
+        target = str(built_files / f"{name}.bundle")
+    argv = [command, target, *[f"{flag}={value}" for flag, value in flags]]
+    for switch in switches:
+        argv += [switch, str(built_files / f"{name}.code")] if switch == "--code" else [switch]
+    if command in ("construct", "secure"):
+        argv += ["-o", str(built_files / "out")]
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert time.perf_counter() - start < 2.0
+    assert code in (0, 1, 2, 3, 4)
+
+
 def test_emitted_files_round_trip_through_consumers(tmp_path, capsys):
     """Every file a subcommand emits is accepted unchanged by its consumers."""
     code_file = tmp_path / "c.lnc"

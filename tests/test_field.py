@@ -12,6 +12,7 @@ from slnc.field import (
     FieldSpec,
     Matrix,
     combine,
+    dot,
     ff_op,
     first_outside,
     in_span,
@@ -36,6 +37,12 @@ def test_field_spec_prime_power_decomposition():
     assert (GF4.p, GF4.m) == (2, 2)
     assert (GF5.p, GF5.m) == (5, 1)
     assert FieldSpec(256).modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)
+
+
+def test_field_specs_of_one_order_are_equal_and_hash_alike():
+    # q fixes the field, so two specs of one q key a dict alike.
+    assert FieldSpec(4) == GF4 and hash(FieldSpec(4)) == hash(GF4)
+    assert {FieldSpec(4): "a", GF4: "b", GF5: "c"} == {GF4: "b", GF5: "c"}
 
 
 @pytest.mark.parametrize("q", [1, 6, 10, 12, 100])
@@ -72,6 +79,10 @@ def test_ff_op_examples():
     assert ff_op(GF3, 2, 2, "mul") == 1
     # x * x reduces to x + 1 under x^2 + x + 1
     assert ff_op(GF4, 2, 2, "mul") == 3
+    assert ff_op(GF5, 1, 3, "sub") == 3
+    assert ff_op(GF4, 1, 3, "sub") == 2  # characteristic 2: sub is add
+    with pytest.raises(ValueError, match="^unknown operation kind 'pow'$"):
+        ff_op(GF5, 2, 3, "pow")
 
 
 def test_ff_op_div_by_zero():
@@ -222,6 +233,23 @@ def test_mismatched_lengths_raise_dimension_mismatch():
         Matrix.from_cols(GF2, [(1, 0), (1,)])
     with pytest.raises(DimensionMismatch):
         Matrix.from_rows(GF2, [[1], [0, 1], []])
+    with pytest.raises(DimensionMismatch, match="^vector lengths differ: 2 vs 1$"):
+        dot(GF2, (1, 0), (1,))
+    with pytest.raises(DimensionMismatch, match="^matrix dimensions must be nonnegative$"):
+        Matrix(GF2, -1, -1, [1])
+    with pytest.raises(DimensionMismatch, match="^2x2 matrix needs 4 entries, got 3$"):
+        Matrix(GF2, 2, 2, [1, 0, 0])
+    with pytest.raises(DimensionMismatch, match="^empty matrix needs an explicit column count$"):
+        Matrix.from_rows(GF2, [])
+    with pytest.raises(DimensionMismatch, match="^empty matrix needs an explicit row count$"):
+        Matrix.from_cols(GF2, [])
+    with pytest.raises(DimensionMismatch, match="^only square matrices have inverses$"):
+        Matrix.from_rows(GF2, [[1, 0]]).inverse()
+
+
+def test_in_span_of_no_vectors_holds():
+    assert in_span(GF3, [(1, 0)], [])
+    assert in_span(GF3, [], [])
 
 
 def test_spans_intersect_trivially_examples():
@@ -399,3 +427,7 @@ def test_vector_enumeration_order():
 def test_matrix_serialization_format():
     m = Matrix.from_rows(GF5, [[1, 2, 3], [4, 0, 1]])
     assert m.serialize() == "1 2 3\n4 0 1"
+    assert repr(m) == "Matrix(GF(5), 2x3)"
+    same = Matrix.from_cols(GF5, [(1, 4), (2, 0), (3, 1)])
+    assert m == same and hash(m) == hash(same)
+    assert len({m, same, Matrix.from_rows(GF5, [[1, 2, 3]])}) == 2

@@ -41,7 +41,7 @@ def test_construct_butterfly_gf3(butterfly):
     code = construct_lnc(butterfly, 2)
     assert kernel_matrix(code, ["e8", "e6"]).rank() == 2
     assert kernel_matrix(code, ["e9", "e7"]).rank() == 2
-    assert check_code_validity(code).ok
+    assert check_code_validity(code) == CodeValidityReport({}, {})
 
 
 def test_construct_parallel_identity(parallel3_gf2):
@@ -53,7 +53,7 @@ def test_construct_parallel_identity(parallel3_gf2):
 def test_construct_butterfly_gf2_boundary_field(butterfly_gf2):
     # q = |T| = 2 is the smallest field the flow-path method accepts
     code = construct_lnc(butterfly_gf2, 2)
-    assert check_code_validity(code).ok
+    assert check_code_validity(code) == CodeValidityReport({}, {})
     for t in butterfly_gf2.sinks:
         assert sink_input_rank(code, t) == 2
     f = code.kernels
@@ -231,7 +231,7 @@ def test_validity_flags_corrupted_kernel(butterfly):
     report = check_code_validity(mutated)
     assert set(report.recursion_violations) == {"e8"}
     assert report.recursion_violations["e8"] != (0, 0)
-    assert not report.ok
+    assert report != CodeValidityReport({}, {})
 
 
 def test_validity_cascade_from_mid_graph_corruption(butterfly):

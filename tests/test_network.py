@@ -18,6 +18,8 @@ from slnc.errors import (
 from slnc import network
 from slnc.field import FieldSpec
 from slnc.network import (
+    Edge,
+    Network,
     WiretapCollection,
     _augment,
     _search,
@@ -91,6 +93,8 @@ def test_parse_rejects_two_cycle():
 def test_parse_rejects_missing_sinks():
     with pytest.raises(ParseError):
         parse_network("field 2\nsource s\nedge a s t\n")
+    with pytest.raises(ParseError, match="^at least one sink is required$"):
+        Network(FieldSpec(2), [Edge("a", "s", "t")], "s", [])
 
 
 def test_parse_rejects_duplicate_edge_ids():
@@ -506,6 +510,16 @@ def test_wiretap_collection_membership_ignores_id_order():
     assert ["e3", "e1"] in coll
     assert ("e2", "e3") not in coll
     assert ("e3", "e2") not in coll
+
+
+def test_wiretap_collections_with_equal_fields_are_equal():
+    sets = (("e1", "e2"), ("e1", "e3"))
+    coll = WiretapCollection(r=2, kind="cut", sets=sets)
+    same = WiretapCollection(r=2, kind="cut", sets=tuple(sets))
+    assert coll == same and hash(coll) == hash(same)
+    assert len({coll, same, WiretapCollection(r=2, kind="rank", sets=sets)}) == 2
+    assert coll != WiretapCollection(r=2, kind="cut", sets=sets[:1])
+    assert coll != (2, "cut", sets)
 
 
 def test_cardinality_bound(butterfly):

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from slnc.errors import (
     BudgetExceeded,
+    EmptySet,
     FieldTooSmall,
     FieldTooSmallForSinks,
     InconsistentObservation,
@@ -113,22 +114,22 @@ def test_each_exhaustive_space_meets_the_budget_at_its_size(parallel3_gf5, paral
 
 # -- mutual information ---------------------------------------------------------------
 
-def _dist_from_table(q, omega, key_dim, rows):
+def _dist_from_table(q, rows):
     counts = {}
     for m, y, c in rows:
         counts[(m, y)] = c
-    return JointDistribution(q=q, omega=omega, key_dim=key_dim, edge_ids=("x",), counts=counts)
+    return JointDistribution(q=q, edge_ids=("x",), counts=counts)
 
 
 def test_mutual_information_independent_is_zero():
     dist = _dist_from_table(
-        2, 1, 1, [((0,), (0,), 1), ((0,), (1,), 1), ((1,), (0,), 1), ((1,), (1,), 1)]
+        2, [((0,), (0,), 1), ((0,), (1,), 1), ((1,), (0,), 1), ((1,), (1,), 1)]
     )
     assert mutual_information(dist) == 0
 
 
 def test_mutual_information_identity_leak_is_omega():
-    dist = _dist_from_table(2, 1, 1, [((0,), (0,), 2), ((1,), (1,), 2)])
+    dist = _dist_from_table(2, [((0,), (0,), 2), ((1,), (1,), 2)])
     assert mutual_information(dist) == 1
 
 
@@ -140,17 +141,17 @@ def test_mutual_information_pair_determines_message():
         ((1,), (1, 0), 1),
         ((1,), (0, 1), 1),
     ]
-    dist = JointDistribution(q=2, omega=1, key_dim=1, edge_ids=("a", "b"), counts=dict(
+    dist = JointDistribution(q=2, edge_ids=("a", "b"), counts=dict(
         ((m, y), c) for m, y, c in rows
     ))
     assert mutual_information(dist) == 1
 
 
 def test_mutual_information_rejects_tables_no_linear_code_gives():
-    skewed = _dist_from_table(2, 1, 1, [((0,), (0,), 2), ((1,), (0,), 1), ((1,), (1,), 1)])
+    skewed = _dist_from_table(2, [((0,), (0,), 2), ((1,), (0,), 1), ((1,), (1,), 1)])
     # uniform joint and marginals, but |supp M| |supp Y| / |supp (M, Y)| = 2 over GF(3)
-    no_power = _dist_from_table(3, 1, 0, [((0,), (0,), 1), ((1,), (1,), 1)])
-    empty = _dist_from_table(2, 1, 1, [])
+    no_power = _dist_from_table(3, [((0,), (0,), 1), ((1,), (1,), 1)])
+    empty = _dist_from_table(2, [])
     for dist in (skewed, no_power, empty):
         with pytest.raises(NotADistribution):
             mutual_information(dist)
@@ -188,7 +189,13 @@ def test_verify_butterfly_pass(butterfly):
     assert report.secure and report.decode_ok
     assert report.max_mi == pytest.approx(0.0, abs=1e-12)
     assert len(report.results) == 9
-    assert all(ok for _A, _mi, ok in report.results)
+    assert all(mi <= bundle.i for _A, mi in report.results)
+
+
+def test_verify_refuses_a_bundle_with_no_set_to_scan(parallel3_gf2):
+    # build_secure_bundle refuses r = 0, so the bundle is built by hand.
+    with pytest.raises(EmptySet, match="^the bundle has no channel set of size up to r to scan$"):
+        verify_security(_identity_mixing_bundle(parallel3_gf2, omega=1, r=0))
 
 
 def test_verify_padding_regime(parallel3_gf5):
@@ -199,9 +206,9 @@ def test_verify_padding_regime(parallel3_gf5):
 def test_verify_identity_mixing_fails(parallel3_gf2):
     report = verify_security(_identity_mixing_bundle(parallel3_gf2, omega=1, r=1))
     assert not report.secure
-    failing = {A for A, _mi, ok in report.results if not ok}
+    failing = {A for A, mi in report.results if mi > report.i}
     assert ("e1",) in failing
-    by_set = {A: mi for A, mi, _ok in report.results}
+    by_set = dict(report.results)
     assert by_set[("e1",)] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -225,7 +232,7 @@ def test_verify_fast_agrees_with_full(parallel3_gf5):
     fast = verify_security(bundle, fast=True)
     assert full.secure == fast.secure
     assert full.max_mi == pytest.approx(fast.max_mi, abs=1e-12)
-    assert all(len(A) == 2 for A, _mi, _ok in fast.results)
+    assert all(len(A) == 2 for A, _mi in fast.results)
 
 
 def test_verify_report_serialization(butterfly):
@@ -237,16 +244,30 @@ def test_verify_report_serialization(butterfly):
 
 
 def test_report_verdict_is_read_off_its_results():
-    """A report stores no verdict, so one with a failing set cannot pass,
-    whatever decode_ok says; the worst set is the first of largest leakage."""
-    assert SecurityReport._fields == ("r", "i", "results", "decode_ok", "decode_detail")
-    results = [(("e1",), 0, True), (("e2",), 1, False), (("e3",), 0, True)]
-    report = SecurityReport(r=1, i=0, results=results, decode_ok=True)
-    assert not report.secure and not report.passed
+    """A report stores only causes: each set's leakage, the level i and the
+    decode detail.  A set fails when its leakage passes i, and so does the
+    verdict; a decode detail fails it too.  The worst set is the first of
+    largest leakage."""
+    assert SecurityReport._fields == ("i", "results", "decode_detail")
+    results = [(("e1",), 0), (("e2",), 1), (("e3",), 0)]
+    report = SecurityReport(i=0, results=results)
+    assert not report.secure and not report.passed and report.decode_ok
     assert (report.worst_set, report.max_mi) == (("e2",), 1)
-    assert report.serialize().splitlines()[-1] == "verdict fail worst=e2 maxmi=1.000000000"
-    assert report._replace(results=results[:1]).passed
-    assert not report._replace(results=results[:1], decode_ok=False).passed
+    assert report.serialize().splitlines() == [
+        "set e1 mi=0.000000000 pass",
+        "set e2 mi=1.000000000 fail",
+        "set e3 mi=0.000000000 pass",
+        "verdict fail worst=e2 maxmi=1.000000000",
+    ]
+    lifted = report._replace(i=1)
+    assert lifted.secure and lifted.passed
+    assert lifted.serialize().splitlines()[1::2] == [
+        "set e2 mi=1.000000000 pass",
+        "verdict pass worst=e2 maxmi=1.000000000",
+    ]
+    undecoded = lifted._replace(decode_detail="sink t decoded (1,) instead of (0,)")
+    assert undecoded.secure and not undecoded.decode_ok and not undecoded.passed
+    assert undecoded.serialize().splitlines()[-1] == "verdict fail worst=e2 maxmi=1.000000000"
 
 
 def _leakage_by_rank(bundle, combo):
@@ -274,13 +295,14 @@ def test_exact_leakage_equals_rank_gap(butterfly, parallel3_gf2, parallel3_gf5):
     seen = set()
     for bundle in bundles:
         report = verify_security(bundle)
-        for combo, mi, ok in report.results:
+        lines = report.serialize().splitlines()
+        for (combo, mi), line in zip(report.results, lines[:-1], strict=True):
             assert type(mi) is int
             assert mi == _leakage_by_rank(bundle, combo)
-            assert ok == (mi <= bundle.i)
+            assert line.endswith(" pass") == (mi <= bundle.i)
             seen.add(mi)
-        assert report.max_mi == max(mi for _A, mi, _ok in report.results)
-        assert report.worst_set == next(A for A, mi, _ok in report.results if mi == report.max_mi)
+        assert report.max_mi == max(mi for _A, mi in report.results)
+        assert report.worst_set == next(A for A, mi in report.results if mi == report.max_mi)
     assert seen == {0, 1, 2}
 
 
@@ -319,16 +341,10 @@ def reference_verify(bundle, fast=False):
             counts = collections.Counter((m, tuple(s[e] for e in combo)) for m, _k, s in rows)
             tables[combo] = counts
             mi = mutual_information(
-                JointDistribution(bundle.field.q, bundle.omega, bundle.key_dim, combo, counts)
+                JointDistribution(bundle.field.q, combo, counts)
             )
-            results.append((combo, mi, mi <= bundle.i))
-    report = SecurityReport(
-        r=bundle.r,
-        i=bundle.i,
-        results=results,
-        decode_ok=not detail,
-        decode_detail=detail,
-    )
+            results.append((combo, mi))
+    report = SecurityReport(i=bundle.i, results=results, decode_detail=detail)
     return report, tables
 
 
@@ -398,7 +414,7 @@ def test_verify_matches_the_per_input_reference(case):
 
 def test_partition_bundle_shares_counts_only_between_equal_partitions():
     got = verify_security(PARTITION_BUNDLE)
-    by_set = {A: mi for A, mi, _ok in got.results}
+    by_set = dict(got.results)
     assert by_set[("e1", "e2")] == 0
     assert by_set[("e1", "e3")] == by_set[("e2", "e3")] == 1
     assert got.worst_set == ("e1", "e3") and got.decode_ok
@@ -515,7 +531,7 @@ def test_coded_leakage_is_the_mutual_information_of_each_counted_set(monkeypatch
     sets = counted_sets(bundle)
     assert got == [mutual_information(observation_distribution(bundle, A)) for A in sets]
     assert set(got) == ({0, 1} if i else {0})
-    by_set = {A: mi for A, mi, _ok in report.results}
+    by_set = dict(report.results)
     assert [by_set[A] for A in sets] == got
 
 
@@ -1174,6 +1190,8 @@ def test_han_profile_validation():
         han_profile({(0, 0): 0.5, (1,): 0.5})
     with pytest.raises(ValueError):
         han_profile({tuple(range(13)): 1.0})
+    with pytest.raises(NotADistribution, match="^joint outcomes must have at least one coordinate$"):
+        han_profile({(): 1.0})
 
 
 def test_han_profile_monotone_on_random_functions_of_uniforms():

@@ -37,10 +37,11 @@ keyword, a `+`-signed kernel entry, a stray `codex` line, a `local` line
 from a channel to itself, `code n=0`, a repeated `local` line where the file
 has one, a repeated `secure` line, a Q block one row short, a non-integer Q
 row, a zero-padded Q entry, no `const` line, a Q row one entry short, a
-`const` line one symbol long, a `keydim` one above r - i, a sink whose last
-in-channel carries the zero kernel) and passed to `enumerate --code`, and to
-`verify` and `simulate`, and each fixture network is written with one fault per error that `parse_network`
-and `Network` raise (see `network_faults`) and passed to `mincut`, so the
+`const` line one symbol long, a `keydim` one above r - i, Q replaced by the
+identity, a sink whose last in-channel carries the zero kernel) and passed
+to `enumerate --code`, and to `verify` and `simulate`, and each fixture
+network is written with one fault per error that `parse_network` and
+`Network` raise (see `network_faults`) and passed to `mincut`, so the
 parsers' error texts are compared too.  Once per sweep, `hancheck` runs on
 two valid tables at bases 2 and 3 and on five faulty ones (see
 `Sweep.hancheck`).  The list
@@ -317,9 +318,11 @@ def faults(text: str) -> dict[str, str]:
     `network_faults` covers the network parser.  A code file has no secure,
     Q, const or network line, so it gets only the first seven faults,
     and only a network with a channel out of a relay has a `local` line
-    to repeat (among the fixtures, the butterflies).  The last bundle fault
-    still parses: the first sink's last in-channel carries the zero kernel,
-    with zero `local` coefficients, so the sink cannot decode.
+    to repeat (among the fixtures, the butterflies).  The last two bundle
+    faults still parse: with Q the identity the base code carries X
+    unmixed, so some channel sets leak the message; and the first sink's last
+    in-channel carries the zero kernel, with zero `local` coefficients, so
+    the sink cannot decode.
     """
     lines = text.splitlines()
     keywords = [line.split()[0] for line in lines]
@@ -358,6 +361,9 @@ def faults(text: str) -> dict[str, str]:
             "keydim-plus-1": replaced(s, " ".join(
                 f"keydim={int(t[7:]) + 1}" if t.startswith("keydim=") else t for t in lines[s].split()
             )),
+            "identity-q": lines[:q + 1] + [
+                " ".join("1" if col == row else "0" for col in range(n)) for row in range(n)
+            ] + lines[q + 1 + n:],
         }
         sink = lines[keywords.index("sink")].split()[1]
         dead = [line.split()[1] for line in lines if line.startswith("edge ") and line.split()[3] == sink][-1]
