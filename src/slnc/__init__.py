@@ -17,15 +17,21 @@ _HOME = {
     name: module
     for module, names in (
         ("errors", "errors"),
-        ("field", "FieldSpec Matrix ff_op mat_rank mat_inverse spans_intersect_trivially"),
-        ("network", "Edge Network WiretapCollection parse_network serialize_network min_cut_to_sink "
-                    "min_cut_to_edges c_min"),
+        ("field", "FieldSpec"),
+        ("secure", "Matrix"),
+        ("field", "ff_op"),
+        ("secure", "mat_rank mat_inverse spans_intersect_trivially"),
+        ("network", "Edge Network WiretapCollection parse_network serialize_network"),
+        ("flow", "min_cut_to_sink min_cut_to_edges c_min"),
         ("lnc", "GlobalCode construct_lnc check_code_validity write_code parse_code"),
         ("walk", "enumerate_topology_wiretap_sets enumerate_code_wiretap_sets verify_subset_bound"),
         ("secure", "SecureCodeBundle choose_secure_basis build_secure_bundle encode_source "
                    "decode_at_sink write_bundle parse_bundle"),
-        ("oracle", "JointDistribution SecurityReport RefutationResult observation_distribution "
-                   "mutual_information verify_security rank_security_criterion refute_key_rate han_profile"),
+        ("oracle", "JointDistribution SecurityReport"),
+        ("refute", "RefutationResult"),
+        ("oracle", "observation_distribution mutual_information verify_security rank_security_criterion"),
+        ("refute", "refute_key_rate"),
+        ("oracle", "han_profile"),
     )
     for name in names.split()
 }

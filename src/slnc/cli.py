@@ -58,7 +58,7 @@ def _parse_symbols(raw: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_mincut(args: argparse.Namespace) -> int:
-    from .network import c_min, min_cut_to_edges, min_cut_to_sink
+    from .flow import c_min, min_cut_to_edges, min_cut_to_sink
 
     net = _load_network(args.network)
     if args.sink is not None and args.edges is not None:
@@ -132,7 +132,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_refute(args: argparse.Namespace) -> int:
-    from .oracle import DEFAULT_SEARCH_BUDGET, refute_key_rate
+    from .refute import DEFAULT_SEARCH_BUDGET, refute_key_rate
 
     budget = DEFAULT_SEARCH_BUDGET if args.budget is None else args.budget
     if budget < 1:

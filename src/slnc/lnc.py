@@ -16,7 +16,7 @@ from .errors import (
     ParseError,
 )
 from .field import Echelon, FieldSpec, combine, first_outside, rank_of_rows, standard_basis
-from .network import Network, c_min, edge_disjoint_paths, integers, text_lines
+from .network import Network, integers, text_lines
 
 IMAGINARY_PREFIX = "__s_"
 
@@ -63,6 +63,8 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
     gets the all-zero tuple and kernel.  Identical inputs reproduce identical
     codes byte for byte.
     """
+    from .flow import c_min, edge_disjoint_paths
+
     if n < 1:
         raise ValueError("code dimension must be at least 1")
     capacity = c_min(net)

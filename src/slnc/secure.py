@@ -4,7 +4,8 @@ A secure bundle wraps a base code of dimension n = C_min with an invertible
 mixing matrix Q whose leading n - r columns avoid every wiretappable kernel
 span.  The source input is the row vector X = [message, constant, key]; the
 constant block is all zeros and pads any message rate up to the capacity.
-Channel e carries X Q^{-1} f_e.
+Channel e carries X Q^{-1} f_e.  Q is a dense `Matrix`, which is defined
+here because a bundle is the only thing that holds one.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
+    FieldMismatch,
     FieldTooSmall,
     InconsistentObservation,
     ParseError,
@@ -23,9 +25,117 @@ from .errors import (
     Singular,
     UnknownSink,
 )
-from .field import Echelon, FieldSpec, Matrix, combine, dot, first_outside, standard_basis
+from .field import Echelon, FieldSpec, combine, dot, first_outside, rank_of_rows, standard_basis
 from .lnc import CODE_KEYWORDS, GlobalCode, _code_header, _parse_header, construct_lnc, parse_code, write_code
-from .network import NETWORK_KEYWORDS, Network, c_min, integers, parse_network, serialize_network, text_lines
+from .network import NETWORK_KEYWORDS, Network, integers, parse_network, serialize_network, text_lines
+
+
+class Matrix:
+    """Immutable dense row-major matrix over a fixed GF(q)."""
+
+    __slots__ = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field: FieldSpec, rows: int, cols: int, entries: Sequence[int]):
+        if rows < 0 or cols < 0:
+            raise DimensionMismatch("matrix dimensions must be nonnegative")
+        if len(entries) != rows * cols:
+            raise DimensionMismatch(
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
+            )
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.entries = tuple(field.check(e) for e in entries)
+
+    # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def identity(cls, field: FieldSpec, n: int) -> "Matrix":
+        return cls(field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+    @classmethod
+    def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence[int]], cols: int | None = None) -> "Matrix":
+        if rows:
+            cols = len(rows[0])
+        elif cols is None:
+            raise DimensionMismatch("empty matrix needs an explicit column count")
+        if any(len(row) != cols for row in rows):
+            raise DimensionMismatch(f"rows of a {cols}-column matrix differ in length")
+        flat = [x for row in rows for x in row]
+        return cls(field, len(rows), cols, flat)
+
+    @classmethod
+    def from_cols(cls, field: FieldSpec, cols: Sequence[Sequence[int]], rows: int | None = None) -> "Matrix":
+        if cols:
+            rows = len(cols[0])
+        elif rows is None:
+            raise DimensionMismatch("empty matrix needs an explicit row count")
+        if any(len(col) != rows for col in cols):
+            raise DimensionMismatch(f"columns of a {rows}-row matrix differ in length")
+        flat = [cols[j][i] for i in range(rows) for j in range(len(cols))]
+        return cls(field, rows, len(cols), flat)
+
+    # -- access ----------------------------------------------------------
+
+    def row(self, i: int) -> tuple[int, ...]:
+        return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    def col(self, j: int) -> tuple[int, ...]:
+        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+
+    # -- operations ------------------------------------------------------
+
+    def rank(self) -> int:
+        """Rank over GF(q) by exact Gaussian elimination."""
+        return rank_of_rows(self.field, [self.row(i) for i in range(self.rows)])
+
+    def inverse(self) -> "Matrix":
+        """Inverse of a square matrix; raises Singular when rank < dimension."""
+        if self.rows != self.cols:
+            raise DimensionMismatch("only square matrices have inverses")
+        n = self.rows
+        # [A | I] reduces to [I | A^-1] exactly when A's own columns hold n pivots.
+        echelon = Echelon(self.field, 2 * n, [self.row(i) + standard_basis(n, i) for i in range(n)])
+        rank = sum(p < n for p in echelon.rows)
+        if rank < n:
+            raise Singular(f"matrix of rank {rank} < {n} has no inverse")
+        return Matrix.from_rows(self.field, [row[n:] for row in echelon.basis()], cols=n)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Matrix)
+            and self.field == other.field
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.field}, {self.rows}x{self.cols})"
+
+    def serialize(self) -> str:
+        """Row-major, space-separated, one row per line."""
+        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
+
+
+mat_rank = Matrix.rank
+mat_inverse = Matrix.inverse
+
+
+def spans_intersect_trivially(b1: Matrix, b2: Matrix) -> bool:
+    """True iff the column spans of b1 and b2 meet only at zero.
+
+    Uses rank additivity: rank([b1 | b2]) == rank(b1) + rank(b2).
+    """
+    if b1.field != b2.field:
+        raise FieldMismatch(f"mixed fields {b1.field} and {b2.field}")
+    if b1.rows != b2.rows:
+        raise DimensionMismatch("span test needs equal ambient dimensions")
+    cols = [b.col(j) for b in (b1, b2) for j in range(b.cols)]
+    return len(Echelon(b1.field, b1.rows, cols)) == b1.rank() + b2.rank()
 
 
 def _basis_level(omega: int, r: int, key_dim: int, n: int) -> int:
@@ -184,6 +294,8 @@ def build_secure_bundle(net: Network, omega: int, r: int, i: int = 0) -> SecureC
     channels: no r - i of them leak, and by the chain rule each further
     channel adds at most one symbol.
     """
+    from .flow import c_min
+
     if omega < 1:
         raise RateTooHigh(f"information rate must be at least 1, got {omega}")
     if r < 1:

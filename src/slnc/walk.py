@@ -14,8 +14,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import SecurityLevelTooLarge
 from .field import Echelon, FieldSpec
+from .flow import _augment, _flow_path, _push, _search, c_min
 from .lnc import GlobalCode
-from .network import Network, WiretapCollection, _augment, _flow_path, _push, _search, c_min
+from .network import Network, WiretapCollection
 
 State = TypeVar("State")
 Item = TypeVar("Item")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import strategies as st
 
 from slnc.errors import FieldMismatch, SlncError
-from slnc.field import Matrix, dot
+from slnc import Matrix
+from slnc.field import dot
 from slnc.network import Network, parse_network
 
 ROOT = Path(__file__).resolve().parent.parent

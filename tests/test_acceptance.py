@@ -13,18 +13,16 @@ import time
 
 import pytest
 
+from slnc import Matrix, c_min, refute_key_rate
 from slnc.cli import main
 from slnc.errors import RateTooHigh
-from slnc.field import Matrix
 from slnc.lnc import construct_lnc
-from slnc.network import c_min
 from slnc.oracle import (
     han_profile,
     mutual_information,
     observation_distribution,
     perfectly_secure,
     rank_security_criterion,
-    refute_key_rate,
     verify_security,
 )
 from slnc.secure import SecureCodeBundle, build_secure_bundle, decode_at_sink, encode_source

@@ -625,6 +625,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # Every command runs in a fresh interpreter, where loading a module means
     # compiling it; so each loads only what it calls, and none `dataclasses`.
     code, bundle = str(tmp_path / "b.code"), str(tmp_path / "b.bundle")
+    table = tmp_path / "table.txt"
+    table.write_text("0 0 0.5\n1 1 0.5\n")
     commands = {
         "mincut": ["mincut", BUTTERFLY],
         "construct": ["construct", BUTTERFLY, "--dim", "2", "-o", code],
@@ -632,19 +634,29 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "enumerate": ["enumerate", BUTTERFLY, "--r", "1", "--code", code, "--prop1"],
         "refute": ["refute", BUTTERFLY, "--omega", "1", "--r", "1", "--keydim", "0"],
         "verify": ["verify", bundle],
+        "simulate": ["simulate", bundle, "--message", "1", "--seed", "5"],
+        "hancheck": ["hancheck", "--table", str(table)],
     }
     loaded = {}
     for name, argv in commands.items():
         proc = run_python("-c", _LOADED_AFTER_MAIN, *argv)
         exit_code, *modules = proc.stdout.splitlines()[-1].split()
         assert (name, exit_code, proc.stderr) == (name, "0", "")
-        loaded[name] = set(modules)
-    assert [name for name, modules in loaded.items() if "dataclasses" in modules] == []
-    assert [name for name, modules in loaded.items() if "slnc.oracle" in modules] == ["refute", "verify"]
-    assert [name for name, modules in loaded.items() if {"slnc.oracle", "slnc.secure"} <= modules] == ["verify"]
-    assert "slnc.secure" not in loaded["refute"]
-    # The wiretap walk is loaded by `enumerate`, the one command that walks.
-    assert [name for name, modules in loaded.items() if "slnc.walk" in modules] == ["enumerate"]
-    assert loaded["mincut"] == {"slnc", "slnc.cli", "slnc.errors", "slnc.field", "slnc.network"}
+        loaded[name] = {module.removeprefix("slnc.") for module in modules}
+    base = {"slnc", "cli", "errors", "field", "network"}
+    assert loaded == {
+        "mincut": base | {"flow"},
+        "construct": base | {"lnc", "flow"},
+        "secure": base | {"lnc", "secure", "flow"},
+        "enumerate": base | {"lnc", "walk", "flow"},
+        "refute": base | {"lnc", "refute"},
+        "verify": base | {"lnc", "secure", "oracle", "refute"},
+        "simulate": base | {"lnc", "secure"},
+        "hancheck": base | {"lnc", "oracle", "refute"},
+    }
+    # The oracle stays independent of the construction it checks: verifying,
+    # refuting and simulating load neither the max-flow nor the wiretap walk.
+    for name in ("verify", "refute", "simulate"):
+        assert loaded[name].isdisjoint({"flow", "walk"}), name
     bare = run_python("-c", "import sys, slnc; print(*sorted(m for m in sys.modules if m.startswith('slnc')))")
     assert bare.stdout.split() == ["slnc"]

@@ -7,19 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slnc.errors import DimensionMismatch, DivisionByZero, FieldMismatch, Singular
+from slnc import Matrix, mat_inverse, mat_rank, spans_intersect_trivially
 from slnc.field import (
     Echelon,
     FieldSpec,
-    Matrix,
     combine,
     dot,
     ff_op,
     first_outside,
     in_span,
-    mat_inverse,
-    mat_rank,
     rank_of_rows,
-    spans_intersect_trivially,
 )
 from conftest import matmul, vector_from_index
 

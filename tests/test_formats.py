@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from slnc.errors import ParseError, SlncError
 from slnc.lnc import construct_lnc, parse_code, write_code
-from slnc.network import c_min, parse_network, serialize_network
+from slnc import c_min
+from slnc.network import parse_network, serialize_network
 from slnc.secure import build_secure_bundle, parse_bundle, write_bundle
 from conftest import FIXTURES, load_network
 

@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from slnc import c_min
 from slnc.errors import DimensionExceedsCapacity, FieldTooSmallForSinks, SecurityLevelTooLarge
 from slnc.field import Echelon, combine, rank_of_rows
 from slnc.lnc import (
@@ -16,7 +17,8 @@ from slnc.lnc import (
     standard_basis,
     write_code,
 )
-from slnc.network import Network, c_min, edge_disjoint_paths, parse_network
+from slnc.flow import edge_disjoint_paths
+from slnc.network import Network, parse_network
 from slnc.walk import enumerate_code_wiretap_sets, verify_subset_bound
 from conftest import (
     FIXTURES,
@@ -359,8 +361,6 @@ def test_subset_bound_parallel(parallel3_gf2):
 def test_subset_bound_across_fixtures(
     butterfly, butterfly_gf2, parallel2_gf2, parallel3_gf2, parallel3_gf5
 ):
-    from slnc.network import c_min
-
     for net in (butterfly, butterfly_gf2, parallel2_gf2, parallel3_gf2, parallel3_gf5):
         n = c_min(net)
         code = construct_lnc(net, n)
@@ -381,11 +381,11 @@ def test_subset_bound_decides_the_last_channel_per_prefix(monkeypatch):
     # search per child, 4,766 scans, 3,006 augmenting paths and 2,234
     # reductions; one scan per state, 1,885 scans, of which 60 are the
     # augmenting paths of C_min, and 168 reductions.
-    from slnc import network, walk
+    from slnc import flow, walk
 
     code = construct_lnc(combination_network(6, 4, 16), 4)
     calls = {"search": 0, "augment": 0, "reduce": 0}
-    search, augment, reduce = network._search, network._augment, Echelon.reduce
+    search, augment, reduce = flow._search, flow._augment, Echelon.reduce
 
     def counted_search(*args):
         calls["search"] += 1
@@ -399,7 +399,7 @@ def test_subset_bound_decides_the_last_channel_per_prefix(monkeypatch):
         calls["reduce"] += 1
         return reduce(self, v)
 
-    for module in (network, walk):  # walk's bindings are its own
+    for module in (flow, walk):  # walk's bindings are its own
         monkeypatch.setattr(module, "_search", counted_search)
         monkeypatch.setattr(module, "_augment", counted_augment)
     monkeypatch.setattr(Echelon, "reduce", counted_reduce)
@@ -461,7 +461,7 @@ def test_rank_bounded_by_cut(butterfly):
     """rank(F_A) never exceeds min(|A|, mincut(s, A))."""
     import itertools as it
 
-    from slnc.network import min_cut_to_edges
+    from slnc import min_cut_to_edges
 
     code = construct_lnc(butterfly, 2)
     ids = sorted(e.id for e in butterfly.edges)

@@ -15,23 +15,18 @@ from slnc.errors import (
     UnknownSink,
     UnreachableSink,
 )
-from slnc import network
+from slnc import c_min, flow, min_cut_to_edges, min_cut_to_sink, refute_key_rate
 from slnc.field import FieldSpec
+from slnc.flow import _augment, _search, edge_disjoint_paths
 from slnc.network import (
     Edge,
     Network,
     WiretapCollection,
-    _augment,
-    _search,
-    c_min,
-    edge_disjoint_paths,
     integers,
-    min_cut_to_edges,
-    min_cut_to_sink,
     parse_network,
     serialize_network,
 )
-from slnc.oracle import refute_key_rate, verify_security
+from slnc.oracle import verify_security
 from slnc.secure import build_secure_bundle, parse_bundle, write_bundle
 from slnc.walk import (
     bit_indices,
@@ -201,7 +196,7 @@ def test_construction_walk_orders_the_channels_and_builds_no_flow_arcs(text):
     assert "_arcs" not in net.__dict__
     refute_key_rate(net, omega=1, r=1, key_dim=0, budget=10**40)
     assert "_arcs" not in net.__dict__
-    with mock.patch.object(network, "_Arcs", wraps=network._Arcs) as built:
+    with mock.patch.object(flow, "_Arcs", wraps=flow._Arcs) as built:
         capacity = c_min(net)
         assert c_min(net) == capacity and built.call_count == 1
     if capacity >= 2:

@@ -21,23 +21,21 @@ from slnc.errors import (
     NotADistribution,
     RateTooHigh,
 )
-from slnc.field import Echelon, FieldSpec, Matrix, combine, dot, in_span, rank_of_rows, standard_basis
+from slnc.field import Echelon, FieldSpec, combine, dot, in_span, rank_of_rows, standard_basis
 from slnc.lnc import GlobalCode, construct_lnc, imaginary_ids, in_channel_ids
-from slnc.network import Network, c_min, parse_network
+from slnc.network import Network, parse_network
 from slnc.oracle import (
     DEFAULT_SEARCH_BUDGET,
     JointDistribution,
-    RefutationResult,
     SecurityReport,
     han_profile,
     mutual_information,
     observation_distribution,
     perfectly_secure,
     rank_security_criterion,
-    refute_key_rate,
     verify_security,
 )
-from slnc import oracle
+from slnc import Matrix, RefutationResult, c_min, oracle, refute, refute_key_rate
 from slnc.secure import SecureCodeBundle, build_secure_bundle, decode_at_sink, encode_source
 from conftest import FIXTURES, combination_network, dag_networks, load_network
 
@@ -591,7 +589,7 @@ def test_leakage_is_the_rank_gap(case):
     q, cols, omega, dim = case
     field = FieldSpec(q)
     want = rank_of_rows(field, cols) - rank_of_rows(field, [col[omega:] for col in cols])
-    assert oracle._leakage(field, cols, omega, dim) == want
+    assert refute._leakage(field, cols, omega, dim) == want
 
 
 # -- rank criterion ---------------------------------------------------------------------
@@ -808,7 +806,6 @@ def test_refute_stays_refuted_above_capacity_security(parallel3_gf2):
 
 def test_refutation_result_serialization(parallel3_gf2):
     from slnc.lnc import parse_code
-    from slnc.oracle import RefutationResult
 
     refuted = RefutationResult(searched=8, witness=None)
     assert refuted.serialize() == "searched=8 verdict=refuted\n"
@@ -1015,7 +1012,7 @@ def test_pruned_refutation_matches_the_flat_search(case):
     net, omega, r, key_dim, check_security = case
     reference = {} if check_security else {"message_in_key_span": _always_secure}
     searched = {} if check_security else {"_leakage": _no_leakage}
-    with mock.patch.dict(globals(), reference), mock.patch.dict(vars(oracle), searched):
+    with mock.patch.dict(globals(), reference), mock.patch.dict(vars(refute), searched):
         got = refute_key_rate(net, omega, r, key_dim)
         want = flat_refute(net, omega, r, key_dim)
         assert (got.searched, got.verdict) == (want.searched, want.verdict)
@@ -1041,7 +1038,7 @@ def test_refutation_walks_its_wiretap_sets_as_it_checks_them():
     # 43 MiB before it started; one that walks them holds almost nothing.
     tracemalloc.start()
     try:
-        with mock.patch.object(oracle, "_leakage", lambda *args: 1):
+        with mock.patch.object(refute, "_leakage", lambda *args: 1):
             result = refute_key_rate(WIDE_ZERO_SLOTS, 1, 10, 0)
         _size, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1058,8 +1055,8 @@ def test_refutation_checks_only_new_kernel_directions():
     net = parse_network(
         "field 2\nsource s\nsink t\nedge c s t\n" + "".join(f"edge u{k} u t\n" for k in range(26))
     )
-    leakage = mock.Mock(wraps=oracle._leakage)
-    with mock.patch.object(oracle, "_leakage", leakage):
+    leakage = mock.Mock(wraps=refute._leakage)
+    with mock.patch.object(refute, "_leakage", leakage):
         result = refute_key_rate(net, 1, 12, 0, budget=10)
     assert result.serialize() == "searched=2 verdict=refuted\n"
     assert leakage.call_count == 1
@@ -1070,8 +1067,8 @@ def test_refutation_decides_each_sink_kernel_tuple_once(butterfly):
     # distinct tuples among the sink checks of the 1,910 tuples explored, each
     # of which an unmemoised search decides with a fresh echelon.  (The flat
     # search tried 75,972 tuples and reached 25 distinct sink tuples.)
-    span = mock.Mock(wraps=oracle.in_span)
-    with mock.patch.object(oracle, "in_span", span):
+    span = mock.Mock(wraps=refute.in_span)
+    with mock.patch.object(refute, "in_span", span):
         result = refute_key_rate(butterfly, 1, 2, 1)
     prefixes = quotient_tuples(butterfly, 1, 2, 1)
     sink_ins = [[e.id for e in butterfly.in_edges(t)] for t in butterfly.sinks]
@@ -1127,7 +1124,7 @@ def test_source_orbit_classes_match_the_group(case):
         for g in message_stabiliser(field.q, omega, dim - omega)
     )
     sources = Echelon(field, dim, [v[omega:] + v[:omega] for v in prefix])
-    same_class = oracle._orbit_class(sources, f, omega) == oracle._orbit_class(sources, g_f, omega)
+    same_class = refute._orbit_class(sources, f, omega) == refute._orbit_class(sources, g_f, omega)
 
     def kernels(last):
         cols = [*prefix, last]

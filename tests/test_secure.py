@@ -13,9 +13,10 @@ from slnc.errors import (
     SecurityLevelTooLarge,
     UnknownSink,
 )
-from slnc.field import Echelon, Matrix, spans_intersect_trivially
+from slnc import Matrix, c_min, spans_intersect_trivially
+from slnc.field import Echelon
 from slnc.lnc import GlobalCode, construct_lnc
-from slnc.network import c_min, parse_network
+from slnc.network import parse_network
 from slnc.oracle import verify_security
 from slnc.secure import (
     SecureCodeBundle,

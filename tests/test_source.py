@@ -7,6 +7,9 @@ from pathlib import Path
 import slnc
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slnc"
+# The oracle's two modules: verification, and the key-rate refutation search
+# whose leakage rule and budget check verification imports.
+ORACLE = ("oracle.py", "refute.py")
 
 
 def test_no_assert_statements_in_package():
@@ -19,9 +22,13 @@ def test_no_assert_statements_in_package():
 
 
 def _oracle_functions_reached_from(*roots: str) -> list[ast.FunctionDef]:
-    """The named oracle.py functions and every oracle.py function they reach by name."""
-    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    """The named oracle functions and every function of ORACLE's modules they reach by name."""
+    functions = {
+        node.name: node
+        for module in ORACLE
+        for node in ast.parse((PACKAGE / module).read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
     todo = list(roots)
     reached: dict[str, ast.FunctionDef] = {}
     while todo:
@@ -39,7 +46,7 @@ def _oracle_functions_reached_from(*roots: str) -> list[ast.FunctionDef]:
 
 def test_security_verdicts_use_no_floating_point():
     # README: no floating point anywhere security is decided.  The rule covers
-    # the deciding functions and every oracle.py function they reach by name.
+    # the deciding functions and every oracle function they reach by name.
     roots = ["verify_security", "mutual_information", "rank_security_criterion", "refute_key_rate"]
     found = []
     for fn in _oracle_functions_reached_from(*roots):
@@ -104,10 +111,12 @@ def test_hot_paths_ask_rank_questions_of_an_echelon():
 def test_one_leakage_rule():
     # The rank criterion and the refutation search read leakage the same way,
     # as the rank gap `_leakage` computes; no second row-span test may return.
-    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
-    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert "_message_in_key_span" not in defined
-    for fn in _functions("oracle.py", {"rank_security_criterion", "refute_key_rate"}):
+    for module in ORACLE:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "_message_in_key_span" not in defined, module
+    for module, name in (("oracle.py", "rank_security_criterion"), ("refute.py", "refute_key_rate")):
+        (fn,) = _functions(module, {name})
         assert "_leakage" in {called for _line, called in _calls(fn)}, fn.name
 
 
@@ -125,24 +134,28 @@ def test_one_direction_normal_form():
     for module, name in (
         ("secure.py", "choose_secure_basis"),
         ("oracle.py", "verify_security"),
-        ("oracle.py", "refute_key_rate"),
+        ("refute.py", "refute_key_rate"),
     ):
         (fn,) = _functions(module, {name})
         assert "basis" in {called for _line, called in _calls(fn)}, name
-    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
-    assert "_partition" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for module in ORACLE:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        assert "_partition" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert found == []
 
 
 def test_oracle_uses_only_public_names_of_the_code_it_checks():
     # The oracle stays independent of the construction it checks: it decodes
     # through decode_at_sink, and no private decode rule or id-parsing kernel
-    # lookup may come back for it to lean on.
-    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    # lookup may come back for it to lean on.  Its two modules share private
+    # rules with each other and with nothing else.
+    own = {module.removesuffix(".py") for module in ORACLE}
     private = [
-        f"{node.module}.{alias.name}"
-        for node in ast.walk(tree)
+        f"{path}: {node.module}.{alias.name}"
+        for path in ORACLE
+        for node in ast.walk(ast.parse((PACKAGE / path).read_text(encoding="utf-8")))
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("slnc"))
+        and (node.module or "").removeprefix("slnc.") not in own
         for alias in node.names
         if alias.name.startswith("_")
     ]
@@ -172,7 +185,7 @@ def test_wiretap_enumeration_extends_prefixes():
     ):
         for fn in _functions(module, {name}):
             found += [f"{name}:{line}: {called}" for line, called in _calls(fn) if called in banned]
-    for fn in _functions("network.py", {"_unit_flow"}):
+    for fn in _functions("flow.py", {"_unit_flow"}):
         found += [f"_unit_flow:{line}: append" for line, called in _calls(fn) if called == "append"]
     listing = {
         "enumerate_topology_wiretap_sets", "enumerate_code_wiretap_sets", "members",
@@ -240,16 +253,22 @@ PUBLIC = [
     (name, module)
     for module, names in (
         ("errors", "errors"),
-        ("field", "FieldSpec Matrix ff_op mat_rank mat_inverse spans_intersect_trivially"),
-        ("network", "Edge Network WiretapCollection parse_network serialize_network "
-                    "min_cut_to_sink min_cut_to_edges c_min"),
+        ("field", "FieldSpec"),
+        ("secure", "Matrix"),
+        ("field", "ff_op"),
+        ("secure", "mat_rank mat_inverse spans_intersect_trivially"),
+        ("network", "Edge Network WiretapCollection parse_network serialize_network"),
+        ("flow", "min_cut_to_sink min_cut_to_edges c_min"),
         ("lnc", "GlobalCode construct_lnc check_code_validity write_code parse_code"),
         ("walk", "enumerate_topology_wiretap_sets enumerate_code_wiretap_sets verify_subset_bound"),
         ("secure", "SecureCodeBundle choose_secure_basis build_secure_bundle encode_source "
                    "decode_at_sink write_bundle parse_bundle"),
-        ("oracle", "JointDistribution SecurityReport RefutationResult observation_distribution "
-                   "mutual_information verify_security rank_security_criterion refute_key_rate "
-                   "han_profile"),
+        ("oracle", "JointDistribution SecurityReport"),
+        ("refute", "RefutationResult"),
+        ("oracle", "observation_distribution mutual_information verify_security "
+                   "rank_security_criterion"),
+        ("refute", "refute_key_rate"),
+        ("oracle", "han_profile"),
     )
     for name in names.split()
 ]
