@@ -31,7 +31,7 @@ _HOME = {
         ("refute", "RefutationResult"),
         ("oracle", "observation_distribution mutual_information verify_security rank_security_criterion"),
         ("refute", "refute_key_rate"),
-        ("oracle", "han_profile"),
+        ("entropy", "han_profile"),
     )
     for name in names.split()
 }

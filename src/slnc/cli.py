@@ -167,26 +167,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_table_file(path: str) -> dict[tuple[str, ...], float]:
-    from .network import text_lines
-
-    table: dict[tuple[str, ...], float] = {}
-    for lineno, line in text_lines(Path(path).read_text(encoding="utf-8")):
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise ParseError(f"table line {lineno} needs outcomes and a probability")
-        try:
-            prob = float(tokens[-1])
-        except ValueError:
-            raise ParseError(f"table line {lineno}: bad probability {tokens[-1]!r}") from None
-        table[tuple(tokens[:-1])] = table.get(tuple(tokens[:-1]), 0.0) + prob
-    return table
-
-
 def _cmd_hancheck(args: argparse.Namespace) -> int:
-    from .oracle import han_profile
+    from .entropy import han_profile, parse_table
 
-    table = _parse_table_file(args.table)
+    table = parse_table(Path(args.table).read_text(encoding="utf-8"))
     profile = han_profile(table, base=args.base)
     print(" ".join(f"{h:.9f}" for h in profile))
     return 0

@@ -93,5 +93,7 @@ class NotADistribution(SlncError):
     """A probability table does not describe a distribution."""
 
 
+# -- entropy profile ----------------------------------------------------------
+
 class MonotonicityViolated(SlncError):
     """The entropy profile decreased; this signals an arithmetic bug."""

@@ -13,12 +13,11 @@ import time
 
 import pytest
 
-from slnc import Matrix, c_min, refute_key_rate
+from slnc import Matrix, c_min, han_profile, refute_key_rate
 from slnc.cli import main
 from slnc.errors import RateTooHigh
 from slnc.lnc import construct_lnc
 from slnc.oracle import (
-    han_profile,
     mutual_information,
     observation_distribution,
     perfectly_secure,

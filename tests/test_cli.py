@@ -652,11 +652,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "refute": base | {"lnc", "refute"},
         "verify": base | {"lnc", "secure", "oracle", "refute"},
         "simulate": base | {"lnc", "secure"},
-        "hancheck": base | {"lnc", "oracle", "refute"},
+        "hancheck": base | {"entropy"},
     }
     # The oracle stays independent of the construction it checks: verifying,
     # refuting and simulating load neither the max-flow nor the wiretap walk.
     for name in ("verify", "refute", "simulate"):
         assert loaded[name].isdisjoint({"flow", "walk"}), name
+    # Floating point is confined to `entropy`, which only `hancheck` loads.
+    assert [name for name, modules in loaded.items() if "entropy" in modules] == ["hancheck"]
     bare = run_python("-c", "import sys, slnc; print(*sorted(m for m in sys.modules if m.startswith('slnc')))")
     assert bare.stdout.split() == ["slnc"]

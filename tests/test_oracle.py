@@ -28,14 +28,13 @@ from slnc.oracle import (
     DEFAULT_SEARCH_BUDGET,
     JointDistribution,
     SecurityReport,
-    han_profile,
     mutual_information,
     observation_distribution,
     perfectly_secure,
     rank_security_criterion,
     verify_security,
 )
-from slnc import Matrix, RefutationResult, c_min, oracle, refute, refute_key_rate
+from slnc import Matrix, RefutationResult, c_min, han_profile, oracle, refute, refute_key_rate
 from slnc.secure import SecureCodeBundle, build_secure_bundle, decode_at_sink, encode_source
 from conftest import FIXTURES, combination_network, dag_networks, load_network
 

@@ -44,20 +44,39 @@ def _oracle_functions_reached_from(*roots: str) -> list[ast.FunctionDef]:
     return list(reached.values())
 
 
+# The modules that may compute in floating point: Han's entropy profile, and
+# the CLI for `hancheck --base`.  No security verdict reaches either.
+FLOATING = ("entropy.py", "cli.py")
+# The `math` functions that take and return integers only.
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
+
+
 def test_security_verdicts_use_no_floating_point():
-    # README: no floating point anywhere security is decided.  The rule covers
-    # the deciding functions and every oracle function they reach by name.
-    roots = ["verify_security", "mutual_information", "rank_security_criterion", "refute_key_rate"]
+    # README: no floating point anywhere security is decided.  Every other
+    # module of the package computes in exact integers: no float constant,
+    # `float(...)`, true division or `math` function with a float value.
     found = []
-    for fn in _oracle_functions_reached_from(*roots):
-        name = fn.name
-        for node in ast.walk(fn):
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in FLOATING:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Constant) and isinstance(node.value, float):
-                found.append(f"{name}:{node.lineno}: float constant {node.value!r}")
-            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "math":
-                found.append(f"{name}:{node.lineno}: math.{node.attr}")
-            elif isinstance(node, ast.Div):
-                found.append(f"{name}: true division")
+                found.append(f"{path.name}:{node.lineno}: float constant {node.value!r}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+                found.append(f"{path.name}:{node.lineno}: float(...)")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}: true division")
+            elif (
+                isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "math"
+                and node.attr not in INTEGER_MATH
+            ):
+                found.append(f"{path.name}:{node.lineno}: math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [
+                    f"{path.name}:{node.lineno}: from math import {alias.name}"
+                    for alias in node.names
+                    if alias.name not in INTEGER_MATH
+                ]
     assert found == []
 
 
@@ -268,7 +287,7 @@ PUBLIC = [
         ("oracle", "observation_distribution mutual_information verify_security "
                    "rank_security_criterion"),
         ("refute", "refute_key_rate"),
-        ("oracle", "han_profile"),
+        ("entropy", "han_profile"),
     )
     for name in names.split()
 ]
