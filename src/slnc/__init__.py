@@ -20,7 +20,6 @@ _HOME = {
         ("field", "FieldSpec"),
         ("secure", "Matrix"),
         ("field", "ff_op"),
-        ("secure", "mat_rank mat_inverse spans_intersect_trivially"),
         ("network", "Edge Network WiretapCollection parse_network serialize_network"),
         ("flow", "min_cut_to_sink min_cut_to_edges c_min"),
         ("lnc", "GlobalCode construct_lnc check_code_validity write_code parse_code"),

@@ -16,7 +16,7 @@ class DivisionByZero(SlncError, ZeroDivisionError):
 
 
 class DimensionMismatch(SlncError):
-    """Matrix or vector shapes are incompatible for the requested operation."""
+    """A vector or symbol block has the wrong length, or a matrix to invert is not square."""
 
 
 class Singular(SlncError):

@@ -12,8 +12,8 @@ columns in C, a product as one `bytes.translate` and a sum as one big-integer
 XOR or add; larger primes keep tuple columns.
 
 An `Echelon` holds a subspace as reduced rows and answers every rank and
-span question the package asks; the dense `Matrix` that a secure bundle holds
-lives in `secure`.  Every field operation is pure.
+span question the package asks; a secure bundle's mixing matrix, held as its
+columns, lives in `secure`.  Every field operation is pure.
 """
 
 from __future__ import annotations

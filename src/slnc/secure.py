@@ -4,8 +4,8 @@ A secure bundle wraps a base code of dimension n = C_min with an invertible
 mixing matrix Q whose leading n - r columns avoid every wiretappable kernel
 span.  The source input is the row vector X = [message, constant, key]; the
 constant block is all zeros and pads any message rate up to the capacity.
-Channel e carries X Q^{-1} f_e.  Q is a dense `Matrix`, which is defined
-here because a bundle is the only thing that holds one.
+Channel e carries X Q^{-1} f_e.  Q is a `Matrix`, a record of its columns,
+defined here because a bundle is the only thing that holds one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
-    FieldMismatch,
     FieldTooSmall,
     InconsistentObservation,
     ParseError,
@@ -25,117 +24,44 @@ from .errors import (
     Singular,
     UnknownSink,
 )
-from .field import Echelon, FieldSpec, combine, dot, first_outside, rank_of_rows, standard_basis
+from .field import Echelon, FieldSpec, combine, dot, first_outside, standard_basis
 from .lnc import CODE_KEYWORDS, GlobalCode, _code_header, _parse_header, construct_lnc, parse_code, write_code
 from .network import NETWORK_KEYWORDS, Network, integers, parse_network, serialize_network, text_lines
 
 
-class Matrix:
-    """Immutable dense row-major matrix over a fixed GF(q)."""
+class Matrix(NamedTuple):
+    """A matrix over GF(q) held as its columns, as Q is built and its inverses are read."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field: FieldSpec, rows: int, cols: int, entries: Sequence[int]):
-        if rows < 0 or cols < 0:
-            raise DimensionMismatch("matrix dimensions must be nonnegative")
-        if len(entries) != rows * cols:
-            raise DimensionMismatch(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
-            )
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(field.check(e) for e in entries)
-
-    # -- constructors ----------------------------------------------------
+    field: FieldSpec
+    columns: tuple[tuple[int, ...], ...]
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        return cls(field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(field, tuple(standard_basis(n, j) for j in range(n)))
 
-    @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence[int]], cols: int | None = None) -> "Matrix":
-        if rows:
-            cols = len(rows[0])
-        elif cols is None:
-            raise DimensionMismatch("empty matrix needs an explicit column count")
-        if any(len(row) != cols for row in rows):
-            raise DimensionMismatch(f"rows of a {cols}-column matrix differ in length")
-        flat = [x for row in rows for x in row]
-        return cls(field, len(rows), cols, flat)
-
-    @classmethod
-    def from_cols(cls, field: FieldSpec, cols: Sequence[Sequence[int]], rows: int | None = None) -> "Matrix":
-        if cols:
-            rows = len(cols[0])
-        elif rows is None:
-            raise DimensionMismatch("empty matrix needs an explicit row count")
-        if any(len(col) != rows for col in cols):
-            raise DimensionMismatch(f"columns of a {rows}-row matrix differ in length")
-        flat = [cols[j][i] for i in range(rows) for j in range(len(cols))]
-        return cls(field, rows, len(cols), flat)
-
-    # -- access ----------------------------------------------------------
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    # -- operations ------------------------------------------------------
-
-    def rank(self) -> int:
-        """Rank over GF(q) by exact Gaussian elimination."""
-        return rank_of_rows(self.field, [self.row(i) for i in range(self.rows)])
+        return self.columns[j]
 
     def inverse(self) -> "Matrix":
         """Inverse of a square matrix; raises Singular when rank < dimension."""
-        if self.rows != self.cols:
+        n = self.cols
+        if any(len(col) != n for col in self.columns):
             raise DimensionMismatch("only square matrices have inverses")
-        n = self.rows
         # [A | I] reduces to [I | A^-1] exactly when A's own columns hold n pivots.
-        echelon = Echelon(self.field, 2 * n, [self.row(i) + standard_basis(n, i) for i in range(n)])
+        rows = [row + standard_basis(n, i) for i, row in enumerate(zip(*self.columns))]
+        echelon = Echelon(self.field, 2 * n, rows)
         rank = sum(p < n for p in echelon.rows)
         if rank < n:
             raise Singular(f"matrix of rank {rank} < {n} has no inverse")
-        return Matrix.from_rows(self.field, [row[n:] for row in echelon.basis()], cols=n)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.field}, {self.rows}x{self.cols})"
+        return Matrix(self.field, tuple(zip(*(row[n:] for row in echelon.basis()))))
 
     def serialize(self) -> str:
         """Row-major, space-separated, one row per line."""
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-
-
-mat_rank = Matrix.rank
-mat_inverse = Matrix.inverse
-
-
-def spans_intersect_trivially(b1: Matrix, b2: Matrix) -> bool:
-    """True iff the column spans of b1 and b2 meet only at zero.
-
-    Uses rank additivity: rank([b1 | b2]) == rank(b1) + rank(b2).
-    """
-    if b1.field != b2.field:
-        raise FieldMismatch(f"mixed fields {b1.field} and {b2.field}")
-    if b1.rows != b2.rows:
-        raise DimensionMismatch("span test needs equal ambient dimensions")
-    cols = [b.col(j) for b in (b1, b2) for j in range(b.cols)]
-    return len(Echelon(b1.field, b1.rows, cols)) == b1.rank() + b2.rank()
+        return "\n".join(" ".join(map(str, row)) for row in zip(*self.columns))
 
 
 def _basis_level(omega: int, r: int, key_dim: int, n: int) -> int:
@@ -164,8 +90,7 @@ def _sink_decoder(field: FieldSpec, n: int, gain: Mapping[str, tuple[int, ...]])
     channels = [eid for eid, col in gain.items() if span.add(col)]
     inverse = None
     if len(channels) == n:
-        inv = Matrix.from_cols(field, [gain[c] for c in channels], rows=n).inverse()
-        inverse = tuple(inv.col(j) for j in range(n))
+        inverse = Matrix(field, tuple(gain[c] for c in channels)).inverse().columns
     return SinkDecoder(channels=tuple(channels), inverse=inverse)
 
 
@@ -219,8 +144,7 @@ class SecureCodeBundle:
     @cached_property
     def gain(self) -> dict[str, tuple[int, ...]]:
         """The column Q^{-1} f_e per channel; raises Singular if Q has no inverse."""
-        inverse = self.mixing.inverse()
-        cols = [inverse.col(j) for j in range(self.n)]
+        cols = self.mixing.inverse().columns
         return {
             e.id: combine(self.field, self.base.kernels[e.id], cols, self.n)
             for e in self.network.edges
@@ -280,7 +204,7 @@ def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
         for echelon in avoid:
             echelon.add(vec)
         cols.append(vec)
-    return Matrix.from_cols(field, cols, rows=n)
+    return Matrix(field, tuple(cols))
 
 
 def build_secure_bundle(net: Network, omega: int, r: int, i: int = 0) -> SecureCodeBundle:
@@ -453,7 +377,8 @@ def parse_bundle(text: str) -> SecureCodeBundle:
     (omega, r, i, key_dim), q_rows, constant = own["secure"], own["Q"], own["const"]
     if any(len(row) != n for row in q_rows):
         raise ParseError("Q rows must all have n entries")
-    mixing = Matrix.from_rows(field, q_rows, cols=n)
+    # Entries are checked in file order, then the rows are read as columns.
+    mixing = Matrix(field, tuple(zip(*(tuple(map(field.check, row)) for row in q_rows))))
     if key_dim != r - i:
         raise ParseError(f"keydim={key_dim} is inconsistent with r={r}, i={i}")
     if not (omega >= 1 and 1 <= r < n and 0 <= i <= r and omega + key_dim <= n):

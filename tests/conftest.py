@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from slnc.errors import FieldMismatch, SlncError
 from slnc import Matrix
-from slnc.field import dot
+from slnc.field import dot, rank_of_rows
 from slnc.network import Network, parse_network
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -130,22 +130,22 @@ def vector_from_index(field, index: int, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def kernel_matrix(code, edge_ids) -> Matrix:
-    """The columns f_e of the given channels, in the given order."""
-    return Matrix.from_cols(code.field, [code.kernels[eid] for eid in edge_ids], rows=code.n)
+def kernel_rank(code, edge_ids) -> int:
+    """The rank of the kernels f_e of the given channels."""
+    return rank_of_rows(code.field, [code.kernels[eid] for eid in edge_ids])
 
 
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    """[a | b]: the columns of a, then those of b."""
-    return Matrix.from_cols(a.field, [m.col(j) for m in (a, b) for j in range(m.cols)], rows=a.rows)
+def matrix_from_rows(field, rows) -> Matrix:
+    """The matrix with the given rows, held as its columns."""
+    return Matrix(field, tuple(zip(*rows)))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """The product a b, entry by entry; mixed fields raise FieldMismatch."""
+    """The product a b, column by column; mixed fields raise FieldMismatch."""
     if a.field != b.field:
         raise FieldMismatch(f"mixed fields {a.field} and {b.field}")
-    rows = [[dot(a.field, a.row(i), b.col(j)) for j in range(b.cols)] for i in range(a.rows)]
-    return Matrix.from_rows(a.field, rows, cols=b.cols)
+    rows = list(zip(*a.columns))
+    return Matrix(a.field, tuple(tuple(dot(a.field, row, col) for row in rows) for col in b.columns))
 
 
 def outcome(build):

@@ -13,9 +13,10 @@ import time
 
 import pytest
 
-from slnc import Matrix, c_min, han_profile, refute_key_rate
+from slnc import c_min, han_profile, refute_key_rate
 from slnc.cli import main
 from slnc.errors import RateTooHigh
+from slnc.field import rank_of_rows
 from slnc.lnc import construct_lnc
 from slnc.oracle import (
     mutual_information,
@@ -26,7 +27,7 @@ from slnc.oracle import (
 )
 from slnc.secure import SecureCodeBundle, build_secure_bundle, decode_at_sink, encode_source
 from slnc.walk import verify_subset_bound
-from conftest import FIXTURES
+from conftest import FIXTURES, matrix_from_rows
 
 
 class timer:
@@ -147,8 +148,8 @@ def test_criterion_5b_perfect_security_at_same_rates(parallel3_gf5):
 
 def _random_invertible(field, n, rng):
     while True:
-        m = Matrix(field, n, n, [rng.randrange(field.q) for _ in range(n * n)])
-        if m.rank() == n:
+        m = matrix_from_rows(field, [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)])
+        if rank_of_rows(field, m.columns) == n:
             return m
 
 

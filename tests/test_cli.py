@@ -393,8 +393,10 @@ NON_CANONICAL_TOKENS = [
     ("construct", "code n=2 q=3", "code n=+2 q=3", "bad code header token 'n=+2'"),
     ("secure", "Q\n2 1\n1 0\n", "Q\n2 1\n0_1 0\n", "bad Q row: '0_1 0'"),
     ("secure", "keydim=1", "keydim=01", "bad secure header token 'keydim=01'"),
-    # -1 is canonical, so it reaches the field's range check.
+    # -1 and 3 are canonical integers, so they reach the field's range check.
     ("construct", "kernel e1 1 0", "kernel e1 -1 0", "-1 is not a canonical element of GF(3)"),
+    ("secure", "Q\n2 1\n1 0\n", "Q\n2 1\n-1 0\n", "-1 is not a canonical element of GF(3)"),
+    ("secure", "Q\n2 1\n1 0\n", "Q\n2 1\n3 0\n", "3 is not a canonical element of GF(3)"),
 ]
 
 

@@ -1,0 +1,23 @@
+"""The byte-identity referee on the fixtures: `tools/cli_sweep.py` must print
+exactly the committed lines.
+
+Each line hashes one CLI case's exit code, stdout, stderr and written file,
+so any change to what a command prints or writes on a fixture shows here.
+When an output change is intended, regenerate the file with
+
+    PYTHONPATH=src python tools/cli_sweep.py . butterfly butterfly_gf2 \\
+        parallel2_gf2 parallel3_gf2 parallel3_gf5 > tests/golden/cli_sweep_fixtures.txt
+
+and list the changed lines in CHANGES.md.
+"""
+
+from conftest import ROOT, run_python
+
+GOLDEN = ROOT / "tests" / "golden" / "cli_sweep_fixtures.txt"
+FIXTURE_STEMS = ("butterfly", "butterfly_gf2", "parallel2_gf2", "parallel3_gf2", "parallel3_gf5")
+
+
+def test_cli_sweep_on_the_fixtures_matches_the_golden_lines():
+    done = run_python(str(ROOT / "tools" / "cli_sweep.py"), str(ROOT), *FIXTURE_STEMS)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == GOLDEN.read_text(encoding="utf-8").splitlines()

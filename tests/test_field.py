@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slnc.errors import DimensionMismatch, DivisionByZero, FieldMismatch, Singular
-from slnc import Matrix, mat_inverse, mat_rank, spans_intersect_trivially
+from slnc import Matrix
 from slnc.field import (
     Echelon,
     FieldSpec,
@@ -18,7 +18,7 @@ from slnc.field import (
     in_span,
     rank_of_rows,
 )
-from conftest import matmul, vector_from_index
+from conftest import matmul, matrix_from_rows, vector_from_index
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -193,32 +193,32 @@ def test_column_combine_matches_entrywise_products(field):
 # -- matrices -----------------------------------------------------------------
 
 def test_mat_rank_examples():
-    assert mat_rank(Matrix.identity(GF5, 3)) == 3
-    assert mat_rank(Matrix.from_rows(GF2, [[1, 1], [1, 1]])) == 1
+    assert rank_of_rows(GF5, Matrix.identity(GF5, 3).columns) == 3
+    assert rank_of_rows(GF2, [[1, 1], [1, 1]]) == 1
     # rows sum to zero over GF(2), so rank drops to 2
-    assert mat_rank(Matrix.from_rows(GF2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == 2
+    assert rank_of_rows(GF2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 2
 
 
 def test_mat_rank_empty_matrix():
-    assert mat_rank(Matrix.from_rows(GF2, [], cols=3)) == 0
-    assert mat_rank(Matrix.from_rows(GF2, [[0, 0], [0, 0]])) == 0
+    assert rank_of_rows(GF2, []) == 0
+    assert rank_of_rows(GF2, [[0, 0], [0, 0]]) == 0
 
 
 def test_mat_inverse_examples():
     eye = Matrix.identity(GF3, 4)
-    assert mat_inverse(eye) == eye
-    half = Matrix.from_rows(GF3, [[2, 0], [0, 2]])
-    assert mat_inverse(half) == half  # 2 * 2 = 1 in GF(3)
-    upper = Matrix.from_rows(GF2, [[1, 1], [0, 1]])
-    assert mat_inverse(upper) == upper
-    assert matmul(upper, mat_inverse(upper)) == Matrix.identity(GF2, 2)
+    assert eye.inverse() == eye
+    half = matrix_from_rows(GF3, [[2, 0], [0, 2]])
+    assert half.inverse() == half  # 2 * 2 = 1 in GF(3)
+    upper = matrix_from_rows(GF2, [[1, 1], [0, 1]])
+    assert upper.inverse() == upper
+    assert matmul(upper, upper.inverse()) == Matrix.identity(GF2, 2)
 
 
 def test_mat_inverse_singular():
     with pytest.raises(Singular, match="rank 1 < 2"):
-        mat_inverse(Matrix.from_rows(GF2, [[1, 1], [1, 1]]))
+        matrix_from_rows(GF2, [[1, 1], [1, 1]]).inverse()
     with pytest.raises(Singular, match="rank 0 < 2"):
-        mat_inverse(Matrix.from_rows(GF2, [[0, 0], [0, 0]]))
+        matrix_from_rows(GF2, [[0, 0], [0, 0]]).inverse()
 
 
 def test_mismatched_lengths_raise_dimension_mismatch():
@@ -226,58 +226,15 @@ def test_mismatched_lengths_raise_dimension_mismatch():
         in_span(GF2, [(1, 0)], [(1, 0, 1)])
     with pytest.raises(DimensionMismatch):
         rank_of_rows(GF2, [(1, 0), (1,)])
-    with pytest.raises(DimensionMismatch):
-        Matrix.from_cols(GF2, [(1, 0), (1,)])
-    with pytest.raises(DimensionMismatch):
-        Matrix.from_rows(GF2, [[1], [0, 1], []])
     with pytest.raises(DimensionMismatch, match="^vector lengths differ: 2 vs 1$"):
         dot(GF2, (1, 0), (1,))
-    with pytest.raises(DimensionMismatch, match="^matrix dimensions must be nonnegative$"):
-        Matrix(GF2, -1, -1, [1])
-    with pytest.raises(DimensionMismatch, match="^2x2 matrix needs 4 entries, got 3$"):
-        Matrix(GF2, 2, 2, [1, 0, 0])
-    with pytest.raises(DimensionMismatch, match="^empty matrix needs an explicit column count$"):
-        Matrix.from_rows(GF2, [])
-    with pytest.raises(DimensionMismatch, match="^empty matrix needs an explicit row count$"):
-        Matrix.from_cols(GF2, [])
     with pytest.raises(DimensionMismatch, match="^only square matrices have inverses$"):
-        Matrix.from_rows(GF2, [[1, 0]]).inverse()
+        matrix_from_rows(GF2, [[1, 0]]).inverse()
 
 
 def test_in_span_of_no_vectors_holds():
     assert in_span(GF3, [(1, 0)], [])
     assert in_span(GF3, [], [])
-
-
-def test_spans_intersect_trivially_examples():
-    e1 = Matrix.from_cols(GF2, [(1, 0, 0)])
-    e2 = Matrix.from_cols(GF2, [(0, 1, 0)])
-    assert spans_intersect_trivially(e1, e2)
-    same = Matrix.from_cols(GF2, [(1, 0)])
-    assert not spans_intersect_trivially(same, same)
-    b1 = Matrix.from_cols(GF2, [(1, 1, 0), (0, 1, 1)])
-    b2 = Matrix.from_cols(GF2, [(1, 0, 1)])  # the sum of b1's columns
-    assert not spans_intersect_trivially(b1, b2)
-
-
-def test_spans_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        spans_intersect_trivially(
-            Matrix.from_cols(GF2, [(1, 0)]), Matrix.from_cols(GF2, [(1, 0, 0)])
-        )
-
-
-def test_matrix_ops_reject_mixed_fields():
-    a = Matrix.identity(GF2, 2)
-    b = Matrix.identity(GF3, 2)
-    with pytest.raises(FieldMismatch):
-        matmul(a, b)
-    with pytest.raises(FieldMismatch):
-        spans_intersect_trivially(b, a)
-    with pytest.raises(FieldMismatch):
-        spans_intersect_trivially(a, b)
-    with pytest.raises(FieldMismatch):
-        Matrix(GF2, 1, 1, [2])
 
 
 def _span_vectors(field, cols):
@@ -312,11 +269,10 @@ def test_spans_intersect_agrees_with_exhaustive_oracle(field):
         c2 = rng.randint(1, 2)
         b1 = [tuple(rng.randrange(field.q) for _ in range(rows)) for _ in range(c1)]
         b2 = [tuple(rng.randrange(field.q) for _ in range(rows)) for _ in range(c2)]
-        lib = spans_intersect_trivially(
-            Matrix.from_cols(field, b1, rows=rows), Matrix.from_cols(field, b2, rows=rows)
-        )
+        # Rank additivity holds exactly when the two spans meet only at zero.
+        additive = rank_of_rows(field, b1 + b2) == rank_of_rows(field, b1) + rank_of_rows(field, b2)
         oracle = _span_vectors(field, b1) & _span_vectors(field, b2) == {(0,) * rows}
-        assert lib == oracle
+        assert additive == oracle
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -394,10 +350,10 @@ def test_rank_equals_transpose_rank(q, rows, cols, data):
     entries = data.draw(
         st.lists(st.integers(0, q - 1), min_size=rows * cols, max_size=rows * cols)
     )
-    m = Matrix(field, rows, cols, entries)
-    transpose = Matrix.from_cols(field, [m.row(i) for i in range(rows)], rows=cols)
-    assert m.rank() == transpose.rank()
-    assert m.rank() <= min(rows, cols)
+    m = [entries[i * cols:(i + 1) * cols] for i in range(rows)]
+    rank = rank_of_rows(field, m)
+    assert rank == rank_of_rows(field, list(zip(*m)))
+    assert rank <= min(rows, cols)
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,8 +361,8 @@ def test_rank_equals_transpose_rank(q, rows, cols, data):
 def test_inverse_roundtrip_when_full_rank(q, n, data):
     field = FieldSpec(q)
     entries = data.draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n))
-    m = Matrix(field, n, n, entries)
-    if m.rank() < n:
+    m = matrix_from_rows(field, [entries[i * n:(i + 1) * n] for i in range(n)])
+    if rank_of_rows(field, m.columns) < n:
         with pytest.raises(Singular):
             m.inverse()
     else:
@@ -422,9 +378,6 @@ def test_vector_enumeration_order():
 
 
 def test_matrix_serialization_format():
-    m = Matrix.from_rows(GF5, [[1, 2, 3], [4, 0, 1]])
+    m = matrix_from_rows(GF5, [[1, 2, 3], [4, 0, 1]])
     assert m.serialize() == "1 2 3\n4 0 1"
-    assert repr(m) == "Matrix(GF(5), 2x3)"
-    same = Matrix.from_cols(GF5, [(1, 4), (2, 0), (3, 1)])
-    assert m == same and hash(m) == hash(same)
-    assert len({m, same, Matrix.from_rows(GF5, [[1, 2, 3]])}) == 2
+    assert m == Matrix(GF5, ((1, 4), (2, 0), (3, 1)))

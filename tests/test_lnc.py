@@ -26,7 +26,7 @@ from conftest import (
     brute_force_edge_set_cut,
     combination_network,
     dag_networks,
-    kernel_matrix,
+    kernel_rank,
     outcome,
     small_networks,
 )
@@ -34,15 +34,15 @@ from conftest import (
 
 def sink_input_rank(code, t):
     net = code.network
-    return kernel_matrix(code, (e.id for e in net.in_edges(t))).rank()
+    return kernel_rank(code, (e.id for e in net.in_edges(t)))
 
 
 # -- construction -----------------------------------------------------------------
 
 def test_construct_butterfly_gf3(butterfly):
     code = construct_lnc(butterfly, 2)
-    assert kernel_matrix(code, ["e8", "e6"]).rank() == 2
-    assert kernel_matrix(code, ["e9", "e7"]).rank() == 2
+    assert kernel_rank(code, ["e8", "e6"]) == 2
+    assert kernel_rank(code, ["e9", "e7"]) == 2
     assert check_code_validity(code) == CodeValidityReport({}, {})
 
 
@@ -467,5 +467,5 @@ def test_rank_bounded_by_cut(butterfly):
     ids = sorted(e.id for e in butterfly.edges)
     for size in (1, 2):
         for combo in it.combinations(ids, size):
-            rank = kernel_matrix(code, combo).rank()
+            rank = kernel_rank(code, combo)
             assert rank <= min(len(combo), min_cut_to_edges(butterfly, combo))

@@ -36,7 +36,7 @@ from slnc.oracle import (
 )
 from slnc import Matrix, RefutationResult, c_min, han_profile, oracle, refute, refute_key_rate
 from slnc.secure import SecureCodeBundle, build_secure_bundle, decode_at_sink, encode_source
-from conftest import FIXTURES, combination_network, dag_networks, load_network
+from conftest import FIXTURES, combination_network, dag_networks, load_network, matrix_from_rows
 
 
 def _identity_mixing_bundle(net, omega, r, i=0):
@@ -554,6 +554,17 @@ def test_a_sink_that_loses_rank_fails_the_round_trip_by_name(field, sink, detail
     assert report.decode_detail.startswith(f"sink {sink} ")
 
 
+def test_a_wrong_cached_decoder_fails_the_round_trip(butterfly):
+    # The round trip checks each sink's decoder against the inputs instead of
+    # trusting that one exists, so a decoder with its two columns swapped fails.
+    bundle = build_secure_bundle(butterfly, omega=1, r=1)
+    decoder = bundle.decoders["t1"]
+    bundle.decoders["t1"] = decoder._replace(inverse=(decoder.inverse[1], decoder.inverse[0]))
+    report = verify_security(bundle)
+    assert not report.passed
+    assert report.decode_detail == "sink t1 failed on input (0,), (1,): symbols at sink t1 match no input"
+
+
 def test_verify_builds_one_column_per_distinct_gain():
     # The `verify` workload's bundle: relays copy their kernel, so its 35
     # channels carry only 5 distinct gains.
@@ -599,7 +610,7 @@ def _manual_bundle(net, kernels, mixing_rows, omega, r, key_dim, const_len):
     field = net.field
     return SecureCodeBundle(
         base=base,
-        mixing=Matrix.from_rows(field, mixing_rows),
+        mixing=matrix_from_rows(field, mixing_rows),
         omega=omega,
         r=r,
         i=0,
@@ -649,8 +660,8 @@ def test_rank_criterion_trivial_cases(parallel3_gf2):
 
 def _random_invertible(field, n, rng):
     while True:
-        m = Matrix(field, n, n, [rng.randrange(field.q) for _ in range(n * n)])
-        if m.rank() == n:
+        m = matrix_from_rows(field, [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)])
+        if rank_of_rows(field, m.columns) == n:
             return m
 
 

@@ -13,8 +13,8 @@ from slnc.errors import (
     SecurityLevelTooLarge,
     UnknownSink,
 )
-from slnc import Matrix, c_min, spans_intersect_trivially
-from slnc.field import Echelon
+from slnc import Matrix, c_min
+from slnc.field import Echelon, rank_of_rows
 from slnc.lnc import GlobalCode, construct_lnc
 from slnc.network import parse_network
 from slnc.oracle import verify_security
@@ -32,10 +32,9 @@ from conftest import (
     SCAN_MAX_DIM,
     SEARCH_FIELDS,
     combination_network,
-    hstack,
-    kernel_matrix,
     load_network,
     matmul,
+    matrix_from_rows,
     outcome,
     small_networks,
     vector_from_index,
@@ -130,12 +129,11 @@ def test_choose_secure_basis_condition(request, net_name, r, q_cols):
     code = construct_lnc(net, n)
     q_mat = choose_secure_basis(code, r)
     assert [q_mat.col(j) for j in range(n)] == q_cols  # the greedy scan's exact choice
-    leading = Matrix.from_cols(code.field, q_cols[:n - r], rows=n)
     for A in enumerate_code_wiretap_sets(code, r).sets:
-        fa = kernel_matrix(code, A)
-        assert spans_intersect_trivially(leading, fa)
-        assert hstack(leading, fa).rank() == n
-    assert q_mat.rank() == n
+        # Q's leading n - r columns and the r kernels of A span the whole space,
+        # so their spans meet only at zero.
+        assert rank_of_rows(code.field, [*q_cols[:n - r], *(code.kernels[eid] for eid in A)]) == n
+    assert rank_of_rows(code.field, q_mat.columns) == n
 
 
 def scan_choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
@@ -184,7 +182,7 @@ def scan_choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
         for echelon in avoid:
             echelon.add(vec)
         cols.append(vec)
-    return Matrix.from_cols(field, cols, rows=n)
+    return Matrix(field, tuple(cols))
 
 
 def constructed_codes(net):
@@ -327,7 +325,7 @@ def _brute_force_inverse_gf2(mat):
     field = mat.field
     eye = Matrix.identity(field, 3)
     for bits in itertools.product((0, 1), repeat=9):
-        cand = Matrix(field, 3, 3, bits)
+        cand = matrix_from_rows(field, [bits[0:3], bits[3:6], bits[6:9]])
         if matmul(mat, cand) == eye:
             return cand
     raise AssertionError("no inverse found")
@@ -342,7 +340,7 @@ def test_encode_frozen_symbols_parallel_gf2(parallel3_gf2):
     inv = _brute_force_inverse_gf2(bundle.mixing)
     x = (1, 0, 1)  # [message, constant, key]
     w = tuple(
-        sum(x[i] * inv.row(i)[j] for i in range(3)) % 2 for j in range(3)
+        sum(x[i] * inv.col(j)[i] for i in range(3)) % 2 for j in range(3)
     )
     for j, eid in enumerate(["e1", "e2", "e3"]):
         expected = sum(w[i] * bundle.base.kernels[eid][i] for i in range(3)) % 2
