@@ -20,7 +20,7 @@ _HOME = {
         ("field", "FieldSpec"),
         ("secure", "Matrix"),
         ("field", "ff_op"),
-        ("network", "Edge Network WiretapCollection parse_network serialize_network"),
+        ("network", "Edge Network parse_network serialize_network"),
         ("flow", "min_cut_to_sink min_cut_to_edges c_min"),
         ("lnc", "GlobalCode construct_lnc check_code_validity write_code parse_code"),
         ("walk", "enumerate_topology_wiretap_sets enumerate_code_wiretap_sets verify_subset_bound"),

@@ -111,10 +111,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         print(verify_subset_bound(code, args.r).serialize())
         return 0
     if code is not None:
-        collection = enumerate_code_wiretap_sets(code, args.r)
+        sets = enumerate_code_wiretap_sets(code, args.r)
     else:
-        collection = enumerate_topology_wiretap_sets(net, args.r)
-    for members in collection.sets:
+        sets = enumerate_topology_wiretap_sets(net, args.r)
+    for members in sets:
         print(",".join(members))
     return 0
 

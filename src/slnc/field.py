@@ -71,7 +71,7 @@ class FieldSpec:
     built-in moduli.  `lanes` says whether columns are byte lanes.
     """
 
-    __slots__ = ("q", "p", "m", "modulus", "lanes", "_mod_mask", "_lane_tables")
+    __slots__ = ("q", "p", "m", "lanes", "_mod_mask", "_lane_tables")
 
     def __init__(self, q: int):
         p, m = _factor_prime_power(q)
@@ -81,15 +81,13 @@ class FieldSpec:
         self.lanes = m > 1 or 2 * (p - 1) < 256
         self._lane_tables: dict[int, bytes] = {}
         if m == 1:
-            self.modulus = ()
             self._mod_mask = 0
             return
         if p != 2:
             raise ValueError(f"extension fields with characteristic {p} are unsupported")
         if m > _MAX_DEGREE:
             raise ValueError(f"extension degree {m} exceeds the supported maximum {_MAX_DEGREE}")
-        self.modulus = _BINARY_MODULI[m]
-        self._mod_mask = sum(c << i for i, c in enumerate(self.modulus))
+        self._mod_mask = sum(c << i for i, c in enumerate(_BINARY_MODULI[m]))
 
     # Arithmetic below assumes canonical operands; `check` is the validating
     # entry point used by the public surface.

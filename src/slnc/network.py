@@ -30,34 +30,6 @@ class Edge(NamedTuple):
     head: str
 
 
-class WiretapCollection:
-    """A family of same-size channel sets, in lexicographic order of sorted ids.
-
-    kind is "cut" for the topology collection (size-r sets whose min cut
-    from the source equals r) and "rank" for the code collection (size-r
-    sets whose kernel matrix has rank r).  Equal fields make equal collections.
-    """
-
-    def __init__(self, r: int, kind: str, sets: tuple[tuple[str, ...], ...]):
-        self.r = r
-        self.kind = kind
-        self.sets = sets
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.kind, self.sets) == (other.r, other.kind, other.sets)
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.kind, self.sets))
-
-    def __contains__(self, item: Sequence[str]) -> bool:
-        return tuple(sorted(item)) in self.sets
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-
 class Network:
     """Validated acyclic single-source multicast network over GF(q)."""
 

@@ -37,7 +37,6 @@ class JointDistribution(NamedTuple):
     """Exact joint counts of (message, wiretap observation) over all inputs."""
 
     q: int
-    edge_ids: tuple[str, ...]
     counts: Mapping[tuple[tuple[int, ...], tuple[int, ...]], int]
 
     def total(self) -> int:
@@ -83,11 +82,7 @@ def observation_distribution(
     columns = _symbol_columns(bundle, inputs, ids)
     messages = list(zip(*inputs[:bundle.omega]))
     observations = zip(*(columns[eid] for eid in ids)) if ids else itertools.repeat((), len(messages))
-    return JointDistribution(
-        q=bundle.field.q,
-        edge_ids=ids,
-        counts=Counter(zip(messages, observations)),
-    )
+    return JointDistribution(q=bundle.field.q, counts=Counter(zip(messages, observations)))
 
 
 def mutual_information(dist: JointDistribution) -> int:

@@ -16,7 +16,7 @@ from .errors import SecurityLevelTooLarge
 from .field import Echelon, FieldSpec
 from .flow import _augment, _flow_path, _push, _search, c_min
 from .lnc import GlobalCode
-from .network import Network, WiretapCollection
+from .network import Network
 
 State = TypeVar("State")
 Item = TypeVar("Item")
@@ -128,18 +128,19 @@ def cut_family(net: Network, r: int) -> tuple:
     return (list(arcs.to), [1, 0] * len(net.edges), 0), step
 
 
-def enumerate_topology_wiretap_sets(net: Network, r: int) -> WiretapCollection:
-    """All size-r channel sets whose source min-cut equals r (topology only)."""
+def enumerate_topology_wiretap_sets(net: Network, r: int) -> tuple[tuple[str, ...], ...]:
+    """All size-r channel sets whose source min-cut equals r (topology only),
+    as sorted-id tuples in lexicographic order."""
     ids = sorted(e.id for e in net.edges)
-    sets = tuple(downward_closed_subsets(ids, r, cut_family(net, r)))
-    return WiretapCollection(r=r, kind="cut", sets=sets)
+    return tuple(downward_closed_subsets(ids, r, cut_family(net, r)))
 
 
-def enumerate_code_wiretap_sets(code: GlobalCode, r: int) -> WiretapCollection:
-    """All size-r channel sets whose kernel matrix has full rank r."""
+def enumerate_code_wiretap_sets(code: GlobalCode, r: int) -> tuple[tuple[str, ...], ...]:
+    """All size-r channel sets whose kernel matrix has full rank r, as
+    sorted-id tuples in lexicographic order."""
     ids = sorted(e.id for e in code.network.edges)
     family = span_family(code.field, code.n, r, [code.kernels[eid] for eid in ids])
-    return WiretapCollection(r=r, kind="rank", sets=tuple(downward_closed_subsets(ids, r, family)))
+    return tuple(downward_closed_subsets(ids, r, family))
 
 
 def span_family(field: FieldSpec, n: int, r: int, vectors: Sequence[tuple[int, ...]]) -> tuple:

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from slnc.network import Network, parse_network
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
+SWEEP_STEMS = ("butterfly", "butterfly_gf2", "parallel2_gf2", "parallel3_gf2", "parallel3_gf5")
 
 
 def load_network(name: str) -> Network:
@@ -140,6 +142,15 @@ def matrix_from_rows(field, rows) -> Matrix:
     return Matrix(field, tuple(zip(*rows)))
 
 
+def random_invertible(field, n: int, rng) -> Matrix:
+    """A uniformly drawn invertible n x n matrix: rows of rng draws, row-major,
+    redrawn until the rank is n."""
+    while True:
+        m = matrix_from_rows(field, [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)])
+        if rank_of_rows(field, m.columns) == n:
+            return m
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """The product a b, column by column; mixed fields raise FieldMismatch."""
     if a.field != b.field:
@@ -196,3 +207,13 @@ def parallel3_gf2() -> Network:
 @pytest.fixture(scope="session")
 def parallel3_gf5() -> Network:
     return load_network("parallel3_gf5.net")
+
+
+@pytest.fixture(scope="session")
+def fixture_sweep() -> tuple[subprocess.CompletedProcess, float]:
+    """One run of `tools/cli_sweep.py` on the five fixtures in a fresh
+    interpreter, shared by the tests that read its lines: the completed
+    process and its wall time in seconds."""
+    start = time.perf_counter()
+    done = run_python(str(ROOT / "tools" / "cli_sweep.py"), str(ROOT), *SWEEP_STEMS)
+    return done, time.perf_counter() - start

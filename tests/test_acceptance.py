@@ -16,7 +16,6 @@ import pytest
 from slnc import c_min, han_profile, refute_key_rate
 from slnc.cli import main
 from slnc.errors import RateTooHigh
-from slnc.field import rank_of_rows
 from slnc.lnc import construct_lnc
 from slnc.oracle import (
     mutual_information,
@@ -27,7 +26,7 @@ from slnc.oracle import (
 )
 from slnc.secure import SecureCodeBundle, build_secure_bundle, decode_at_sink, encode_source
 from slnc.walk import verify_subset_bound
-from conftest import FIXTURES, matrix_from_rows
+from conftest import FIXTURES, random_invertible
 
 
 class timer:
@@ -146,13 +145,6 @@ def test_criterion_5b_perfect_security_at_same_rates(parallel3_gf5):
     assert result.max_mi == pytest.approx(0.0, abs=1e-12)
 
 
-def _random_invertible(field, n, rng):
-    while True:
-        m = matrix_from_rows(field, [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)])
-        if rank_of_rows(field, m.columns) == n:
-            return m
-
-
 def test_criterion_6_oracle_cross_validation(
     butterfly, parallel2_gf2, parallel3_gf2, parallel3_gf5
 ):
@@ -180,7 +172,7 @@ def test_criterion_6_oracle_cross_validation(
             for _ in range(20):
                 bundle = SecureCodeBundle(
                     base=base,
-                    mixing=_random_invertible(net.field, n, rng),
+                    mixing=random_invertible(net.field, n, rng),
                     omega=omega,
                     r=r,
                     i=i,

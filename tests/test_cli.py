@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import itertools
 import re
@@ -591,16 +590,13 @@ def test_emitted_files_round_trip_through_consumers(tmp_path, capsys):
     assert run(capsys, "simulate", str(bundle_file), "--message", "1,2", "--seed", "1")[0] == 0
 
 
-def test_cli_sweep_prints_one_hashed_line_per_case(capsys):
+def test_cli_sweep_prints_one_hashed_line_per_case(fixture_sweep):
     # tools/cli_sweep.py compares two trees by diffing these lines, so each
     # names its command once, masks the temporary directory, and ends in a hash.
-    spec = importlib.util.spec_from_file_location("cli_sweep", ROOT / "tools" / "cli_sweep.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    start = time.perf_counter()
-    assert sweep.main([str(ROOT), "butterfly"]) == 0
-    assert time.perf_counter() - start < 5
-    lines = capsys.readouterr().out.splitlines()
+    done, seconds = fixture_sweep
+    assert (done.returncode, done.stderr) == (0, "")
+    assert seconds < 20
+    lines = done.stdout.splitlines()
     commands = [line.rsplit(" ", 1)[0] for line in lines]
     assert len(set(commands)) == len(lines) > 40
     assert commands[0] == "slnc mincut <tmp>/butterfly.net"

@@ -11,13 +11,12 @@ When an output change is intended, regenerate the file with
 and list the changed lines in CHANGES.md.
 """
 
-from conftest import ROOT, run_python
+from conftest import ROOT
 
 GOLDEN = ROOT / "tests" / "golden" / "cli_sweep_fixtures.txt"
-FIXTURE_STEMS = ("butterfly", "butterfly_gf2", "parallel2_gf2", "parallel3_gf2", "parallel3_gf5")
 
 
-def test_cli_sweep_on_the_fixtures_matches_the_golden_lines():
-    done = run_python(str(ROOT / "tools" / "cli_sweep.py"), str(ROOT), *FIXTURE_STEMS)
+def test_cli_sweep_on_the_fixtures_matches_the_golden_lines(fixture_sweep):
+    done, _ = fixture_sweep
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == GOLDEN.read_text(encoding="utf-8").splitlines()

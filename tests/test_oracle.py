@@ -36,7 +36,7 @@ from slnc.oracle import (
 )
 from slnc import Matrix, RefutationResult, c_min, han_profile, oracle, refute, refute_key_rate
 from slnc.secure import SecureCodeBundle, build_secure_bundle, decode_at_sink, encode_source
-from conftest import FIXTURES, combination_network, dag_networks, load_network, matrix_from_rows
+from conftest import FIXTURES, combination_network, dag_networks, load_network, matrix_from_rows, random_invertible
 
 
 def _identity_mixing_bundle(net, omega, r, i=0):
@@ -115,7 +115,7 @@ def _dist_from_table(q, rows):
     counts = {}
     for m, y, c in rows:
         counts[(m, y)] = c
-    return JointDistribution(q=q, edge_ids=("x",), counts=counts)
+    return JointDistribution(q=q, counts=counts)
 
 
 def test_mutual_information_independent_is_zero():
@@ -138,7 +138,7 @@ def test_mutual_information_pair_determines_message():
         ((1,), (1, 0), 1),
         ((1,), (0, 1), 1),
     ]
-    dist = JointDistribution(q=2, edge_ids=("a", "b"), counts=dict(
+    dist = JointDistribution(q=2, counts=dict(
         ((m, y), c) for m, y, c in rows
     ))
     assert mutual_information(dist) == 1
@@ -338,7 +338,7 @@ def reference_verify(bundle, fast=False):
             counts = collections.Counter((m, tuple(s[e] for e in combo)) for m, _k, s in rows)
             tables[combo] = counts
             mi = mutual_information(
-                JointDistribution(bundle.field.q, combo, counts)
+                JointDistribution(bundle.field.q, counts)
             )
             results.append((combo, mi))
     report = SecurityReport(i=bundle.i, results=results, decode_detail=detail)
@@ -658,13 +658,6 @@ def test_rank_criterion_trivial_cases(parallel3_gf2):
     assert rank_security_criterion(naked, [])
 
 
-def _random_invertible(field, n, rng):
-    while True:
-        m = matrix_from_rows(field, [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)])
-        if rank_of_rows(field, m.columns) == n:
-            return m
-
-
 def test_rank_criterion_agrees_with_enumeration(butterfly, parallel3_gf5, parallel3_gf2):
     """Randomized mixing matrices: exact zero MI must coincide with the
     algebraic criterion on every wiretap set."""
@@ -682,7 +675,7 @@ def test_rank_criterion_agrees_with_enumeration(butterfly, parallel3_gf5, parall
         for _ in range(10):
             bundle = SecureCodeBundle(
                 base=base,
-                mixing=_random_invertible(net.field, n, rng),
+                mixing=random_invertible(net.field, n, rng),
                 omega=omega,
                 r=r,
                 i=i,

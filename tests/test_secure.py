@@ -89,7 +89,7 @@ def test_choose_secure_basis_matches_oracle_parallel_gf2(parallel3_gf2):
     q_mat = choose_secure_basis(code, 1)
     kernel_sets = [
         tuple(code.kernels[eid] for eid in A)
-        for A in enumerate_code_wiretap_sets(code, 1).sets
+        for A in enumerate_code_wiretap_sets(code, 1)
     ]
     oracle_cols = greedy_basis_oracle(code.field, 3, 1, kernel_sets)
     assert [q_mat.col(j) for j in range(3)] == oracle_cols
@@ -102,7 +102,7 @@ def test_choose_secure_basis_matches_oracle_butterfly(butterfly):
     q_mat = choose_secure_basis(code, 1)
     kernel_sets = [
         tuple(code.kernels[eid] for eid in A)
-        for A in enumerate_code_wiretap_sets(code, 1).sets
+        for A in enumerate_code_wiretap_sets(code, 1)
     ]
     oracle_cols = greedy_basis_oracle(code.field, 2, 1, kernel_sets)
     assert [q_mat.col(j) for j in range(2)] == oracle_cols
@@ -129,7 +129,7 @@ def test_choose_secure_basis_condition(request, net_name, r, q_cols):
     code = construct_lnc(net, n)
     q_mat = choose_secure_basis(code, r)
     assert [q_mat.col(j) for j in range(n)] == q_cols  # the greedy scan's exact choice
-    for A in enumerate_code_wiretap_sets(code, r).sets:
+    for A in enumerate_code_wiretap_sets(code, r):
         # Q's leading n - r columns and the r kernels of A span the whole space,
         # so their spans meet only at zero.
         assert rank_of_rows(code.field, [*q_cols[:n - r], *(code.kernels[eid] for eid in A)]) == n
@@ -160,7 +160,7 @@ def scan_choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
     scaled = {eid: Echelon(field, n, [k]).basis() for eid, k in code.kernels.items()}
     seen: set[frozenset[tuple[tuple[int, ...], ...]]] = set()
     wiretap_spans: dict[tuple[tuple[int, ...], ...], Echelon] = {}
-    for A in enumerate_code_wiretap_sets(code, r).sets:
+    for A in enumerate_code_wiretap_sets(code, r):
         key = frozenset([scaled[eid] for eid in A])
         if key in seen:
             continue

@@ -267,6 +267,71 @@ def test_every_definition_is_referenced_in_the_package():
     assert found == []
 
 
+# Stored fields that no package code reads, each with the reason it stays.
+UNREAD_FIELDS = {
+    # The report's whole content, returned to library callers.
+    "CodeValidityReport.recursion_violations",
+    "CodeValidityReport.sink_rank_deficits",
+    # The search's work counter, which the refutation tests pin.
+    "RefutationResult.visited",
+}
+
+
+def _stored_fields(cls: ast.ClassDef) -> list[str]:
+    """A NamedTuple's fields and the attributes that `__init__` sets on self."""
+    fields = []
+    if any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in cls.bases):
+        fields += [
+            node.target.id
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        ]
+    for method in cls.body:
+        if isinstance(method, ast.FunctionDef) and method.name == "__init__":
+            fields += [
+                node.attr
+                for node in ast.walk(method)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+            ]
+    return fields
+
+
+def test_every_stored_field_is_read():
+    # Each fact is stored once, and no record keeps a field that no code
+    # reads: every stored field is loaded as an attribute somewhere in the
+    # package outside its own class's dunder methods.  Matched by name.
+    stored: dict[str, str] = {}
+    loads: set[tuple[str, str, str]] = set()  # (attribute, enclosing class, its method)
+
+    def visit(node: ast.AST, path: str, cls: str, method: str) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls, method = node.name, ""
+            for name in _stored_fields(node):
+                stored.setdefault(f"{cls}.{name}", f"{path}:{node.lineno}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not method:
+            method = node.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loads.add((node.attr, cls, method))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, cls, method)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "", "")
+
+    def read(field: str) -> bool:
+        owner, name = field.split(".")
+        return any(
+            attr == name and not (cls == owner and method.startswith("__") and method.endswith("__"))
+            for attr, cls, method in loads
+        )
+
+    found = sorted(
+        f"{where}: {field}" for field, where in stored.items() if field not in UNREAD_FIELDS and not read(field)
+    )
+    assert found == []
+
+
 # The package root's public names in `__all__` order, each with its defining module.
 PUBLIC = [
     (name, module)
@@ -275,7 +340,7 @@ PUBLIC = [
         ("field", "FieldSpec"),
         ("secure", "Matrix"),
         ("field", "ff_op"),
-        ("network", "Edge Network WiretapCollection parse_network serialize_network"),
+        ("network", "Edge Network parse_network serialize_network"),
         ("flow", "min_cut_to_sink min_cut_to_edges c_min"),
         ("lnc", "GlobalCode construct_lnc check_code_validity write_code parse_code"),
         ("walk", "enumerate_topology_wiretap_sets enumerate_code_wiretap_sets verify_subset_bound"),
