@@ -1,5 +1,10 @@
 """Linear network codes: global kernels, local coefficients, and their checks.
 
+A channel's kernel is its local coefficients times its tail's in-kernels.
+The source has no in-channels; its n unit vectors stand in for them, so a
+channel out of the source has its coefficient vector as its kernel and no
+local coefficients.
+
 The construction follows the deterministic flow-path method: fix edge-disjoint
 source-to-sink paths per sink, walk edges in topological order, and give each
 coded edge the lexicographically smallest local-coefficient assignment that
@@ -18,31 +23,12 @@ from .errors import (
 from .field import Echelon, FieldSpec, combine, first_outside, rank_of_rows, standard_basis
 from .network import Network, integers, text_lines
 
-IMAGINARY_PREFIX = "__s_"
-
-
-def imaginary_ids(n: int) -> list[str]:
-    """Ids of the n imaginary source-input channels (never serialized)."""
-    return [f"{IMAGINARY_PREFIX}{j + 1}" for j in range(n)]
-
-
-def imaginary_kernels(n: int) -> dict[str, tuple[int, ...]]:
-    """The imaginary input channels' kernels: the standard basis, in order."""
-    return {d: standard_basis(n, j) for j, d in enumerate(imaginary_ids(n))}
-
-
-def in_channel_ids(net: Network, n: int, node: str) -> list[str]:
-    """Incoming channel ids at a node; the source sees the n imaginary inputs."""
-    if node == net.source:
-        return imaginary_ids(n)
-    return [e.id for e in net.in_edges(node)]
-
-
 class GlobalCode(NamedTuple):
     """An n-dimensional linear code: kernel f_e per channel plus local coefficients.
 
-    `kernels` holds the real channels only; the imaginary input channels'
-    kernels are the standard basis, which `imaginary_kernels(n)` supplies.
+    `local_coeffs` maps a pair (d, e) of adjacent channels, d into the tail
+    of e, to e's coefficient on d.  A channel out of the source has none:
+    its kernel is its coefficient vector.
     """
 
     n: int
@@ -76,24 +62,25 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
             f"flow-path construction needs q >= |T|; q={field.q}, |T|={len(net.sinks)}"
         )
 
-    kernels = imaginary_kernels(n)
+    units = [standard_basis(n, j) for j in range(n)]
+    kernels: dict[str, tuple[int, ...]] = {}
     on_path: dict[str, list[tuple[str, int]]] = {}
     for t in net.sinks:
         for j, path in enumerate(edge_disjoint_paths(net, t, n)):
             for eid in path:
                 on_path.setdefault(eid, []).append((t, j))
-    frontier: dict[str, list[str]] = {t: imaginary_ids(n) for t in net.sinks}
+    frontier = {t: list(units) for t in net.sinks}
 
     local_coeffs: dict[tuple[str, str], int] = {}
     for edge in net.topo_edges():
-        tail_in = in_channel_ids(net, n, edge.tail)
+        tail_in = [d.id for d in net.in_edges(edge.tail)]
         uses = on_path.get(edge.id, ())
-        tail_kernels = [kernels[d] for d in tail_in]
+        tail_kernels = units if edge.tail == net.source else [kernels[d] for d in tail_in]
         # Each frontier has rank n, so f may take slot j exactly when it lies
         # outside the hyperplane spanned by the slot's n - 1 other kernels.
         # An edge on no flow path avoids no space, so it gets the all-zero tuple.
         others = [
-            Echelon(field, n, [kernels[d] for idx, d in enumerate(frontier[t]) if idx != j])
+            Echelon(field, n, [f for idx, f in enumerate(frontier[t]) if idx != j])
             for t, j in uses
         ]
         assignment = first_outside(field, tail_kernels, others)
@@ -107,9 +94,9 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
             local_coeffs[(d, edge.id)] = coeff
         kernels[edge.id] = f
         for t, j in uses:
-            frontier[t][j] = edge.id
+            frontier[t][j] = f
 
-    real_kernels = {e.id: kernels[e.id] for e in net.edges}
+    real_kernels = {e.id: kernels[e.id] for e in net.edges}  # declaration order
     return GlobalCode(n=n, kernels=real_kernels, local_coeffs=local_coeffs, network=net)
 
 
@@ -123,16 +110,19 @@ class CodeValidityReport(NamedTuple):
 
 
 def _recursion_violations(code: GlobalCode) -> dict[str, tuple[int, ...]]:
-    """Stored kernel minus the local-coefficient combination, per offending edge."""
+    """Stored kernel minus the local-coefficient combination, per offending
+    edge out of a non-source node."""
     field = code.field
-    kernels = imaginary_kernels(code.n) | code.kernels
+    net = code.network
     violations: dict[str, tuple[int, ...]] = {}
-    for edge in code.network.edges:
-        ins = in_channel_ids(code.network, code.n, edge.tail)
+    for edge in net.edges:
+        if edge.tail == net.source:
+            continue  # its kernel is its coefficient vector
+        ins = [d.id for d in net.in_edges(edge.tail)]
         expected = combine(
             field,
             [code.local_coeffs.get((d, edge.id), 0) for d in ins],
-            [kernels[d] for d in ins],
+            [code.kernels[d] for d in ins],
             code.n,
         )
         actual = code.kernels[edge.id]
@@ -146,7 +136,8 @@ def check_code_validity(code: GlobalCode) -> CodeValidityReport:
 
     Violations are reported as data, not raised: the recursion residual
     (stored kernel minus the local-coefficient combination) per offending
-    edge, and the rank deficit per undecodable sink.
+    edge, and the rank deficit per undecodable sink.  A channel out of the
+    source is never reported, since its kernel is its coefficient vector.
     """
     net = code.network
     deficits: dict[str, int] = {}
@@ -165,8 +156,6 @@ def write_code(code: GlobalCode) -> str:
     lines = [f"code n={code.n} q={code.field.q}"]
     lines += [" ".join(["kernel", e.id, *map(str, code.kernels[e.id])]) for e in net.edges]
     for e in net.edges:
-        if e.tail == net.source:
-            continue  # imaginary-channel coefficients are implied by the kernel
         for d in net.in_edges(e.tail):
             lines.append(f"local {d.id} {e.id} {code.local_coeffs.get((d.id, e.id), 0)}")
     return "\n".join(lines) + "\n"
@@ -231,8 +220,6 @@ def parse_code(text: str, net: Network) -> GlobalCode:
             if len(tokens) != 4:
                 raise ParseError(f"local line needs d, e, k: {line!r}")
             d_id, e_id = tokens[1], tokens[2]
-            if d_id.startswith(IMAGINARY_PREFIX):
-                raise ParseError("imaginary-channel coefficients are never serialized")
             d, e = net.edge(d_id), net.edge(e_id)
             if d.head != e.tail:
                 raise ParseError(f"channels {d_id} and {e_id} are not adjacent")
@@ -243,10 +230,6 @@ def parse_code(text: str, net: Network) -> GlobalCode:
     missing = [e.id for e in net.edges if e.id not in kernels]
     if missing:
         raise ParseError(f"missing kernel lines for: {', '.join(missing)}")
-    for e in net.edges:
-        if e.tail == net.source:
-            for j, d in enumerate(imaginary_ids(n)):
-                local_coeffs[(d, e.id)] = kernels[e.id][j]
     code = GlobalCode(n=n, kernels=kernels, local_coeffs=local_coeffs, network=net)
     violations = _recursion_violations(code)
     if violations:

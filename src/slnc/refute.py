@@ -18,7 +18,7 @@ from typing import Hashable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InvalidKeyDim, RateTooHigh
 from .field import Echelon, FieldSpec, combine, in_span, standard_basis
-from .lnc import GlobalCode, imaginary_kernels, in_channel_ids, write_code
+from .lnc import GlobalCode, write_code
 from .network import Network
 
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -71,13 +71,15 @@ class RefutationResult(NamedTuple):
 
 
 class _SearchLevel(NamedTuple):
-    """One channel of the depth-first search, in topological order, with the
-    sinks whose last in-channel it is."""
+    """One channel of the depth-first search, in topological order: its tail's
+    in-channels, the sinks whose last in-channel it is, and its tuple width,
+    dim out of the source (the tuple is the kernel) and len(ins) elsewhere."""
 
     edge_id: str
     ins: list[str]
     sinks: list[list[str]]
     source: bool
+    width: int
 
 
 def _orbit_class(sources: Echelon, kernel: tuple[int, ...], omega: int) -> Hashable:
@@ -134,18 +136,21 @@ def refute_key_rate(
     q = field.q
     dim = omega + key_dim
 
-    # A huge omega or key_dim is refused before anything is built.
+    # A huge omega or key_dim is refused before anything dim-sized is built.
     topo = net.topo_edges()
-    slots = sum(dim if e.tail == net.source else len(net.in_edges(e.tail)) for e in topo)
-    space = _exhaustive_space("search space", q, slots, budget)
+    levels = []
+    for e in topo:
+        ins = [d.id for d in net.in_edges(e.tail)]
+        source = e.tail == net.source
+        levels.append(_SearchLevel(e.id, ins, [], source, dim if source else len(ins)))
+    space = _exhaustive_space("search space", q, sum(level.width for level in levels), budget)
 
-    levels = [_SearchLevel(e.id, in_channel_ids(net, dim, e.tail), [], e.tail == net.source) for e in topo]
     position = {e.id: j for j, e in enumerate(topo)}
     for t in net.sinks:
         ins = [e.id for e in net.in_edges(t)]
         levels[max(position[eid] for eid in ins)].sinks.append(ins)
 
-    kernels = imaginary_kernels(dim)
+    kernels: dict[str, tuple[int, ...]] = {}
     # A sink recovers the message iff e_1..e_omega lie in the span of its kernels;
     # otherwise two inputs differing in M share all its observations.
     message_units = [standard_basis(dim, j) for j in range(omega)]
@@ -155,7 +160,7 @@ def refute_key_rate(
     visited = 0
     # tries[j] = (channel j's untried tuples, classes tried, earlier directions, source echelon,
     # path: the tuples chosen for channels 0..j-1).
-    tries = [(itertools.product(elements, repeat=len(levels[0].ins)), set(), (), Echelon(field, dim), ())]
+    tries = [(itertools.product(elements, repeat=levels[0].width), set(), (), Echelon(field, dim), ())]
     while tries:
         options, seen, known, sources, path = tries[-1]
         coeffs = next(options, None)
@@ -163,7 +168,7 @@ def refute_key_rate(
             tries.pop()
             continue
         level = levels[len(path)]
-        kernel = combine(field, coeffs, [kernels[d] for d in level.ins], dim)
+        kernel = coeffs if level.source else combine(field, coeffs, [kernels[d] for d in level.ins], dim)
         cls = _orbit_class(sources, kernel, omega) if level.source else kernel
         if cls in seen:
             continue
@@ -182,7 +187,7 @@ def refute_key_rate(
             if level.source:
                 sources = sources.copy()
                 sources.add(kernel[omega:] + kernel[:omega])
-            options = itertools.product(elements, repeat=len(levels[len(path)].ins))
+            options = itertools.product(elements, repeat=levels[len(path)].width)
             tries.append((options, set(), known + new, sources, path))
             continue
 

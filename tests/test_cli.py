@@ -108,6 +108,17 @@ def test_repeated_local_line_is_input_error(tmp_path, capsys):
     assert "duplicate local line for e1 e8" in err
 
 
+def test_local_line_into_a_source_channel_is_input_error(tmp_path, capsys):
+    # A channel out of the source has its coefficients as its kernel line and
+    # no local line; no channel feeds it.
+    code_file = tmp_path / "butterfly.lnc"
+    run(capsys, "construct", BUTTERFLY, "--dim", "2", "-o", str(code_file))
+    with code_file.open("a") as f:
+        f.write("local __s_1 e1 1\n")
+    code, out, err = run(capsys, "enumerate", BUTTERFLY, "--r", "1", "--code", str(code_file))
+    assert (code, out, err) == (3, "", "error: no channel named __s_1\n")
+
+
 def test_enumerate_topology_only(capsys):
     code, out, _ = run(capsys, "enumerate", PARALLEL3_GF2, "--r", "2")
     assert code == 0

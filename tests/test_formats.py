@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slnc.errors import ParseError, SlncError
+from slnc.errors import ParseError, SlncError, UnknownEdge
 from slnc.lnc import construct_lnc, parse_code, write_code
 from slnc import c_min
 from slnc.network import parse_network, serialize_network
@@ -28,7 +28,8 @@ def test_code_parse_rejects_garbage(butterfly):
         parse_code(code_text.replace("code n=2 q=3", "code n=2 q=5"), butterfly)
     with pytest.raises(ParseError):
         parse_code("\n".join(code_text.splitlines()[1:]), butterfly)  # no header
-    with pytest.raises(ParseError):
+    # The source has no in-channels, so no local line names one.
+    with pytest.raises(UnknownEdge, match="^no channel named __s_1$"):
         parse_code(code_text + "local __s_1 e1 1\n", butterfly)
     with pytest.raises(ParseError):
         parse_code(code_text.replace("kernel e5 1 1", "kernel e5 1"), butterfly)

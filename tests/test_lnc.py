@@ -12,8 +12,6 @@ from slnc.lnc import (
     GlobalCode,
     check_code_validity,
     construct_lnc,
-    imaginary_ids,
-    in_channel_ids,
     standard_basis,
     write_code,
 )
@@ -146,10 +144,10 @@ def scan_construct_lnc(net: Network, n: int) -> GlobalCode:
             f"flow-path construction needs q >= |T|; q={field.q}, |T|={len(net.sinks)}"
         )
 
-    imag = imaginary_ids(n)
-    kernels: dict[str, tuple[int, ...]] = {
-        d: standard_basis(n, j) for j, d in enumerate(imag)
-    }
+    # The source's n unit vectors stand in for its in-kernels, so a channel
+    # out of it takes its coefficient tuple as its kernel.
+    units = [standard_basis(n, j) for j in range(n)]
+    kernels: dict[str, tuple[int, ...]] = {}
     zero = (0,) * n
 
     on_path: dict[str, list[tuple[str, int]]] = {}
@@ -157,25 +155,25 @@ def scan_construct_lnc(net: Network, n: int) -> GlobalCode:
         for j, path in enumerate(edge_disjoint_paths(net, t, n)):
             for eid in path:
                 on_path.setdefault(eid, []).append((t, j))
-    frontier: dict[str, list[str]] = {t: list(imag) for t in net.sinks}
+    frontier = {t: list(units) for t in net.sinks}
 
     local_coeffs: dict[tuple[str, str], int] = {}
     for edge in net.topo_edges():
-        tail_in = in_channel_ids(net, n, edge.tail)
+        tail_in = [d.id for d in net.in_edges(edge.tail)]
         uses = on_path.get(edge.id, ())
         if not uses:
             for d in tail_in:
                 local_coeffs[(d, edge.id)] = 0
             kernels[edge.id] = zero
             continue
-        tail_kernels = [kernels[d] for d in tail_in]
+        tail_kernels = units if edge.tail == net.source else [kernels[d] for d in tail_in]
         # Each frontier has rank n, so f may take slot j exactly when it lies
         # outside the span of the slot's n - 1 other kernels.
         others = [
-            Echelon(field, n, [kernels[d] for idx, d in enumerate(frontier[t]) if idx != j])
+            Echelon(field, n, [k for idx, k in enumerate(frontier[t]) if idx != j])
             for t, j in uses
         ]
-        for assignment in itertools.product(field.elements(), repeat=len(tail_in)):
+        for assignment in itertools.product(field.elements(), repeat=len(tail_kernels)):
             f = combine(field, assignment, tail_kernels, n)
             if all(any(echelon.reduce(f)) for echelon in others):
                 break
@@ -187,7 +185,7 @@ def scan_construct_lnc(net: Network, n: int) -> GlobalCode:
             local_coeffs[(d, edge.id)] = coeff
         kernels[edge.id] = f
         for t, j in uses:
-            frontier[t][j] = edge.id
+            frontier[t][j] = f
 
     real_kernels = {e.id: kernels[e.id] for e in net.edges}
     return GlobalCode(n=n, kernels=real_kernels, local_coeffs=local_coeffs, network=net)
@@ -204,16 +202,21 @@ def test_construct_matches_the_candidate_scan(net):
 
 def test_kernels_recompute_from_locals(butterfly):
     """Recomputing every kernel from the local coefficients in topological
-    order reproduces the stored kernels exactly."""
+    order reproduces the stored kernels exactly.  A channel out of the
+    source has no local coefficients: its kernel is its coefficient tuple."""
     code = construct_lnc(butterfly, 2)
     field = code.field
-    values = {d: standard_basis(2, j) for j, d in enumerate(["__s_1", "__s_2"])}
+    values = {}
     for edge in butterfly.topo_edges():
+        if edge.tail == butterfly.source:
+            assert all(e != edge.id for _, e in code.local_coeffs)
+            values[edge.id] = code.kernels[edge.id]
+            continue
         acc = (0, 0)
-        for d in in_channel_ids(code.network, code.n, edge.tail):
-            k = code.local_coeffs[(d, edge.id)]
+        for d in butterfly.in_edges(edge.tail):
+            k = code.local_coeffs[(d.id, edge.id)]
             acc = tuple(
-                field.add(x, field.mul(k, y)) for x, y in zip(acc, values[d])
+                field.add(x, field.mul(k, y)) for x, y in zip(acc, values[d.id])
             )
         values[edge.id] = acc
         assert acc == code.kernels[edge.id]
@@ -252,12 +255,9 @@ def test_validity_cascade_from_mid_graph_corruption(butterfly):
 
 def test_validity_reports_sink_deficit(parallel3_gf2):
     # a repetition code: every channel carries the same coordinate
+    # (every channel is out of the source, so there are no local coefficients)
     kernels = {eid: standard_basis(2, 0) for eid in ("e1", "e2", "e3")}
-    locals_ = {}
-    for eid in kernels:
-        locals_[("__s_1", eid)] = 1
-        locals_[("__s_2", eid)] = 0
-    code = GlobalCode(n=2, kernels=kernels, local_coeffs=locals_, network=parallel3_gf2)
+    code = GlobalCode(n=2, kernels=kernels, local_coeffs={}, network=parallel3_gf2)
     report = check_code_validity(code)
     assert report.sink_rank_deficits == {"t": 1}
     assert not report.recursion_violations

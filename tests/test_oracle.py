@@ -22,7 +22,7 @@ from slnc.errors import (
     RateTooHigh,
 )
 from slnc.field import Echelon, FieldSpec, combine, dot, in_span, rank_of_rows, standard_basis
-from slnc.lnc import GlobalCode, construct_lnc, imaginary_ids, in_channel_ids
+from slnc.lnc import GlobalCode, construct_lnc, parse_code, write_code
 from slnc.network import Network, parse_network
 from slnc.oracle import (
     DEFAULT_SEARCH_BUDGET,
@@ -719,14 +719,12 @@ def flat_refute(
     field = net.field
     dim = omega + key_dim
 
+    # A channel out of the source takes dim coefficients, its kernel; any
+    # other takes one per in-channel of its tail.
     topo = net.topo_edges()
-    in_channels: dict[str, list[str]] = {}
-    slots: list[tuple[str, str]] = []
-    for edge in topo:
-        ins = in_channel_ids(net, dim, edge.tail)
-        in_channels[edge.id] = ins
-        slots.extend((edge.id, d) for d in ins)
-    space = field.q ** len(slots)
+    in_channels = {edge.id: [d.id for d in net.in_edges(edge.tail)] for edge in topo}
+    widths = [dim if edge.tail == net.source else len(in_channels[edge.id]) for edge in topo]
+    space = field.q ** sum(widths)
     if space > budget:
         raise BudgetExceeded(f"search space {space} exceeds the budget {budget}")
 
@@ -738,20 +736,23 @@ def flat_refute(
         for combo in itertools.combinations(edge_ids_sorted, size)
     ]
 
-    basis = {d: standard_basis(dim, j) for j, d in enumerate(imaginary_ids(dim))}
     # A sink recovers the message iff e_1..e_omega lie in the span of its kernels;
     # otherwise two inputs differing in M share all its observations.
     message_units = [standard_basis(dim, j) for j in range(omega)]
     searched = 0
-    for assignment in itertools.product(field.elements(), repeat=len(slots)):
+    for assignment in itertools.product(field.elements(), repeat=sum(widths)):
         searched += 1
-        kernels: dict[str, tuple[int, ...]] = dict(basis)
+        kernels: dict[str, tuple[int, ...]] = {}
+        chosen: dict[str, tuple[int, ...]] = {}
         cursor = 0
-        for edge in topo:
+        for edge, width in zip(topo, widths):
+            coeffs = chosen[edge.id] = assignment[cursor:cursor + width]
+            cursor += width
             ins = in_channels[edge.id]
-            coeffs = assignment[cursor:cursor + len(ins)]
-            cursor += len(ins)
-            kernels[edge.id] = combine(field, coeffs, [kernels[d] for d in ins], dim)
+            kernels[edge.id] = (
+                coeffs if edge.tail == net.source
+                else combine(field, coeffs, [kernels[d] for d in ins], dim)
+            )
 
         if not all(
             in_span(field, [kernels[eid] for eid in sink_in_ids[t]], message_units)
@@ -768,7 +769,11 @@ def flat_refute(
             continue
 
         real_kernels = {e.id: kernels[e.id] for e in net.edges}
-        local_coeffs = {(d, eid): coeff for (eid, d), coeff in zip(slots, assignment)}
+        local_coeffs = {
+            (d, edge.id): coeff
+            for edge in topo
+            for d, coeff in zip(in_channels[edge.id], chosen[edge.id])
+        }
         witness = GlobalCode(
             n=dim, kernels=real_kernels, local_coeffs=local_coeffs, network=net
         )
@@ -880,7 +885,8 @@ def tried_tuples(net, omega, r, key_dim):
     field = net.field
     dim = omega + key_dim
     topo = net.topo_edges()
-    tail_ins = [in_channel_ids(net, dim, e.tail) for e in topo]
+    tail_ins = [[d.id for d in net.in_edges(e.tail)] for e in topo]
+    widths = [dim if e.tail == net.source else len(x) for e, x in zip(topo, tail_ins)]
     sinks = [[e.id for e in net.in_edges(t)] for t in net.sinks]
     ids = sorted(e.id for e in net.edges)
     sets = [A for size in range(1, min(r, len(ids)) + 1) for A in itertools.combinations(ids, size)]
@@ -890,11 +896,14 @@ def tried_tuples(net, omega, r, key_dim):
         inside = {e.id for e in topo[:depth]}
         done_sinks = [sink_ins for sink_ins in sinks if inside.issuperset(sink_ins)]
         done_sets = [A for A in sets if inside.issuperset(A)]
-        tuples = [list(itertools.product(field.elements(), repeat=len(x))) for x in tail_ins[:depth + 1]]
+        tuples = [list(itertools.product(field.elements(), repeat=w)) for w in widths[:depth + 1]]
         for prefix in itertools.product(*tuples):
-            kernels = {d: standard_basis(dim, j) for j, d in enumerate(imaginary_ids(dim))}
+            kernels = {}
             for edge, x, coeffs in zip(topo, tail_ins, prefix):
-                kernels[edge.id] = combine(field, coeffs, [kernels[d] for d in x], dim)
+                kernels[edge.id] = (
+                    coeffs if edge.tail == net.source
+                    else combine(field, coeffs, [kernels[d] for d in x], dim)
+                )
             tried += all(
                 in_span(field, [kernels[e] for e in sink_ins], units) for sink_ins in done_sinks
             ) and all(
@@ -930,13 +939,13 @@ def quotient_tuples(net, omega, r, key_dim):
     field = net.field
     dim = omega + key_dim
     topo = net.topo_edges()
-    tail_ins = [in_channel_ids(net, dim, e.tail) for e in topo]
+    tail_ins = [[d.id for d in net.in_edges(e.tail)] for e in topo]
     sinks = [[e.id for e in net.in_edges(t)] for t in net.sinks]
     ids = sorted(e.id for e in net.edges)
     sets = [A for size in range(1, min(r, len(ids)) + 1) for A in itertools.combinations(ids, size)]
     units = [standard_basis(dim, j) for j in range(omega)]
     sources = [e.id for e in topo if e.tail == net.source]
-    explored = [{d: standard_basis(dim, j) for j, d in enumerate(imaginary_ids(dim))}]
+    explored = [{}]
     prefixes = []
     for depth, edge in enumerate(topo):
         inside = {e.id for e in topo[:depth]}
@@ -951,8 +960,11 @@ def quotient_tuples(net, omega, r, key_dim):
             ):
                 continue
             classes = set()
-            for coeffs in itertools.product(field.elements(), repeat=len(tail_ins[depth])):
-                child = {**kernels, edge.id: combine(field, coeffs, [kernels[d] for d in tail_ins[depth]], dim)}
+            width = dim if edge.id in sources else len(tail_ins[depth])
+            for coeffs in itertools.product(field.elements(), repeat=width):
+                child = {**kernels, edge.id: coeffs}
+                if edge.id not in sources:
+                    child[edge.id] = combine(field, coeffs, [kernels[d] for d in tail_ins[depth]], dim)
                 cols = [child[e] for e in sources if e in child]
                 cls = (
                     (relations(field, cols, dim), relations(field, [c[omega:] for c in cols], key_dim))
@@ -984,7 +996,9 @@ def refutation_cases(draw):
     key_dim = draw(st.integers(0, 1))
     omega = draw(st.integers(1, 2))
     r = draw(st.integers(key_dim + 1, 3))
-    slots = sum(len(in_channel_ids(net, omega + key_dim, e.tail)) for e in net.edges)
+    slots = sum(
+        omega + key_dim if e.tail == net.source else len(net.in_edges(e.tail)) for e in net.edges
+    )
     assume(q**slots <= 512)
     return net, omega, r, key_dim, draw(st.booleans())
 
@@ -1025,6 +1039,20 @@ def test_pruned_refutation_matches_the_flat_search(case):
         else:
             assert list(got.witness.local_coeffs.items()) == list(want.witness.local_coeffs.items())
             assert got.witness.kernels == want.witness.kernels
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.net")), ids=lambda path: path.stem)
+def test_local_coefficients_join_real_adjacent_channels(path):
+    # A channel out of the source has no local coefficients, so every key
+    # (d, e) names two real channels with d entering the tail of e.
+    net = load_network(path.name)
+    heads = {e.id: e.head for e in net.edges}
+    tails = {e.id: e.tail for e in net.edges}
+    code = construct_lnc(net, c_min(net))
+    with mock.patch.dict(vars(refute), {"_leakage": _no_leakage}):
+        witness = refute_key_rate(net, 1, 1, 0).witness
+    for found in (code, parse_code(write_code(code), net), witness):
+        assert all(d in heads and e in tails and heads[d] == tails[e] for d, e in found.local_coeffs)
 
 
 # s-t beside 20 channels out of u, which has no in-channel: two codes over
