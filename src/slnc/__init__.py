@@ -19,7 +19,6 @@ _HOME = {
         ("errors", "errors"),
         ("field", "FieldSpec"),
         ("secure", "Matrix"),
-        ("field", "ff_op"),
         ("network", "Edge Network parse_network serialize_network"),
         ("flow", "min_cut_to_sink min_cut_to_edges c_min"),
         ("lnc", "GlobalCode construct_lnc check_code_validity write_code parse_code"),

@@ -249,7 +249,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
-    except (SlncError, OSError, ValueError) as exc:
+    except (SlncError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -12,7 +12,7 @@ import itertools
 import math
 from typing import Hashable, Mapping
 
-from .errors import MonotonicityViolated, NotADistribution, ParseError
+from .errors import NotADistribution, ParseError, SlncError
 from .network import text_lines
 
 
@@ -24,11 +24,11 @@ def han_profile(
     h_r averages H(X_a | X_rest) over all coordinate subsets a of size r,
     normalized by C(n-1, r-1).  Entropies use natural logs internally and
     are reported in log-base units.  The profile is provably nondecreasing;
-    a decrease beyond 1e-9 raises MonotonicityViolated because it can only
-    come from an arithmetic bug.
+    a decrease beyond 1e-9 raises SlncError, since it can only come from an
+    arithmetic bug.
     """
     if not (math.isfinite(base) and base > 1):
-        raise ValueError(f"logarithm base must be a finite number above 1, got {base}")
+        raise SlncError(f"logarithm base must be a finite number above 1, got {base}")
     if not table:
         raise NotADistribution("empty probability table")
     items = list(table.items())
@@ -36,7 +36,7 @@ def han_profile(
     if n < 1:
         raise NotADistribution("joint outcomes must have at least one coordinate")
     if n > 12:
-        raise ValueError(f"at most 12 variables supported, got {n}")
+        raise SlncError(f"at most 12 variables supported, got {n}")
     if any(len(key) != n for key, _ in items):
         raise NotADistribution("inconsistent outcome arity in the table")
     total = 0.0
@@ -67,7 +67,7 @@ def han_profile(
         profile.append(acc / math.comb(n - 1, r - 1) / math.log(base))
     for lo, hi in zip(profile, profile[1:]):
         if hi < lo - 1e-9:
-            raise MonotonicityViolated(f"profile decreased: {lo} -> {hi}")
+            raise SlncError(f"profile decreased: {lo} -> {hi}")
     return profile
 
 

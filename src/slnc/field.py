@@ -20,11 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    DivisionByZero,
-    FieldMismatch,
-)
+from .errors import DivisionByZero, SlncError
 
 # Fixed moduli for GF(2^m), coefficient lists with the constant term first.
 _BINARY_MODULI: dict[int, tuple[int, ...]] = {
@@ -42,13 +38,13 @@ _MAX_DEGREE = 8
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, m) with q = p^m, p prime, or raise ValueError."""
+    """Return (p, m) with q = p^m, p prime, or raise SlncError."""
     if q < 2:
-        raise ValueError(f"field size must be at least 2, got {q}")
+        raise SlncError(f"field size must be at least 2, got {q}")
     # Every supported q lies below 2^16. Checking that first keeps the trial
     # division below from running for minutes on a huge prime.
     if q >= _MAX_FIELD_SIZE:
-        raise ValueError(f"field sizes of 2^16 and above are unsupported (q={q})")
+        raise SlncError(f"field sizes of 2^16 and above are unsupported (q={q})")
     p = 2
     while p * p <= q and q % p != 0:
         p += 1
@@ -60,7 +56,7 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
         rest //= p
         m += 1
     if rest != 1:
-        raise ValueError(f"{q} is not a prime power")
+        raise SlncError(f"{q} is not a prime power")
     return p, m
 
 
@@ -84,9 +80,9 @@ class FieldSpec:
             self._mod_mask = 0
             return
         if p != 2:
-            raise ValueError(f"extension fields with characteristic {p} are unsupported")
+            raise SlncError(f"extension fields with characteristic {p} are unsupported")
         if m > _MAX_DEGREE:
-            raise ValueError(f"extension degree {m} exceeds the supported maximum {_MAX_DEGREE}")
+            raise SlncError(f"extension degree {m} exceeds the supported maximum {_MAX_DEGREE}")
         self._mod_mask = sum(c << i for i, c in enumerate(_BINARY_MODULI[m]))
 
     # Arithmetic below assumes canonical operands; `check` is the validating
@@ -94,7 +90,7 @@ class FieldSpec:
 
     def check(self, a: object) -> int:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
-            raise FieldMismatch(f"{a!r} is not a canonical element of {self}")
+            raise SlncError(f"{a!r} is not a canonical element of {self}")
         return a
 
     def add(self, a: int, b: int) -> int:
@@ -154,21 +150,6 @@ class FieldSpec:
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
-
-
-def ff_op(field: FieldSpec, a: int, b: int, kind: str) -> int:
-    """Apply one validated field operation: kind is add, sub, mul, or div."""
-    a = field.check(a)
-    b = field.check(b)
-    if kind == "add":
-        return field.add(a, b)
-    if kind == "sub":
-        return field.sub(a, b)
-    if kind == "mul":
-        return field.mul(a, b)
-    if kind == "div":
-        return field.mul(a, field.inv(b))  # inv raises DivisionByZero for b = 0
-    raise ValueError(f"unknown operation kind {kind!r}")
 
 
 # -- vectors (plain tuples of canonical ints) ---------------------------------
@@ -233,7 +214,7 @@ def standard_basis(n: int, j: int) -> tuple[int, ...]:
 
 def dot(field: FieldSpec, u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
+        raise SlncError(f"vector lengths differ: {len(u)} vs {len(v)}")
     acc = 0
     for a, b in zip(u, v):
         if a and b:
@@ -273,7 +254,7 @@ class Echelon:
     def reduce(self, v: Sequence[int]) -> Sequence[int]:
         """v minus its part in the span, which is zero exactly when v lies in it."""
         if len(v) != self.n:
-            raise DimensionMismatch(f"vector of length {len(v)} in a space of dimension {self.n}")
+            raise SlncError(f"vector of length {len(v)} in a space of dimension {self.n}")
         w = v
         for p, row in self.rows.items():
             # Every other row is zero at pivot p, so v's entry there is w's too.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import EmptySet, UnknownSink
+from .errors import SlncError
 from .network import Network
 
 
@@ -126,7 +126,7 @@ def _unit_flow(net: Network, into: set[str], limit: int | None = None) -> tuple[
 
 def _sink_in_ids(net: Network, t: str) -> set[str]:
     if t not in net.sinks:
-        raise UnknownSink(f"{t} is not a declared sink")
+        raise SlncError(f"{t} is not a declared sink")
     return {e.id for e in net.in_edges(t)}
 
 
@@ -148,7 +148,7 @@ def edge_disjoint_paths(net: Network, t: str, count: int) -> list[list[str]]:
     """
     reached, to, cap = _unit_flow(net, _sink_in_ids(net, t), limit=count)
     if reached < count:
-        raise ValueError(f"only {reached} edge-disjoint paths to {t}, need {count}")
+        raise SlncError(f"only {reached} edge-disjoint paths to {t}, need {count}")
     arcs = net._arcs
     paths: list[list[str]] = []
     for _ in range(count):
@@ -169,7 +169,7 @@ def min_cut_to_edges(net: Network, edge_ids: Iterable[str]) -> int:
     """
     ids = list(edge_ids)
     if not ids:
-        raise EmptySet("the wiretapped channel set must be nonempty")
+        raise SlncError("the wiretapped channel set must be nonempty")
     for eid in ids:
-        net.edge(eid)  # raises UnknownEdge
+        net.edge(eid)  # raises SlncError for an unknown id
     return _unit_flow(net, set(ids))[0]

@@ -15,11 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import (
-    DimensionExceedsCapacity,
-    FieldTooSmallForSinks,
-    ParseError,
-)
+from .errors import FieldTooSmall, ParseError, SlncError
 from .field import Echelon, FieldSpec, combine, first_outside, rank_of_rows, standard_basis
 from .network import Network, integers, text_lines
 
@@ -52,13 +48,13 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
     from .flow import c_min, edge_disjoint_paths
 
     if n < 1:
-        raise ValueError("code dimension must be at least 1")
+        raise SlncError("code dimension must be at least 1")
     capacity = c_min(net)
     if n > capacity:
-        raise DimensionExceedsCapacity(f"dimension {n} exceeds C_min = {capacity}")
+        raise SlncError(f"dimension {n} exceeds C_min = {capacity}")
     field = net.field
     if field.q < len(net.sinks):
-        raise FieldTooSmallForSinks(
+        raise FieldTooSmall(
             f"flow-path construction needs q >= |T|; q={field.q}, |T|={len(net.sinks)}"
         )
 
@@ -85,7 +81,7 @@ def construct_lnc(net: Network, n: int) -> GlobalCode:
         ]
         assignment = first_outside(field, tail_kernels, others)
         if assignment is None:  # q >= |T| rules this out (the flow-path feasibility argument)
-            raise FieldTooSmallForSinks(
+            raise FieldTooSmall(
                 f"the flow-path construction found no coefficients for channel {edge.id} "
                 f"over GF({field.q}); this does not show that no code exists"
             )

@@ -11,13 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import (
-    CycleDetected,
-    DuplicateEdgeId,
-    ParseError,
-    UnknownEdge,
-    UnreachableSink,
-)
+from .errors import ParseError, SlncError
 from .field import FieldSpec
 
 if TYPE_CHECKING:
@@ -46,7 +40,7 @@ class Network:
         into: dict[str, list[Edge]] = {v: [] for v in self.nodes}
         for e in self.edges:
             if e.id in self._edge_by_id:
-                raise DuplicateEdgeId(f"channel id {e.id} declared twice")
+                raise ParseError(f"channel id {e.id} declared twice")
             if e.id.startswith("__"):
                 raise ParseError(f"channel id {e.id} uses the reserved '__' prefix")
             if e.head == source:
@@ -78,10 +72,10 @@ class Network:
                 if not waiting[e.head]:
                     ready.append(e.head)
         if len(topo) != len(self.edges):
-            raise CycleDetected("the channel graph contains a directed cycle")
+            raise ParseError("the channel graph contains a directed cycle")
         for t in self.sinks:
             if t not in reached:
-                raise UnreachableSink(f"sink {t} is unreachable from {source}")
+                raise ParseError(f"sink {t} is unreachable from {source}")
         self._topo = tuple(topo)
 
     # -- access --------------------------------------------------------------
@@ -90,7 +84,7 @@ class Network:
         try:
             return self._edge_by_id[edge_id]
         except KeyError:
-            raise UnknownEdge(f"no channel named {edge_id}") from None
+            raise SlncError(f"no channel named {edge_id}") from None
 
     def in_edges(self, node: str) -> tuple[Edge, ...]:
         return self._in.get(node, ())
@@ -164,7 +158,7 @@ def parse_network(text: str) -> Network:
             raise ParseError(f"missing {keyword} line")
     try:
         field = FieldSpec(found["field"][0][0])
-    except ValueError as exc:
+    except SlncError as exc:
         raise ParseError(f"bad field size: {exc}") from None
     sinks = [t for (t,) in found["sink"]]
     return Network(field, [Edge(*args) for args in found["edge"]], found["source"][0][0], sinks)

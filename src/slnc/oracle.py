@@ -18,7 +18,7 @@ import itertools
 from collections import Counter
 from typing import TYPE_CHECKING, Collection, Mapping, NamedTuple, Sequence
 
-from .errors import EmptySet, InconsistentObservation, NotADistribution
+from .errors import InconsistentObservation, NotADistribution, SlncError
 from .field import Echelon, combine
 # DEFAULT_SEARCH_BUDGET is only re-exported: bench/run.py's `set_up` reads it
 # off this module for the `refute` workload, and tests/test_source.py checks it
@@ -260,7 +260,7 @@ def verify_security(
         for combo in itertools.combinations(ids, size)
     ]
     if not scanned:
-        raise EmptySet("the bundle has no channel set of size up to r to scan")
+        raise SlncError("the bundle has no channel set of size up to r to scan")
     # chain[k] holds the codes of prefix[:k]; chain[0] codes input j's message, j // q^keydim.
     prefix: tuple[str, ...] = ()
     chain = [[m for m in range(q**bundle.omega) for _ in range(q**bundle.key_dim)]]

@@ -16,7 +16,7 @@ import functools
 import itertools
 from typing import Hashable, NamedTuple, Sequence
 
-from .errors import BudgetExceeded, InvalidKeyDim, RateTooHigh
+from .errors import BudgetExceeded, SlncError
 from .field import Echelon, FieldSpec, combine, in_span, standard_basis
 from .lnc import GlobalCode, write_code
 from .network import Network
@@ -129,9 +129,9 @@ def refute_key_rate(
     chained coefficient tuples read as a base-q number, plus 1.
     """
     if omega < 1:
-        raise RateTooHigh(f"information rate must be at least 1, got {omega}")
+        raise SlncError(f"information rate must be at least 1, got {omega}")
     if key_dim < 0 or key_dim >= r:
-        raise InvalidKeyDim(f"need 0 <= key_dim < r = {r}, got {key_dim}")
+        raise SlncError(f"need 0 <= key_dim < r = {r}, got {key_dim}")
     field = net.field
     q = field.q
     dim = omega + key_dim

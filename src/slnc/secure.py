@@ -14,16 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Collection, Mapping, NamedTuple, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    FieldTooSmall,
-    InconsistentObservation,
-    ParseError,
-    RateTooHigh,
-    SecurityLevelTooLarge,
-    Singular,
-    UnknownSink,
-)
+from .errors import FieldTooSmall, InconsistentObservation, ParseError, Singular, SlncError
 from .field import Echelon, FieldSpec, combine, dot, first_outside, standard_basis
 from .lnc import CODE_KEYWORDS, GlobalCode, _code_header, _parse_header, construct_lnc, parse_code, write_code
 from .network import NETWORK_KEYWORDS, Network, integers, parse_network, serialize_network, text_lines
@@ -34,10 +25,6 @@ class Matrix(NamedTuple):
 
     field: FieldSpec
     columns: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        return cls(field, tuple(standard_basis(n, j) for j in range(n)))
 
     @property
     def cols(self) -> int:
@@ -50,7 +37,7 @@ class Matrix(NamedTuple):
         """Inverse of a square matrix; raises Singular when rank < dimension."""
         n = self.cols
         if any(len(col) != n for col in self.columns):
-            raise DimensionMismatch("only square matrices have inverses")
+            raise SlncError("only square matrices have inverses")
         # [A | I] reduces to [I | A^-1] exactly when A's own columns hold n pivots.
         rows = [row + standard_basis(n, i) for i, row in enumerate(zip(*self.columns))]
         echelon = Echelon(self.field, 2 * n, rows)
@@ -168,11 +155,12 @@ def choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
     coordinate least significant).  Each of the first n - r columns is the
     smallest vector that keeps the prefix independent and its span disjoint
     from every wiretappable kernel span; the remaining columns just extend
-    independence.  Raises FieldTooSmall if no vector qualifies for a column.
+    independence.  At r = 0 only independence constrains the columns, so Q is
+    the identity.  Raises FieldTooSmall if no vector qualifies for a column.
     """
     n, field = code.n, code.field
-    if not 1 <= r < n:
-        raise SecurityLevelTooLarge(f"need 1 <= r < n = {n}, got {r}")
+    if not 0 <= r < n:
+        raise SlncError(f"need 0 <= r < n = {n}, got {r}")
     # cols are independent and meet no span(F_A), and F_A has rank r, so column
     # j <= n - r may be vec exactly when vec lies outside span(cols + F_A). That
     # depends on A only through span(F_A).  A code set's r independent kernels,
@@ -221,31 +209,24 @@ def build_secure_bundle(net: Network, omega: int, r: int, i: int = 0) -> SecureC
     from .flow import c_min
 
     if omega < 1:
-        raise RateTooHigh(f"information rate must be at least 1, got {omega}")
+        raise SlncError(f"information rate must be at least 1, got {omega}")
     if r < 1:
-        raise SecurityLevelTooLarge(f"security level must be at least 1, got {r}")
+        raise SlncError(f"security level must be at least 1, got {r}")
     if not 0 <= i <= r:
-        raise SecurityLevelTooLarge(f"imperfect level must satisfy 0 <= i <= r, got {i}")
+        raise SlncError(f"imperfect level must satisfy 0 <= i <= r, got {i}")
     n = c_min(net)
     if r >= n:
-        raise SecurityLevelTooLarge(f"security level {r} must be below C_min = {n}")
+        raise SlncError(f"security level {r} must be below C_min = {n}")
     key_dim = r - i
     if omega + key_dim > n:
-        raise RateTooHigh(
+        raise SlncError(
             f"omega + key_dim = {omega + key_dim} exceeds C_min = {n}"
         )
     base = construct_lnc(net, n)
-    basis_level = _basis_level(omega, r, key_dim, n)
-    if basis_level >= 1:
-        mixing = choose_secure_basis(base, basis_level)
-    else:
-        # i = r leaves no wiretap constraint to build against (key_dim = 0);
-        # the independence-only greedy degenerates to the standard basis.
-        mixing = Matrix.identity(net.field, n)
     constant = (0,) * (n - omega - key_dim)
     return SecureCodeBundle(
         base=base,
-        mixing=mixing,
+        mixing=choose_secure_basis(base, _basis_level(omega, r, key_dim, n)),
         omega=omega,
         r=r,
         i=i,
@@ -255,7 +236,7 @@ def build_secure_bundle(net: Network, omega: int, r: int, i: int = 0) -> SecureC
 
 def _check_block(field: FieldSpec, name: str, values: Sequence[int], length: int) -> tuple[int, ...]:
     if len(values) != length:
-        raise DimensionMismatch(f"{name} must have {length} symbols, got {len(values)}")
+        raise SlncError(f"{name} must have {length} symbols, got {len(values)}")
     return tuple(field.check(v) for v in values)
 
 
@@ -286,11 +267,11 @@ def decode_at_sink(
     """
     net = bundle.network
     if t not in net.sinks:
-        raise UnknownSink(f"{t} is not a declared sink")
+        raise SlncError(f"{t} is not a declared sink")
     in_ids = [e.id for e in net.in_edges(t)]
     missing = [eid for eid in in_ids if eid not in observed]
     if missing:
-        raise DimensionMismatch(f"missing symbols for: {', '.join(missing)}")
+        raise SlncError(f"missing symbols for: {', '.join(missing)}")
     field = bundle.field
     y = {eid: field.check(observed[eid]) for eid in in_ids}
     decoder = bundle.decoders[t]

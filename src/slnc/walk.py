@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .errors import SecurityLevelTooLarge
+from .errors import SlncError
 from .field import Echelon, FieldSpec
 from .flow import _augment, _flow_path, _push, _search, c_min
 from .lnc import GlobalCode
@@ -95,7 +95,7 @@ def cut_family(net: Network, r: int) -> tuple:
     """
     capacity = c_min(net)
     if not 1 <= r < capacity:
-        raise SecurityLevelTooLarge(
+        raise SlncError(
             f"security level must satisfy 1 <= r < C_min = {capacity}, got {r}"
         )
     arcs = net._arcs
@@ -155,7 +155,7 @@ def span_family(field: FieldSpec, n: int, r: int, vectors: Sequence[tuple[int, .
     (span, vector).
     """
     if not 1 <= r < n:
-        raise SecurityLevelTooLarge(f"need 1 <= r < n = {n}, got {r}")
+        raise SlncError(f"need 1 <= r < n = {n}, got {r}")
     bits_of: dict[tuple[int, ...], int] = {}  # the mask of the items whose vector is v
     for j, v in enumerate(vectors):
         bits_of[v] = bits_of.get(v, 0) | 1 << j

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from slnc.errors import FieldMismatch, SlncError
+from slnc.errors import SlncError
 from slnc import Matrix
-from slnc.field import dot, rank_of_rows
+from slnc.field import dot, rank_of_rows, standard_basis
 from slnc.network import Network, parse_network
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,6 +137,11 @@ def kernel_rank(code, edge_ids) -> int:
     return rank_of_rows(code.field, [code.kernels[eid] for eid in edge_ids])
 
 
+def identity(field, n: int) -> Matrix:
+    """The n x n identity matrix over the field."""
+    return Matrix(field, tuple(standard_basis(n, j) for j in range(n)))
+
+
 def matrix_from_rows(field, rows) -> Matrix:
     """The matrix with the given rows, held as its columns."""
     return Matrix(field, tuple(zip(*rows)))
@@ -152,9 +157,9 @@ def random_invertible(field, n: int, rng) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """The product a b, column by column; mixed fields raise FieldMismatch."""
+    """The product a b, column by column; mixed fields raise SlncError."""
     if a.field != b.field:
-        raise FieldMismatch(f"mixed fields {a.field} and {b.field}")
+        raise SlncError(f"mixed fields {a.field} and {b.field}")
     rows = list(zip(*a.columns))
     return Matrix(a.field, tuple(tuple(dot(a.field, row, col) for row in rows) for col in b.columns))
 

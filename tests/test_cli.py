@@ -58,6 +58,14 @@ def test_missing_file_is_input_error(capsys):
     assert code == 3
 
 
+def test_non_utf8_network_file_is_input_error(tmp_path, capsys):
+    net_file = tmp_path / "latin1.net"
+    net_file.write_bytes(b"\xfffield 3\nsource s\nsink t\nedge a s t\n")
+    code, out, err = run(capsys, "mincut", str(net_file))
+    assert (code, out) == (3, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mincut", BUTTERFLY, "--bogus"])

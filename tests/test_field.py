@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slnc.errors import DimensionMismatch, DivisionByZero, FieldMismatch, Singular
+from slnc.errors import DivisionByZero, SlncError, Singular
 from slnc import Matrix
 from slnc.field import (
     Echelon,
     FieldSpec,
     combine,
     dot,
-    ff_op,
     first_outside,
     in_span,
     rank_of_rows,
 )
-from conftest import matmul, matrix_from_rows, vector_from_index
+from conftest import identity, matmul, matrix_from_rows, vector_from_index
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -44,7 +43,8 @@ def test_field_specs_of_one_order_are_equal_and_hash_alike():
 
 @pytest.mark.parametrize("q", [1, 6, 10, 12, 100])
 def test_field_spec_rejects_non_prime_powers(q):
-    with pytest.raises(ValueError):
+    message = "field size must be at least 2, got 1" if q == 1 else f"{q} is not a prime power"
+    with pytest.raises(SlncError, match=f"^{message}$"):
         FieldSpec(q)
 
 
@@ -55,45 +55,47 @@ def test_largest_supported_prime_field():
 
 
 def test_field_spec_rejects_unsupported():
-    with pytest.raises(ValueError):
-        FieldSpec(9)  # characteristic-3 extension
-    with pytest.raises(ValueError):
-        FieldSpec(512)  # degree 9
-    with pytest.raises(ValueError):
-        FieldSpec(1 << 17)  # prime size cap
+    with pytest.raises(SlncError, match="^extension fields with characteristic 3 are unsupported$"):
+        FieldSpec(9)
+    with pytest.raises(SlncError, match="^extension degree 9 exceeds the supported maximum 8$"):
+        FieldSpec(512)
+    with pytest.raises(SlncError, match=r"^field sizes of 2\^16 and above are unsupported \(q=131072\)$"):
+        FieldSpec(1 << 17)
     # A prime near 10^18: trial division would run for minutes, so the size
     # bound must apply before factoring.
     start = time.perf_counter()
-    with pytest.raises(ValueError):
+    with pytest.raises(SlncError, match=r"^field sizes of 2\^16 and above are unsupported \(q=1000000000000000003\)$"):
         FieldSpec(1000000000000000003)
     assert time.perf_counter() - start < 1.0
 
 
 # -- element operations -------------------------------------------------------
 
-def test_ff_op_examples():
-    assert ff_op(GF2, 1, 1, "add") == 0
-    assert ff_op(GF3, 2, 2, "mul") == 1
+def test_element_operation_examples():
+    assert GF2.add(1, 1) == 0
+    assert GF3.mul(2, 2) == 1
     # x * x reduces to x + 1 under x^2 + x + 1
-    assert ff_op(GF4, 2, 2, "mul") == 3
-    assert ff_op(GF5, 1, 3, "sub") == 3
-    assert ff_op(GF4, 1, 3, "sub") == 2  # characteristic 2: sub is add
-    with pytest.raises(ValueError, match="^unknown operation kind 'pow'$"):
-        ff_op(GF5, 2, 3, "pow")
+    assert GF4.mul(2, 2) == 3
+    assert GF5.sub(1, 3) == 3
+    assert GF4.sub(1, 3) == 2  # characteristic 2: sub is add
+    assert GF5.mul(2, GF5.inv(3)) == 4  # 2 / 3 = 4, as 3 * 4 = 12 = 2 mod 5
 
 
-def test_ff_op_div_by_zero():
-    with pytest.raises(DivisionByZero):
-        ff_op(GF5, 3, 0, "div")
+def test_inverse_of_zero_raises_division_by_zero():
+    with pytest.raises(DivisionByZero, match=r"^zero has no inverse in GF\(5\)$"):
+        GF5.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        GF4.inv(0)
 
 
-def test_ff_op_rejects_non_elements():
-    with pytest.raises(FieldMismatch):
-        ff_op(GF3, 3, 1, "add")
-    with pytest.raises(FieldMismatch):
-        ff_op(GF3, 1, -1, "mul")
-    with pytest.raises(FieldMismatch):
-        ff_op(GF3, True, 1, "add")
+def test_check_rejects_non_elements():
+    assert GF3.check(2) == 2
+    with pytest.raises(SlncError, match=r"^3 is not a canonical element of GF\(3\)$"):
+        GF3.check(3)
+    with pytest.raises(SlncError, match=r"^-1 is not a canonical element of GF\(3\)$"):
+        GF3.check(-1)
+    with pytest.raises(SlncError, match=r"^True is not a canonical element of GF\(3\)$"):
+        GF3.check(True)
 
 
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=lambda f: f"q{f.q}")
@@ -193,7 +195,7 @@ def test_column_combine_matches_entrywise_products(field):
 # -- matrices -----------------------------------------------------------------
 
 def test_mat_rank_examples():
-    assert rank_of_rows(GF5, Matrix.identity(GF5, 3).columns) == 3
+    assert rank_of_rows(GF5, identity(GF5, 3).columns) == 3
     assert rank_of_rows(GF2, [[1, 1], [1, 1]]) == 1
     # rows sum to zero over GF(2), so rank drops to 2
     assert rank_of_rows(GF2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 2
@@ -205,13 +207,13 @@ def test_mat_rank_empty_matrix():
 
 
 def test_mat_inverse_examples():
-    eye = Matrix.identity(GF3, 4)
+    eye = identity(GF3, 4)
     assert eye.inverse() == eye
     half = matrix_from_rows(GF3, [[2, 0], [0, 2]])
     assert half.inverse() == half  # 2 * 2 = 1 in GF(3)
     upper = matrix_from_rows(GF2, [[1, 1], [0, 1]])
     assert upper.inverse() == upper
-    assert matmul(upper, upper.inverse()) == Matrix.identity(GF2, 2)
+    assert matmul(upper, upper.inverse()) == identity(GF2, 2)
 
 
 def test_mat_inverse_singular():
@@ -222,13 +224,13 @@ def test_mat_inverse_singular():
 
 
 def test_mismatched_lengths_raise_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SlncError, match="^vector of length 2 in a space of dimension 3$"):
         in_span(GF2, [(1, 0)], [(1, 0, 1)])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SlncError, match="^vector of length 1 in a space of dimension 2$"):
         rank_of_rows(GF2, [(1, 0), (1,)])
-    with pytest.raises(DimensionMismatch, match="^vector lengths differ: 2 vs 1$"):
+    with pytest.raises(SlncError, match="^vector lengths differ: 2 vs 1$"):
         dot(GF2, (1, 0), (1,))
-    with pytest.raises(DimensionMismatch, match="^only square matrices have inverses$"):
+    with pytest.raises(SlncError, match="^only square matrices have inverses$"):
         matrix_from_rows(GF2, [[1, 0]]).inverse()
 
 
@@ -366,8 +368,8 @@ def test_inverse_roundtrip_when_full_rank(q, n, data):
         with pytest.raises(Singular):
             m.inverse()
     else:
-        assert matmul(m, m.inverse()) == Matrix.identity(field, n)
-        assert matmul(m.inverse(), m) == Matrix.identity(field, n)
+        assert matmul(m, m.inverse()) == identity(field, n)
+        assert matmul(m.inverse(), m) == identity(field, n)
 
 
 def test_vector_enumeration_order():

@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slnc.errors import ParseError, SlncError, UnknownEdge
+from slnc.errors import ParseError, SlncError
 from slnc.lnc import construct_lnc, parse_code, write_code
 from slnc import c_min
 from slnc.network import parse_network, serialize_network
@@ -29,7 +29,7 @@ def test_code_parse_rejects_garbage(butterfly):
     with pytest.raises(ParseError):
         parse_code("\n".join(code_text.splitlines()[1:]), butterfly)  # no header
     # The source has no in-channels, so no local line names one.
-    with pytest.raises(UnknownEdge, match="^no channel named __s_1$"):
+    with pytest.raises(SlncError, match="^no channel named __s_1$"):
         parse_code(code_text + "local __s_1 e1 1\n", butterfly)
     with pytest.raises(ParseError):
         parse_code(code_text.replace("kernel e5 1 1", "kernel e5 1"), butterfly)

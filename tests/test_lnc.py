@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slnc import c_min
-from slnc.errors import DimensionExceedsCapacity, FieldTooSmallForSinks, SecurityLevelTooLarge
+from slnc.errors import FieldTooSmall, SlncError
 from slnc.field import Echelon, combine, rank_of_rows
 from slnc.lnc import (
     CodeValidityReport,
@@ -63,9 +63,9 @@ def test_construct_butterfly_gf2_boundary_field(butterfly_gf2):
 
 
 def test_construct_rejects_bad_dimension(butterfly):
-    with pytest.raises(DimensionExceedsCapacity):
+    with pytest.raises(SlncError, match="^dimension 3 exceeds C_min = 2$"):
         construct_lnc(butterfly, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(SlncError, match="^code dimension must be at least 1$"):
         construct_lnc(butterfly, 0)
 
 
@@ -76,7 +76,7 @@ def test_construct_rejects_small_field():
         "field 2\nsource s\nsink t1\nsink t2\nsink t3\n"
         "edge a s t1\nedge b s t2\nedge c s t3\n"
     )
-    with pytest.raises(FieldTooSmallForSinks):
+    with pytest.raises(FieldTooSmall, match=r"^flow-path construction needs q >= \|T\|; q=2, \|T\|=3$"):
         construct_lnc(net, 1)
 
 
@@ -89,7 +89,7 @@ def test_construct_failure_is_a_typed_error(monkeypatch, butterfly, tmp_path, ca
         "the flow-path construction found no coefficients for channel e1 over GF(3); "
         "this does not show that no code exists"
     )
-    with pytest.raises(FieldTooSmallForSinks) as excinfo:
+    with pytest.raises(FieldTooSmall) as excinfo:
         construct_lnc(butterfly, 2)
     assert str(excinfo.value) == message
     path = tmp_path / "b.code"
@@ -134,13 +134,13 @@ def scan_construct_lnc(net: Network, n: int) -> GlobalCode:
     so identical inputs reproduce identical codes byte for byte.
     """
     if n < 1:
-        raise ValueError("code dimension must be at least 1")
+        raise SlncError("code dimension must be at least 1")
     capacity = c_min(net)
     if n > capacity:
-        raise DimensionExceedsCapacity(f"dimension {n} exceeds C_min = {capacity}")
+        raise SlncError(f"dimension {n} exceeds C_min = {capacity}")
     field = net.field
     if field.q < len(net.sinks):
-        raise FieldTooSmallForSinks(
+        raise FieldTooSmall(
             f"flow-path construction needs q >= |T|; q={field.q}, |T|={len(net.sinks)}"
         )
 
@@ -339,7 +339,7 @@ def test_code_wiretap_sets_parallel_pairs(parallel3_gf2):
 
 def test_code_wiretap_sets_rejects_large_r(butterfly):
     code = construct_lnc(butterfly, 2)
-    with pytest.raises(SecurityLevelTooLarge):
+    with pytest.raises(SlncError, match="^need 1 <= r < n = 2, got 2$"):
         enumerate_code_wiretap_sets(code, 2)
 
 
@@ -443,9 +443,9 @@ def test_subset_bound_matches_brute_force(code):
     ids = sorted(e.id for e in net.edges)
     for r in range(max(code.n, cmin) + 1):
         if not 1 <= r < code.n:
-            expected = (SecurityLevelTooLarge, f"need 1 <= r < n = {code.n}, got {r}")
+            expected = (SlncError, f"need 1 <= r < n = {code.n}, got {r}")
         elif r >= cmin:
-            expected = (SecurityLevelTooLarge, f"security level must satisfy 1 <= r < C_min = {cmin}, got {r}")
+            expected = (SlncError, f"security level must satisfy 1 <= r < C_min = {cmin}, got {r}")
         else:
             combos = list(itertools.combinations(ids, r))
             rank_sets = {A for A in combos if rank_of_rows(code.field, [code.kernels[e] for e in A]) == r}

@@ -4,15 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slnc.errors import (
-    DimensionMismatch,
-    FieldMismatch,
-    FieldTooSmall,
-    InconsistentObservation,
-    RateTooHigh,
-    SecurityLevelTooLarge,
-    UnknownSink,
-)
+from slnc.errors import FieldTooSmall, InconsistentObservation, SlncError
 from slnc import Matrix, c_min
 from slnc.field import Echelon, rank_of_rows
 from slnc.lnc import GlobalCode, construct_lnc
@@ -32,6 +24,7 @@ from conftest import (
     SCAN_MAX_DIM,
     SEARCH_FIELDS,
     combination_network,
+    identity,
     load_network,
     matmul,
     matrix_from_rows,
@@ -148,8 +141,8 @@ def scan_choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
     """
     n = code.n
     field = code.field
-    if not 1 <= r < n:
-        raise SecurityLevelTooLarge(f"need 1 <= r < n = {n}, got {r}")
+    if not 0 <= r < n:
+        raise SlncError(f"need 0 <= r < n = {n}, got {r}")
     # cols are independent and meet no span(F_A), and F_A has rank r, so column
     # j <= n - r may be vec exactly when vec lies outside span(cols + F_A). That
     # depends on A only through span(F_A): keep one echelon per distinct span,
@@ -160,7 +153,7 @@ def scan_choose_secure_basis(code: GlobalCode, r: int) -> Matrix:
     scaled = {eid: Echelon(field, n, [k]).basis() for eid, k in code.kernels.items()}
     seen: set[frozenset[tuple[tuple[int, ...], ...]]] = set()
     wiretap_spans: dict[tuple[tuple[int, ...], ...], Echelon] = {}
-    for A in enumerate_code_wiretap_sets(code, r):
+    for A in enumerate_code_wiretap_sets(code, r) if r else ():  # no set of 0 channels leaks
         key = frozenset([scaled[eid] for eid in A])
         if key in seen:
             continue
@@ -208,7 +201,7 @@ def arbitrary_codes(draw):
 @given(st.one_of(small_networks.map(constructed_codes), arbitrary_codes()))
 def test_choose_secure_basis_matches_the_candidate_scan(codes):
     for code in codes:
-        for r in range(1, code.n):
+        for r in range(code.n):
             assert outcome(lambda: choose_secure_basis(code, r)) == outcome(
                 lambda: scan_choose_secure_basis(code, r)
             )
@@ -216,10 +209,19 @@ def test_choose_secure_basis_matches_the_candidate_scan(codes):
 
 def test_choose_secure_basis_rejects_bad_level(butterfly):
     code = construct_lnc(butterfly, 2)
-    with pytest.raises(SecurityLevelTooLarge):
+    with pytest.raises(SlncError, match="^need 0 <= r < n = 2, got 2$"):
         choose_secure_basis(code, 2)  # r = n
-    with pytest.raises(SecurityLevelTooLarge):
-        choose_secure_basis(code, 0)
+    with pytest.raises(SlncError, match="^need 0 <= r < n = 2, got -1$"):
+        choose_secure_basis(code, -1)
+
+
+def test_choose_secure_basis_at_level_zero_is_the_identity():
+    # With no wiretap set to avoid, each column is the smallest vector
+    # outside the span of the ones before it: the next unit vector.
+    for path in sorted(FIXTURES.glob("*.net")):
+        net = load_network(path.name)
+        code = construct_lnc(net, c_min(net))
+        assert choose_secure_basis(code, 0) == identity(net.field, code.n), path.name
 
 
 def test_choose_secure_basis_field_too_small(butterfly_gf2):
@@ -282,17 +284,17 @@ def test_bundles_built_below_level_r_leak_at_most_i():
 
 
 def test_build_bundle_validation(parallel3_gf5, butterfly):
-    with pytest.raises(SecurityLevelTooLarge):
+    with pytest.raises(SlncError, match="^security level 3 must be below C_min = 3$"):
         build_secure_bundle(parallel3_gf5, omega=1, r=3)  # r = C_min
-    with pytest.raises(SecurityLevelTooLarge):
+    with pytest.raises(SlncError, match="^security level must be at least 1, got 0$"):
         build_secure_bundle(parallel3_gf5, omega=1, r=0)
-    with pytest.raises(SecurityLevelTooLarge):
+    with pytest.raises(SlncError, match="^imperfect level must satisfy 0 <= i <= r, got 2$"):
         build_secure_bundle(parallel3_gf5, omega=1, r=1, i=2)
-    with pytest.raises(RateTooHigh):
+    with pytest.raises(SlncError, match=r"^omega \+ key_dim = 4 exceeds C_min = 3$"):
         build_secure_bundle(parallel3_gf5, omega=3, r=1)
-    with pytest.raises(RateTooHigh):
+    with pytest.raises(SlncError, match=r"^omega \+ key_dim = 3 exceeds C_min = 2$"):
         build_secure_bundle(butterfly, omega=2, r=1)
-    with pytest.raises(RateTooHigh):
+    with pytest.raises(SlncError, match="^information rate must be at least 1, got 0$"):
         build_secure_bundle(parallel3_gf5, omega=0, r=1)
 
 
@@ -323,7 +325,7 @@ def test_pipeline_over_extension_fields(butterfly):
 def _brute_force_inverse_gf2(mat):
     """Search all 512 GF(2) 3x3 matrices for the inverse."""
     field = mat.field
-    eye = Matrix.identity(field, 3)
+    eye = identity(field, 3)
     for bits in itertools.product((0, 1), repeat=9):
         cand = matrix_from_rows(field, [bits[0:3], bits[3:6], bits[6:9]])
         if matmul(mat, cand) == eye:
@@ -364,11 +366,11 @@ def test_encode_is_linear(butterfly):
 
 def test_encode_validation(butterfly):
     bundle = build_secure_bundle(butterfly, omega=1, r=1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SlncError, match="^message must have 1 symbols, got 2$"):
         encode_source(bundle, (1, 2), (0,))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SlncError, match="^key must have 1 symbols, got 0$"):
         encode_source(bundle, (1,), ())
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(SlncError, match=r"^3 is not a canonical element of GF\(3\)$"):
         encode_source(bundle, (3,), (0,))
 
 
@@ -397,9 +399,9 @@ def test_decode_zero_observation(butterfly):
 
 def test_decode_validation(butterfly):
     bundle = build_secure_bundle(butterfly, omega=1, r=1)
-    with pytest.raises(UnknownSink):
+    with pytest.raises(SlncError, match="^n4 is not a declared sink$"):
         decode_at_sink(bundle, "n4", {})
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SlncError, match="^missing symbols for: e8$"):
         decode_at_sink(bundle, "t1", {"e6": 0})
 
 
@@ -410,7 +412,7 @@ def test_decode_rank_deficient_sink_is_inconsistent(parallel3_gf2):
     base.kernels.update({"e1": (1, 0, 0), "e2": (0, 1, 0), "e3": (1, 1, 0)})
     bundle = SecureCodeBundle(
         base=base,
-        mixing=Matrix.identity(parallel3_gf2.field, 3),
+        mixing=identity(parallel3_gf2.field, 3),
         omega=1,
         r=1,
         i=0,

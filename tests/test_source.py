@@ -1,6 +1,7 @@
 """Rules that the package source itself must keep."""
 
 import ast
+import builtins
 import importlib
 from pathlib import Path
 
@@ -332,6 +333,45 @@ def test_every_stored_field_is_read():
     assert found == []
 
 
+# Error classes that no `except` in the package names and that subclass no
+# built-in exception, each with the reason it stays.
+UNCAUGHT_ERRORS = {
+    # A caller can retry the construction or the basis search over a larger field.
+    "FieldTooSmall",
+    # A table that parsed but is not a distribution: the data, not the file, is at fault.
+    "NotADistribution",
+}
+BUILTIN_EXCEPTIONS = {
+    name for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException) and obj is not Exception
+}
+
+
+def test_every_error_class_is_one_a_caller_can_act_on():
+    # A fault gets its own class only when a caller can handle it apart from
+    # the rest: an `except` in the package names it, it is also a built-in
+    # exception (as DivisionByZero is a ZeroDivisionError), or it is listed
+    # above.  Every other fault is an SlncError with its own message.
+    caught = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for handler in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                caught |= {
+                    node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(handler.type)
+                    if isinstance(node, (ast.Name, ast.Attribute))
+                }
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    found = [
+        f"errors.py:{cls.lineno}: {cls.name}"
+        for cls in errors.body
+        if isinstance(cls, ast.ClassDef) and cls.name != "SlncError"
+        and cls.name not in caught | UNCAUGHT_ERRORS
+        and not {base.id for base in cls.bases if isinstance(base, ast.Name)} & BUILTIN_EXCEPTIONS
+    ]
+    assert found == []
+
+
 # The package root's public names in `__all__` order, each with its defining module.
 PUBLIC = [
     (name, module)
@@ -339,7 +379,6 @@ PUBLIC = [
         ("errors", "errors"),
         ("field", "FieldSpec"),
         ("secure", "Matrix"),
-        ("field", "ff_op"),
         ("network", "Edge Network parse_network serialize_network"),
         ("flow", "min_cut_to_sink min_cut_to_edges c_min"),
         ("lnc", "GlobalCode construct_lnc check_code_validity write_code parse_code"),

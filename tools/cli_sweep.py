@@ -43,16 +43,19 @@ to `enumerate --code`, and to `verify` and `simulate`, and each fixture
 network is written with one fault per error that `parse_network` and
 `Network` raise (see `network_faults`) and passed to `mincut`, so the
 parsers' error texts are compared too.  Once per sweep, `hancheck` runs on
-two valid tables at bases 2 and 3 and on five faulty ones (see
-`Sweep.hancheck`).  The list
+two valid tables at bases 2 and 3, on seven faulty ones and at base 1 (see
+`Sweep.hancheck`).  Last, each fixture gets the input errors that no case
+before reaches (see `Sweep.input_errors` and `error_faults`); cases are only
+ever added at the end, so every earlier line keeps its place.  The list
 depends on the tree only through the C_min that `mincut`
 prints and the `construct` and `secure` cases that succeed, and all of those
 are compared too.
 
-Each line is `slnc <args> <hash>`, the temporary directory masked as
-`<tmp>`.  The hash covers the exit code, stdout, stderr and the file the
-case writes (or its absence), so two trees agree on a case exactly when
-their lines are equal.
+Each line is `slnc <args> <hash>`, the arguments quoted as a shell reads
+them (`shlex.join`, so an empty one prints as '') and the temporary
+directory masked as `<tmp>`.  The hash covers the exit code, stdout, stderr
+and the file the case writes (or its absence), so two trees agree on a case
+exactly when their lines are equal.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ import io
 import itertools
 import json
 import random
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -185,6 +189,7 @@ class Sweep:
 
     def __init__(self, tmp: Path):
         self.tmp = tmp
+        self.cmin: dict[str, int] = {}  # each network's C_min, as `mincut` printed it
 
     def run(self, *args: str, output: str | None = None) -> tuple[object, str]:
         """Run `slnc args`, print its line, and return (exit code, stdout)."""
@@ -203,7 +208,7 @@ class Sweep:
         record = [str(code), out.getvalue(), err.getvalue(), written]
         record = [None if x is None else x.replace(mask, "<tmp>") for x in record]
         digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16]
-        print("slnc " + " ".join(args).replace(mask, "<tmp>"), digest)
+        print("slnc " + shlex.join(args).replace(mask, "<tmp>"), digest)
         return code, out.getvalue()
 
     def network(self, name: str, text: str, fixture: bool) -> None:
@@ -211,7 +216,7 @@ class Sweep:
         Path(net).write_text(text, encoding="utf-8")
         q = int(text.split("field", 1)[1].split()[0])
         code, out = self.run("mincut", net)
-        cmin = int(out) if code == 0 else 0
+        cmin = self.cmin[name] = int(out) if code == 0 else 0
         for line in text.splitlines():
             if line.startswith("sink "):
                 self.run("mincut", net, "--sink", line.split()[1])
@@ -280,12 +285,54 @@ class Sweep:
             "sum-0.9": "0 0.5\n1 0.4\n",
             "empty": "# no outcomes\n",
             "13-variables": " ".join(["0"] * 13) + " 1.0\n",
+            "mixed-arity": "0 0.5\n0 1 0.5\n",
+            "negative": "0 -0.5\n1 1.5\n",
         }
         for name, text in tables.items():
             table = self.tmp / f"{name}.table"
             table.write_text(text, encoding="utf-8")
             for base in ("2", "3") if name in ("xor", "skew") else ("2",):
                 self.run("hancheck", "--table", str(table), "--base", base)
+        self.run("hancheck", "--table", str(self.tmp / "xor.table"), "--base", "1")
+
+    def input_errors(self, name: str, text: str) -> None:
+        """Run the input errors that no case of `network` reaches: unknown and
+        empty `mincut` targets, out-of-range `refute` and `secure` rates,
+        `simulate` messages of the wrong length or form, and the files of
+        `error_faults`.  They run after every other case, so that adding them
+        moved no earlier line."""
+        net = str(self.tmp / f"{name}.net")
+        lines = text.splitlines()
+        channels = [line.split()[1] for line in lines if line.startswith("edge ")]
+        self.run("mincut", net, "--sink", "nope")
+        for edges in ("", "nope", f"{channels[0]},,{channels[1]}"):
+            self.run("mincut", net, "--edges", edges)
+        self.run("refute", net, "--omega", "1", "--r", "1", "--keydim", "1")
+        for omega, r, i in (("0", "1", "0"), ("1", "0", "0"), ("1", "1", "2")):
+            bundle = str(self.tmp / f"{name}.w{omega}r{r}i{i}.bundle")
+            self.run("secure", net, "--omega", omega, "--r", r, "--i", i, "-o", bundle, output=bundle)
+        code_file = self.tmp / f"{name}.d{self.cmin[name]}.code"
+        bundle = self.tmp / f"{name}.w1r1i0.bundle"
+        if bundle.exists():
+            for message in ("1,1", "x"):
+                self.run("simulate", str(bundle), "--message", message, "--seed", "7")
+        built = {path: path.read_text(encoding="utf-8") for path in (code_file, bundle) if path.exists()}
+        for path, written in built.items():
+            for fault, faulty in error_faults(written).items():
+                bad = self.tmp / f"{name}.{fault}{path.suffix}"
+                bad.write_text(faulty, encoding="utf-8")
+                if path.suffix == ".code":
+                    self.run("enumerate", net, "--r", "1", "--code", str(bad))
+                else:
+                    self.run("verify", str(bad))
+        for size in ("1", "9", "512", "65536"):
+            bad = self.tmp / f"{name}.field-{size}.net"
+            resized = [f"field {size}" if line.startswith("field ") else line for line in lines]
+            bad.write_text("\n".join(resized) + "\n", encoding="utf-8")
+            self.run("mincut", str(bad))
+        bad = self.tmp / f"{name}.latin1.net"
+        bad.write_bytes(b"\xff" + text.encode())
+        self.run("mincut", str(bad))
 
     def malformed(self, name: str, net: str, cmin: int) -> None:
         """Run each single fault of the C_min code, of the omega=1, r=1 bundle
@@ -379,6 +426,52 @@ def faults(text: str) -> dict[str, str]:
     return {fault: "\n".join(edited) + "\n" for fault, edited in edits.items()}
 
 
+def error_faults(text: str) -> dict[str, str]:
+    """Copies of a written code or bundle file with one fault each, by name,
+    for the parser errors that `faults` leaves out.  A code file gets a
+    second header, a field that is not the network's, a kernel line one
+    entry short, a repeated kernel line, a two-argument `local` line, a
+    header key given twice and, where it has a `local` line, a kernel that
+    disagrees with its local coefficients.  A bundle gets its code header
+    after the Q block, its Q block cut off by the end of the file, r raised
+    to n (with keydim to match), and an all-zero Q."""
+    lines = text.splitlines()
+    keywords = [line.split()[0] for line in lines]
+
+    def replaced(k: int, line: str) -> list[str]:
+        return lines[:k] + [line] + lines[k + 1:]
+
+    header = keywords.index("code")
+    n, q = (int(token[2:]) for token in lines[header].split()[1:])
+    if "secure" in keywords:
+        s, start = keywords.index("secure"), keywords.index("Q")
+        rates = " ".join(f"{t.split('=')[0]}={n}" if t.startswith(("r=", "keydim=")) else t for t in lines[s].split())
+        edits = {
+            "late-code-header": lines[header + 1:] + [lines[header]],
+            "cut-q": lines[:start + n],
+            "r-is-n": replaced(s, rates),
+            "zero-q": lines[:start + 1] + [" ".join(["0"] * n)] * n + lines[start + 1 + n:],
+        }
+    else:
+        kernel = keywords.index("kernel")
+        channel = lines[kernel].split()[1]
+        edits = {
+            "two-code-headers": lines + [lines[header]],
+            "other-q": replaced(header, f"code n={n} q={q + 1}"),
+            "short-kernel": replaced(kernel, lines[kernel].rsplit(" ", 1)[0]),
+            "two-kernels": lines + [lines[kernel]],
+            "two-argument-local": lines + [f"local {channel} {channel}"],
+            "two-n": replaced(header, f"code n={n} n={n}"),
+        }
+        if "local" in keywords:
+            coded = lines[keywords.index("local")].split()[2]
+            k = next(k for k, line in enumerate(lines) if line.split()[:2] == ["kernel", coded])
+            tokens = lines[k].split()
+            tokens[2] = str((int(tokens[2]) + 1) % q)
+            edits["wrong-kernel"] = replaced(k, " ".join(tokens))
+    return {fault: "\n".join(edited) + "\n" for fault, edited in edits.items()}
+
+
 def network_faults(text: str) -> dict[str, str]:
     """Copies of a network file with one fault each, by name: an unknown
     keyword, each keyword with one argument too many or too few, a repeated
@@ -436,6 +529,9 @@ def main(argv: list[str]) -> int:
         for name in chosen:
             sweep.network(name, nets[name], fixture=name in stems)
         sweep.hancheck()
+        for name in chosen:
+            if name in stems:
+                sweep.input_errors(name, nets[name])
     return 0
 
 
